@@ -100,12 +100,21 @@ def normalize_weights(raw, tau: float) -> WeightVector:
         raise ValueError("raw weights must be finite")
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError(f"tau must be a finite non-negative real, got {tau}")
-    scaled = tau * r
-    exps = np.exp(scaled - scaled.max())
+    weights = _softmax_rows(r[None, :], np.array([r.size]), tau)[0]
+    return WeightVector(weights=weights, seq_len=r.size)
+
+
+def _softmax_rows(raw: np.ndarray, lengths: np.ndarray, tau: float) -> np.ndarray:
+    """``normalize_weights`` on each padded (B, T) row over its own length; zero past it."""
+    valid = np.arange(raw.shape[1])[None, :] < lengths[:, None]
+    scaled = np.where(valid, tau * raw, -np.inf)
+    exps = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    # Each sum runs over its row's own length: summing the padded row would
+    # regroup numpy's pairwise summation and can move the last bit.
+    sums = np.array([row[:n].sum() for row, n in zip(exps, lengths)])
     # (n * e) / sum rather than n * (e / sum): gives exact ones when all
     # the exponentials are equal.
-    weights = (r.size * exps) / exps.sum()
-    return WeightVector(weights=weights, seq_len=r.size)
+    return (lengths[:, None] * exps) / sums[:, None]
 
 
 def apply_eos_floor(wv: WeightVector, eos_index: int | None) -> WeightVector:
@@ -121,6 +130,15 @@ def apply_eos_floor(wv: WeightVector, eos_index: int | None) -> WeightVector:
     return WeightVector(weights=weights, seq_len=wv.seq_len)
 
 
+def reweighting_active(cfg: ReweightConfig, progress: float) -> bool:
+    """Whether the weights at this point in training can differ from all-ones.
+
+    They cannot in vanilla mode, nor before ``start_fraction`` of training
+    has elapsed; the trainer skips the noisy pass on those steps.
+    """
+    return cfg.mode is not LossMode.VANILLA and progress >= cfg.start_fraction
+
+
 def training_weights(
     profile: DependenceProfile,
     cfg: ReweightConfig,
@@ -129,16 +147,28 @@ def training_weights(
 ) -> WeightVector:
     """Loss weights for one sequence at the given point in training.
 
-    Before ``start_fraction`` of training has elapsed — and always in
-    vanilla mode — the result is the exact all-ones vector, so gated runs
-    are bit-identical to unweighted ones.
+    Until ``reweighting_active`` holds the result is the exact all-ones
+    vector, so gated runs are bit-identical to unweighted ones.
     """
     if not 0.0 <= progress <= 1.0:
         raise ValueError(f"progress must lie in [0, 1], got {progress}")
     n = len(profile)
-    if cfg.mode is LossMode.VANILLA or progress < cfg.start_fraction:
+    if not reweighting_active(cfg, progress):
         return WeightVector(weights=np.ones(n), seq_len=n)
     wv = normalize_weights(raw_weights(profile.d, cfg.mode), cfg.tau)
     if cfg.eos_floor:
         wv = apply_eos_floor(wv, eos_index)
     return wv
+
+
+def weight_rows(d: np.ndarray, lengths: np.ndarray, cfg: ReweightConfig) -> np.ndarray:
+    """Active-step weights for padded (B, T) dependence rows; zero past each length.
+
+    Row for row, bit for bit, ``training_weights`` with the EOS at the last
+    position.
+    """
+    weights = _softmax_rows(raw_weights(d, cfg.mode), lengths, cfg.tau)
+    if cfg.eos_floor:
+        rows, eos = np.arange(len(lengths)), lengths - 1
+        weights[rows, eos] = np.maximum(weights[rows, eos], 1.0)
+    return weights

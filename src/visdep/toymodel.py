@@ -14,15 +14,22 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import synth
-from .dependence import TokenClass, profile_trace
-from .diffusion import DEFAULT_NOISE_STEP, NoiseSchedule, corrupt, make_schedule
-from .reweight import LossMode, ReweightConfig, training_weights
+from .dependence import NEGATIVE_THRESHOLD, POSITIVE_THRESHOLD, TokenClass, dependence_array
+from .diffusion import DEFAULT_NOISE_STEP, corrupt, make_schedule
+from .reweight import ReweightConfig, reweighting_active, weight_rows
 from .seeding import derive_seed, rng_for
-from .trace import TokenTrace
+
+# Training no longer calls these three (``batch_weights`` works on arrays),
+# but ``bench/tracer.py`` hooks them by name in this module to count the
+# calls; they stay importable here until its hook list changes.
+from .dependence import profile_trace  # noqa: F401
+from .reweight import training_weights  # noqa: F401
+from .trace import TokenTrace  # noqa: F401
 
 D_EMB = 32
 D_HID = 64
@@ -30,6 +37,11 @@ D_HID = 64
 # typical norm of a clean scene feature, so corrupted conditions land on the
 # scale the cell was trained on.
 CONDITION_NORM = 2.0
+
+# Rows per teacher-forced block in ``teacher_forced_probs``: scoring a whole
+# corpus in one batch would hold every per-step array at corpus size.  It
+# also caps the rows of a stack of states that a scoring pass may keep.
+SCORE_BLOCK_ROWS = 512
 
 CKPT_FORMAT = "visdep-ckpt"
 CKPT_VERSION = 1
@@ -167,53 +179,82 @@ def _cond_embed(p: ModelParams, conditions: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; ``exp`` only ever sees ``-|x|``, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _cell_forward(p: ModelParams, h: np.ndarray, x: np.ndarray):
-    """One GRU step for a (B, d) batch; returns new state and the cache."""
-    z = _sigmoid(x @ p.w_xz + h @ p.w_hz + p.b_z)
-    r = _sigmoid(x @ p.w_xr + h @ p.w_hr + p.b_r)
+class _Gates(NamedTuple):
+    """The GRU blocks laid side by side, so one matmul serves several gates.
+
+    A fused matmul gives each gate's columns the bits of that gate's own
+    matmul whenever both run the same BLAS kernel, so the cell computes
+    what the unfused one did.  OpenBLAS picks its kernel by matrix size,
+    which leaves one exception (measured with OpenBLAS 0.3.31 on an
+    AVX-512 Xeon): for a batch of 385-488 rows the fused input-weight
+    gradient ``x.T @ da`` leaves the small-matrix kernel that one gate's
+    product stays in, and sums the batch in another order.
+    """
+
+    w_x: np.ndarray   # (d_emb, 3 d_hid): [w_xz | w_xr | w_xc]
+    w_h: np.ndarray   # (d_hid, 2 d_hid): [w_hz | w_hr]
+    w_hc: np.ndarray  # (d_hid, d_hid)
+    b: np.ndarray     # (3 d_hid,): [b_z | b_r | b_c]
+
+
+def _gates(p: ModelParams) -> _Gates:
+    return _Gates(
+        w_x=np.concatenate([p.w_xz, p.w_xr, p.w_xc], axis=1),
+        w_h=np.concatenate([p.w_hz, p.w_hr], axis=1),
+        w_hc=p.w_hc,
+        b=np.concatenate([p.b_z, p.b_r, p.b_c]),
+    )
+
+
+def _cell_forward(gates: _Gates, h: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
+    """One GRU step for a (B, d) batch; returns new state (written to ``out`` if given) and the cache."""
+    hid = h.shape[1]
+    xw = x @ gates.w_x
+    zr = _sigmoid(xw[:, : 2 * hid] + h @ gates.w_h + gates.b[: 2 * hid])
+    z, r = zr[:, :hid], zr[:, hid:]
     hr = r * h
-    c = np.tanh(x @ p.w_xc + hr @ p.w_hc + p.b_c)
-    h_new = (1.0 - z) * h + z * c
-    return h_new, (x, h, z, r, hr, c)
+    c = np.tanh(xw[:, 2 * hid :] + hr @ gates.w_hc + gates.b[2 * hid :])
+    h_new = np.add((1.0 - z) * h, z * c, out=out)
+    return h_new, (x, h, zr, hr, c)
 
 
-def _cell_backward(p: ModelParams, g: ModelParams, dh_new: np.ndarray, cache):
-    """Backprop one GRU step; accumulates into ``g``, returns (dx, dh_prev)."""
-    x, h_prev, z, r, hr, c = cache
-    dz = dh_new * (c - h_prev)
-    dc = dh_new * z
-    dh_prev = dh_new * (1.0 - z)
+def _cell_backward(p: ModelParams, g: _Gates, dh_new: np.ndarray, cache):
+    """Backprop one GRU step; accumulates into the fused ``g``, returns (dx, dh_prev).
 
-    da_c = dc * (1.0 - c * c)
-    g.w_xc += x.T @ da_c
-    g.w_hc += hr.T @ da_c
-    g.b_c += da_c.sum(axis=0)
+    The weight gradients come from fused matmuls over ``[da_z | da_r |
+    da_c]``.  ``dx`` and ``dh_prev`` keep one matmul per gate, summed in
+    the order of the unfused cell: one fused matmul would regroup the sum.
+    """
+    x, h_prev, zr, hr, c = cache
+    hid = h_prev.shape[1]
+    z, r = zr[:, :hid], zr[:, hid:]
+    da = np.empty((x.shape[0], 3 * hid))
+    da_zr, da_z, da_r, da_c = da[:, : 2 * hid], da[:, :hid], da[:, hid : 2 * hid], da[:, 2 * hid :]
+
+    np.multiply(dh_new * z, 1.0 - c * c, out=da_c)
     dx = da_c @ p.w_xc.T
     dhr = da_c @ p.w_hc.T
+    dh_prev = dh_new * (1.0 - z)
     dh_prev += dhr * r
-    dr = dhr * h_prev
-
-    da_r = dr * r * (1.0 - r)
-    g.w_xr += x.T @ da_r
-    g.w_hr += h_prev.T @ da_r
-    g.b_r += da_r.sum(axis=0)
+    np.multiply(dh_new, c - h_prev, out=da_z)
+    np.multiply(dhr, h_prev, out=da_r)
+    da_zr *= zr
+    da_zr *= 1.0 - zr
     dx += da_r @ p.w_xr.T
     dh_prev += da_r @ p.w_hr.T
-
-    da_z = dz * z * (1.0 - z)
-    g.w_xz += x.T @ da_z
-    g.w_hz += h_prev.T @ da_z
-    g.b_z += da_z.sum(axis=0)
     dx += da_z @ p.w_xz.T
     dh_prev += da_z @ p.w_hz.T
+
+    g_x, g_h, g_hc, g_b = g
+    g_x += x.T @ da
+    g_h += h_prev.T @ da_zr
+    g_hc += hr.T @ da_c
+    g_b += da.sum(axis=0)
     return dx, dh_prev
 
 
@@ -230,21 +271,38 @@ def _pad_targets(targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, lengths, mask
 
 
-class _ForwardCache:
+class _ForwardCache(NamedTuple):
     """Everything the backward pass needs from one teacher-forced forward."""
 
-    __slots__ = ("inputs", "targets", "lengths", "mask", "caches", "hs", "probs", "target_p", "target_logp")
+    inputs: np.ndarray            # (B, T) BOS then the targets shifted right
+    targets: np.ndarray           # (B, T) padded target ids
+    lengths: np.ndarray           # (B,)
+    mask: np.ndarray              # (B, T) True within each length
+    caches: list | None           # per-step cell caches, the condition step first
+    hs: np.ndarray | None         # (T, B, d_hid) hidden state after each step
+    probs: np.ndarray | None      # (T, B, vocab) next-token distributions
+    target_p: np.ndarray          # (B, T) probability of each target
+    target_logp: np.ndarray       # (B, T) its log
 
-    def __init__(self, inputs, targets, lengths, mask, caches, hs, probs, target_p, target_logp):
-        self.inputs = inputs
-        self.targets = targets
-        self.lengths = lengths
-        self.mask = mask
-        self.caches = caches
-        self.hs = hs
-        self.probs = probs
-        self.target_p = target_p
-        self.target_logp = target_logp
+
+def _output_layer(p: ModelParams, hs: np.ndarray, ids: np.ndarray):
+    """Softmax outputs for a (t, B, d_hid) stack of states and (t, B) target ids.
+
+    Returns the (t, B, vocab) distributions and each target's probability
+    and log-probability, (t, B) each.  A matmul on a stack makes one BLAS
+    call per step, the call one step alone would make, so no bit depends
+    on how many steps are stacked.
+    """
+    logits = hs @ p.w_out
+    logits += p.b_out
+    logits -= logits.max(axis=2, keepdims=True)
+    pick = ids[:, :, None]
+    target_logits = np.take_along_axis(logits, pick, axis=2)[:, :, 0]
+    probs = np.exp(logits, out=logits)
+    denom = probs.sum(axis=2)
+    target_p = np.take_along_axis(probs, pick, axis=2)[:, :, 0] / denom
+    probs /= denom[:, :, None]
+    return probs, target_p, target_logits - np.log(denom)
 
 
 def _forward_batch(
@@ -253,36 +311,39 @@ def _forward_batch(
     targets: list,
     keep_cache: bool = True,
 ) -> _ForwardCache:
-    """Teacher-forced pass over a batch; targets exclude BOS."""
+    """Teacher-forced pass over a batch; targets exclude BOS.
+
+    The output layer does not feed the recurrence.  For training, and for
+    any batch whose stack of states has at most ``SCORE_BLOCK_ROWS`` rows,
+    it runs once on that stack, so a small batch pays its per-call cost
+    once instead of at every step.  A larger batch (a scoring block) takes
+    each step's output at that step, so no state outlives its step; there
+    the per-call cost is small next to the work.  Both give the same bits.
+    """
     b = conditions.shape[0]
     ids, lengths, mask = _pad_targets(targets)
     t_max = ids.shape[1]
     inputs = np.concatenate([np.full((b, 1), synth.BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
 
-    cond_emb = _cond_embed(p, conditions)
-    h = np.zeros((b, p.d_hid))
-    h, cache0 = _cell_forward(p, h, cond_emb)
-    caches = [cache0] if keep_cache else None
-    hs = [] if keep_cache else None
-    probs = np.empty((b, t_max, p.vocab_size)) if keep_cache else None
-    target_p = np.empty((b, t_max))
-    target_logp = np.empty((b, t_max))
-    rows = np.arange(b)
-    for t in range(t_max):
-        x = p.emb[inputs[:, t]]
-        h, cache = _cell_forward(p, h, x)
-        logits = h @ p.w_out + p.b_out
-        logits = logits - logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        denom = expl.sum(axis=1)
-        pt = expl / denom[:, None]
-        target_p[:, t] = pt[rows, ids[:, t]]
-        target_logp[:, t] = logits[rows, ids[:, t]] - np.log(denom)
-        if keep_cache:
-            caches.append(cache)
-            hs.append(h)
-            probs[:, t, :] = pt
-    return _ForwardCache(inputs, ids, lengths, mask, caches, hs, probs, target_p, target_logp)
+    gates = _gates(p)
+    h, cache = _cell_forward(gates, np.zeros((b, p.d_hid)), _cond_embed(p, conditions))
+    caches = [cache] if keep_cache else None
+    if keep_cache or b * t_max <= SCORE_BLOCK_ROWS:
+        xs = p.emb[inputs.T]  # (T, B, d_emb): one gather, a contiguous slice per step
+        hs = np.empty((t_max, b, p.d_hid))
+        for t in range(t_max):
+            h, cache = _cell_forward(gates, h, xs[t], out=hs[t])
+            if keep_cache:
+                caches.append(cache)
+        probs, target_p, target_logp = _output_layer(p, hs, ids.T)
+    else:
+        target_p, target_logp = np.empty((t_max, b)), np.empty((t_max, b))
+        for t in range(t_max):
+            h, _ = _cell_forward(gates, h, p.emb[inputs[:, t]])
+            _, target_p[t : t + 1], target_logp[t : t + 1] = _output_layer(p, h[None], ids.T[t : t + 1])
+    if not keep_cache:
+        hs = probs = None
+    return _ForwardCache(inputs, ids, lengths, mask, caches, hs, probs, target_p.T, target_logp.T)
 
 
 def _loss_and_grads(
@@ -301,20 +362,30 @@ def _loss_and_grads(
     loss = float(-(coef * np.where(fwd.mask, fwd.target_logp, 0.0)).sum())
 
     g = p.zeros_like()
-    rows = np.arange(b)
-    dh_next = np.zeros((b, p.d_hid))
+    hid = p.d_hid
+    fused = _Gates(
+        w_x=np.zeros((p.d_emb, 3 * hid)), w_h=np.zeros((hid, 2 * hid)), w_hc=g.w_hc, b=np.zeros(3 * hid)
+    )
+    # The gradients at the logits, and from them at each state, do not
+    # feed the recurrence: they run once on the (T, B, .) stacks.
+    coef_t = coef.T
+    dlogits = fwd.probs * coef_t[:, :, None]
+    dlogits[np.arange(t_max)[:, None], np.arange(b)[None, :], fwd.targets.T] -= coef_t
+    dh_out = dlogits @ p.w_out.T
+    dxs = np.empty((t_max, b, p.d_emb))
+    dh_next = np.zeros((b, hid))
     for t in range(t_max - 1, -1, -1):
-        dlogits = fwd.probs[:, t, :] * coef[:, t][:, None]
-        dlogits[rows, fwd.targets[:, t]] -= coef[:, t]
-        h_t = fwd.hs[t]
-        g.w_out += h_t.T @ dlogits
-        g.b_out += dlogits.sum(axis=0)
-        dh = dh_next + dlogits @ p.w_out.T
-        dx, dh_next = _cell_backward(p, g, dh, fwd.caches[t + 1])
-        np.add.at(g.emb, fwd.inputs[:, t], dx)
-    dx_cond, _ = _cell_backward(p, g, dh_next, fwd.caches[0])
+        g.w_out += fwd.hs[t].T @ dlogits[t]
+        g.b_out += dlogits[t].sum(axis=0)
+        dxs[t], dh_next = _cell_backward(p, fused, dh_next + dh_out[t], fwd.caches[t + 1])
+    # One scatter-add, its rows in the order of one add per step, last step first.
+    np.add.at(g.emb, fwd.inputs.T[::-1].ravel(), dxs[::-1].reshape(-1, p.d_emb))
+    dx_cond, _ = _cell_backward(p, fused, dh_next, fwd.caches[0])
     cond_emb = fwd.caches[0][0]
     g.cond += _normalized_conditions(conditions).T @ (dx_cond * (1.0 - cond_emb * cond_emb))
+    g.w_xz[...], g.w_xr[...], g.w_xc[...] = np.split(fused.w_x, 3, axis=1)
+    g.w_hz[...], g.w_hr[...] = np.split(fused.w_h, 2, axis=1)
+    g.b_z[...], g.b_r[...], g.b_c[...] = np.split(fused.b, 3)
     return loss, g
 
 
@@ -328,10 +399,11 @@ def forward(p: ModelParams, condition, prefix) -> np.ndarray:
         raise ValueError("prefix must begin with BOS")
     if any(not 0 <= t < p.vocab_size for t in prefix):
         raise ValueError("prefix contains out-of-vocabulary token ids")
+    gates = _gates(p)
     h = np.zeros((1, p.d_hid))
-    h, _ = _cell_forward(p, h, _cond_embed(p, condition[None, :]))
+    h, _ = _cell_forward(gates, h, _cond_embed(p, condition[None, :]))
     for t in prefix:
-        h, _ = _cell_forward(p, h, p.emb[[t]])
+        h, _ = _cell_forward(gates, h, p.emb[[t]])
     logits = (h @ p.w_out + p.b_out)[0]
     logits = logits - logits.max()
     e = np.exp(logits)
@@ -358,9 +430,24 @@ def sequence_loss(p: ModelParams, condition, target, weights) -> tuple[float, Mo
 
 
 def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) -> list[np.ndarray]:
-    """Per-position probability of each target token, batched."""
-    fwd = _forward_batch(p, np.asarray(conditions, dtype=np.float64), targets, keep_cache=False)
-    return [fwd.target_p[i, : len(t)].copy() for i, t in enumerate(targets)]
+    """Per-position probability of each target token, in blocks of ``SCORE_BLOCK_ROWS`` rows.
+
+    The blocks bound the memory and change no bit: in a batch of two or
+    more rows, a row's probabilities do not depend on the other rows.  A
+    lone row runs its matmuls as matrix-vector products, which round
+    differently, so a one-row remainder joins the block before it.
+    """
+    conditions = np.asarray(conditions, dtype=np.float64)
+    n = len(targets)
+    starts = list(range(0, n, SCORE_BLOCK_ROWS))
+    if n > 1 and n % SCORE_BLOCK_ROWS == 1:
+        starts.pop()
+    out = []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        block = targets[start:stop]
+        fwd = _forward_batch(p, conditions[start:stop], block, keep_cache=False)
+        out.extend(fwd.target_p[i, : len(t)].copy() for i, t in enumerate(block))
+    return out
 
 
 def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) -> list[tuple[int, ...]]:
@@ -369,14 +456,15 @@ def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) ->
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     conditions = np.asarray(conditions, dtype=np.float64)
     b = conditions.shape[0]
+    gates = _gates(p)
     h = np.zeros((b, p.d_hid))
-    h, _ = _cell_forward(p, h, _cond_embed(p, conditions))
+    h, _ = _cell_forward(gates, h, _cond_embed(p, conditions))
     tokens = np.full((b, 1), synth.BOS_ID, dtype=np.int64)
     seqs = [[synth.BOS_ID] for _ in range(b)]
     done = np.zeros(b, dtype=bool)
     current = tokens[:, 0]
     while not done.all() and max(len(s) for s in seqs) < max_len:
-        h_new, _ = _cell_forward(p, h, p.emb[current])
+        h_new, _ = _cell_forward(gates, h, p.emb[current])
         h = np.where(done[:, None], h, h_new)
         logits = h @ p.w_out + p.b_out
         nxt = logits.argmax(axis=1)
@@ -427,27 +515,33 @@ class TrainLogRecord:
 
 
 class _Adam:
+    """Adam on all blocks at once: the moments are flat vectors, one entry per parameter."""
+
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.blocks().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.blocks().items()}
+        size = sum(arr.size for arr in params.blocks().values())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, g in grads.blocks().items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            getattr(params, name)[...] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g = np.concatenate([arr.ravel() for arr in grads.blocks().values()])
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        start = 0
+        for arr in params.blocks().values():
+            arr -= update[start : start + arr.size].reshape(arr.shape)
+            start += arr.size
 
 
 class _SGD:
@@ -460,60 +554,43 @@ class _SGD:
 
 
 def batch_weights(
-    p: ModelParams,
-    scenes: list,
-    fwd: _ForwardCache,
-    noisy_p: list[np.ndarray],
-    cfg: TrainConfig,
-    progress: float,
-) -> tuple[np.ndarray, list]:
-    """Per-token weights for a batch, built through the trace/profile path.
+    fwd: _ForwardCache, noisy_p: list[np.ndarray], cfg: ReweightConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-token weights for a re-weighted step, on padded (B, T) arrays.
 
-    Returns the padded (B, T_max) weight matrix plus the per-sequence
-    dependence profiles used to build it.
+    Returns the weights and the dependence values, both zero past each
+    sequence length.  Row for row the weights are those of
+    ``reweight.training_weights`` with the EOS at the last position.
     """
-    b, t_max = fwd.targets.shape
-    weights = np.zeros((b, t_max))
-    profiles = []
-    v_obj = p.v_obj
-    for i, scene in enumerate(scenes):
-        target = scene.caption[1:]
-        length = len(target)
-        trace = TokenTrace(
-            sample_id=scene.scene_id,
-            tokens=target,
-            surfaces=synth.surfaces_for(target, v_obj),
-            p_clean=tuple(float(x) for x in fwd.target_p[i, :length]),
-            p_noisy=tuple(float(x) for x in noisy_p[i]),
-            eos_index=length - 1,
-        )
-        prof = profile_trace(trace)
-        wv = training_weights(prof, cfg.reweight, progress, eos_index=length - 1)
-        weights[i, :length] = wv.weights
-        profiles.append(prof)
-    return weights, profiles
+    p_noisy = np.zeros_like(fwd.target_p)
+    p_noisy[fwd.mask] = np.concatenate(noisy_p)
+    d = np.where(fwd.mask, dependence_array(fwd.target_p, p_noisy), 0.0)
+    return weight_rows(d, fwd.lengths, cfg), d
 
 
-def _class_means(weights: np.ndarray, profiles: list) -> dict[TokenClass, float]:
-    sums = {cls: 0.0 for cls in TokenClass}
-    counts = {cls: 0 for cls in TokenClass}
-    for i, prof in enumerate(profiles):
-        for t, cls in enumerate(prof.classes):
-            sums[cls] += weights[i, t]
-            counts[cls] += 1
-    return {
-        cls: (sums[cls] / counts[cls]) if counts[cls] else float("nan")
-        for cls in TokenClass
+def _class_means(weights: np.ndarray, d: np.ndarray, mask: np.ndarray) -> dict[TokenClass, float]:
+    """Mean weight of the tokens in each dependence class; NaN for an empty class."""
+    pos = mask & (d >= POSITIVE_THRESHOLD)
+    neg = mask & (d < NEGATIVE_THRESHOLD)
+    members = {
+        TokenClass.IMAGE_POSITIVE: pos,
+        TokenClass.IMAGE_INVARIANT: mask & ~pos & ~neg,
+        TokenClass.IMAGE_NEGATIVE: neg,
     }
+    return {cls: float(weights[sel].mean()) if sel.any() else float("nan") for cls, sel in members.items()}
 
 
 def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Train on synthetic scenes; deterministic in ``(scenes, cfg)``.
 
-    Every batch runs a clean and a noised teacher-forced pass to build
-    dependence profiles (logged throughout), but the resulting weights
-    only deviate from all-ones once ``start_fraction`` of the total steps
-    has elapsed and the mode is not vanilla.
+    Every batch runs a clean teacher-forced pass.  Once
+    ``reweighting_active`` holds (never in vanilla mode, otherwise from
+    ``start_fraction`` of the total steps on), a batch also runs a noised
+    pass, weights each token by its dependence and logs the mean weight of
+    each dependence class.  Before that every weight is exactly 1, the
+    noised pass is skipped and the class means are logged as NaN.  Each
+    noise draw is seeded by ``(seed, step, scene_id)``, so skipping some
+    steps changes no other step's draw.
 
     The returned parameters are the uniform average of the iterates that
     steps ``total_steps // 2`` through ``total_steps - 1`` (counting from
@@ -535,35 +612,41 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
     opt = _Adam(params, cfg.learning_rate) if cfg.optimizer == "adam" else _SGD(params, cfg.learning_rate)
 
     n = len(scenes)
+    all_features = np.array([s.feature for s in scenes])
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     average_from = total_steps // 2
     tail_sum = params.zeros_like()
+    unweighted_means = dict.fromkeys(TokenClass, float("nan"))
     log: list[TrainLogRecord] = []
     global_step = 0
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, "shuffle", epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = [scenes[int(i)] for i in order[start : start + cfg.batch_size]]
-            features = np.array([s.feature for s in batch])
+            idx = order[start : start + cfg.batch_size]
+            batch = [scenes[int(i)] for i in idx]
+            features = all_features[idx]
             targets = [list(s.caption[1:]) for s in batch]
 
             fwd = _forward_batch(params, features, targets)
-            noisy = np.stack(
-                [
-                    corrupt(
-                        np.array(s.feature),
-                        cfg.noise_step,
-                        schedule,
-                        derive_seed(cfg.seed, "noise", global_step, s.scene_id),
-                    )
-                    for s in batch
-                ]
-            )
-            noisy_p = teacher_forced_probs(params, noisy, targets)
-
-            progress = global_step / total_steps
-            weights, profiles = batch_weights(params, batch, fwd, noisy_p, cfg, progress)
+            if reweighting_active(cfg.reweight, global_step / total_steps):
+                noisy = np.stack(
+                    [
+                        corrupt(
+                            feature,
+                            cfg.noise_step,
+                            schedule,
+                            derive_seed(cfg.seed, "noise", global_step, s.scene_id),
+                        )
+                        for feature, s in zip(features, batch)
+                    ]
+                )
+                noisy_p = teacher_forced_probs(params, noisy, targets)
+                weights, d = batch_weights(fwd, noisy_p, cfg.reweight)
+                means = _class_means(weights, d, fwd.mask)
+            else:
+                weights = fwd.mask.astype(np.float64)
+                means = unweighted_means
             loss, grads = _loss_and_grads(params, features, fwd, weights)
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at step {global_step}")
@@ -572,7 +655,6 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
                 for name, arr in tail_sum.blocks().items():
                     arr += getattr(params, name)
 
-            means = _class_means(weights, profiles)
             log.append(
                 TrainLogRecord(
                     step=global_step,

@@ -16,7 +16,9 @@ from visdep.reweight import (
     normalize_weights,
     raw_weight,
     raw_weights,
+    reweighting_active,
     training_weights,
+    weight_rows,
 )
 
 
@@ -235,6 +237,42 @@ class TestTrainingWeights:
         profile = profile_from([0.0])
         with pytest.raises(ValueError):
             training_weights(profile, ReweightConfig(), progress=1.5)
+
+
+class TestReweightingActive:
+    def test_vanilla_is_never_active(self):
+        cfg = ReweightConfig(mode=LossMode.VANILLA, start_fraction=0.0)
+        assert not any(reweighting_active(cfg, p) for p in (0.0, 0.5, 1.0))
+
+    def test_active_from_start_fraction_on(self):
+        for mode in (LossMode.EMPHASIZE_NEGATIVE, LossMode.EMPHASIZE_POSITIVE):
+            cfg = ReweightConfig(mode=mode, start_fraction=0.5)
+            assert [reweighting_active(cfg, p) for p in (0.0, 0.49, 0.5, 1.0)] == [False, False, True, True]
+
+
+class TestWeightRows:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE),
+            ReweightConfig(mode=LossMode.EMPHASIZE_POSITIVE, tau=3.0),
+            ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=0.0),
+            ReweightConfig(mode=LossMode.EMPHASIZE_POSITIVE, eos_floor=False),
+        ],
+    )
+    def test_rows_match_training_weights_bit_for_bit(self, cfg):
+        """Padded rows of every length up to 40, with exact zeros of both
+        signs, give each row the bits of the one-sequence path."""
+        rng = np.random.default_rng(7)
+        lengths = np.array([1, 2, 7, 8, 9, 16, 17, 23, 40] + list(rng.integers(1, 41, 200)))
+        d = np.zeros((len(lengths), 40))
+        for i, n in enumerate(lengths):
+            d[i, :n] = rng.choice([-1.0, -0.3, -0.0, 0.0, 0.25, 1.0], n) * rng.uniform(0.0, 1.0, n)
+        weights = weight_rows(d, lengths, cfg)
+        for i, n in enumerate(lengths):
+            expected = training_weights(profile_from(d[i, :n]), cfg, 1.0, eos_index=int(n) - 1).weights
+            np.testing.assert_array_equal(weights[i, :n], expected)
+            assert not weights[i, n:].any()
 
 
 class TestConfigValidation:

@@ -6,18 +6,26 @@ import math
 import numpy as np
 import pytest
 
+import visdep.toymodel as toymodel
 from visdep import synth
+from visdep.dependence import profile_trace
 from visdep.diffusion import make_schedule, corrupt
-from visdep.reweight import LossMode, ReweightConfig
+from visdep.reweight import LossMode, ReweightConfig, training_weights
 from visdep.seeding import derive_seed, rng_for
 from visdep.synth import BOS_ID, EOS_ID, CorpusConfig, generate_corpus, object_token, token_object
 from visdep.toymodel import (
+    SCORE_BLOCK_ROWS,
     ModelParams,
     TrainConfig,
     TrainingDiverged,
     _Adam,
+    _cell_backward,
+    _cell_forward,
+    _Gates,
+    _gates,
     _forward_batch,
     _loss_and_grads,
+    _sigmoid,
     batch_weights,
     forward,
     generate,
@@ -30,6 +38,7 @@ from visdep.toymodel import (
     train,
     write_train_log,
 )
+from visdep.trace import TokenTrace
 
 V_OBJ_SMALL = 5
 VOCAB_SMALL = synth.vocab_size(V_OBJ_SMALL)
@@ -120,6 +129,155 @@ class TestForward:
         assert np.abs(a - b).sum() > 0.0
 
 
+def _ref_sigmoid(x):
+    """Reference logistic: masked indexing, one ``exp`` formula per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_cell_forward(p, h, x):
+    """The unfused GRU step: one matmul per gate and weight block."""
+    z = _ref_sigmoid(x @ p.w_xz + h @ p.w_hz + p.b_z)
+    r = _ref_sigmoid(x @ p.w_xr + h @ p.w_hr + p.b_r)
+    hr = r * h
+    c = np.tanh(x @ p.w_xc + hr @ p.w_hc + p.b_c)
+    return (1.0 - z) * h + z * c, (x, h, z, r, hr, c)
+
+
+def _ref_cell_backward(p, g, dh_new, cache):
+    """The unfused backward step; accumulates into ``g``, returns (dx, dh_prev)."""
+    x, h_prev, z, r, hr, c = cache
+    dz = dh_new * (c - h_prev)
+    dc = dh_new * z
+    dh_prev = dh_new * (1.0 - z)
+    da_c = dc * (1.0 - c * c)
+    g.w_xc += x.T @ da_c
+    g.w_hc += hr.T @ da_c
+    g.b_c += da_c.sum(axis=0)
+    dx = da_c @ p.w_xc.T
+    dhr = da_c @ p.w_hc.T
+    dh_prev += dhr * r
+    da_r = dhr * h_prev * r * (1.0 - r)
+    g.w_xr += x.T @ da_r
+    g.w_hr += h_prev.T @ da_r
+    g.b_r += da_r.sum(axis=0)
+    dx += da_r @ p.w_xr.T
+    dh_prev += da_r @ p.w_hr.T
+    da_z = dz * z * (1.0 - z)
+    g.w_xz += x.T @ da_z
+    g.w_hz += h_prev.T @ da_z
+    g.b_z += da_z.sum(axis=0)
+    dx += da_z @ p.w_xz.T
+    dh_prev += da_z @ p.w_hz.T
+    return dx, dh_prev
+
+
+def _ref_train_step(p, conditions, targets, weights):
+    """Loss and gradients of one step with everything per time step and unfused."""
+    fwd = _forward_batch(p, conditions, targets, keep_cache=False)  # ids, lengths, mask
+    b, t_max = fwd.targets.shape
+    rows = np.arange(b)
+    h, cache = _ref_cell_forward(p, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions))
+    caches, hs, probs, target_logp = [cache], [], [], np.empty((b, t_max))
+    for t in range(t_max):
+        h, cache = _ref_cell_forward(p, h, p.emb[fwd.inputs[:, t]])
+        logits = h @ p.w_out + p.b_out
+        logits = logits - logits.max(axis=1, keepdims=True)
+        expl = np.exp(logits)
+        denom = expl.sum(axis=1)
+        probs.append(expl / denom[:, None])
+        target_logp[:, t] = logits[rows, fwd.targets[:, t]] - np.log(denom)
+        caches.append(cache)
+        hs.append(h)
+    coef = np.where(fwd.mask, weights / (fwd.lengths[:, None] * b), 0.0)
+    loss = float(-(coef * np.where(fwd.mask, target_logp, 0.0)).sum())
+    g = p.zeros_like()
+    dh_next = np.zeros((b, p.d_hid))
+    for t in range(t_max - 1, -1, -1):
+        dlogits = probs[t] * coef[:, t][:, None]
+        dlogits[rows, fwd.targets[:, t]] -= coef[:, t]
+        g.w_out += hs[t].T @ dlogits
+        g.b_out += dlogits.sum(axis=0)
+        dx, dh_next = _ref_cell_backward(p, g, dh_next + dlogits @ p.w_out.T, caches[t + 1])
+        np.add.at(g.emb, fwd.inputs[:, t], dx)
+    dx_cond, _ = _ref_cell_backward(p, g, dh_next, caches[0])
+    cond_emb = caches[0][0]
+    g.cond += toymodel._normalized_conditions(conditions).T @ (dx_cond * (1.0 - cond_emb * cond_emb))
+    return loss, g
+
+
+def _full_size_params(seed):
+    """Protocol-sized parameters with every block, biases included, nonzero."""
+    rng = np.random.default_rng(seed)
+    p = init_params(synth.vocab_size(40), 40, seed=seed)
+    for arr in p.blocks().values():
+        arr += rng.normal(0.0, 0.1, arr.shape)
+    return p
+
+
+class TestFusedCellMatchesReference:
+    """The fused cell, the branch-free sigmoid and the hoisted output layer
+    must reproduce the per-gate, per-step arithmetic bit for bit: a change
+    in the last bit would move every trained checkpoint."""
+
+    def test_sigmoid_is_bit_identical(self):
+        x = np.concatenate(
+            [
+                np.random.default_rng(0).normal(0.0, 10.0, 10**6),
+                [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 800.0, -800.0],
+            ]
+        )
+        np.testing.assert_array_equal(_sigmoid(x), _ref_sigmoid(x))
+
+    @pytest.mark.parametrize("b", [1, 2, 8, 128])
+    def test_cell_forward_and_backward_are_bit_identical(self, b):
+        p = _full_size_params(b)
+        rng = np.random.default_rng(100 + b)
+        h = rng.normal(0.0, 1.0, (b, p.d_hid))
+        x = rng.normal(0.0, 1.0, (b, p.d_emb))
+        x[0, :4] = [0.0, -0.0, 700.0, -700.0]
+        dh = rng.normal(0.0, 1.0, (b, p.d_hid))
+
+        h_new, cache = _cell_forward(_gates(p), h, x)
+        ref_h, ref_cache = _ref_cell_forward(p, h, x)
+        np.testing.assert_array_equal(h_new, ref_h)
+        _, _, zr, hr, c = cache
+        _, _, z, r, ref_hr, ref_c = ref_cache
+        np.testing.assert_array_equal(zr, np.concatenate([z, r], axis=1))
+        np.testing.assert_array_equal(hr, ref_hr)
+        np.testing.assert_array_equal(c, ref_c)
+
+        hid = p.d_hid
+        fused = _Gates(np.zeros((p.d_emb, 3 * hid)), np.zeros((hid, 2 * hid)), np.zeros((hid, hid)), np.zeros(3 * hid))
+        dx, dh_prev = _cell_backward(p, fused, dh, cache)
+        ref_g = p.zeros_like()
+        ref_dx, ref_dh_prev = _ref_cell_backward(p, ref_g, dh, ref_cache)
+        np.testing.assert_array_equal(dx, ref_dx)
+        np.testing.assert_array_equal(dh_prev, ref_dh_prev)
+        np.testing.assert_array_equal(fused.w_x, np.concatenate([ref_g.w_xz, ref_g.w_xr, ref_g.w_xc], axis=1))
+        np.testing.assert_array_equal(fused.w_h, np.concatenate([ref_g.w_hz, ref_g.w_hr], axis=1))
+        np.testing.assert_array_equal(fused.w_hc, ref_g.w_hc)
+        np.testing.assert_array_equal(fused.b, np.concatenate([ref_g.b_z, ref_g.b_r, ref_g.b_c]))
+
+    @pytest.mark.parametrize("b", [1, 2, 8, 128])
+    def test_training_step_is_bit_identical(self, b):
+        p = _full_size_params(b)
+        scenes = generate_corpus(CorpusConfig(num_scenes=b, seed=b))
+        conditions = np.array([s.feature for s in scenes])
+        targets = [list(s.caption[1:]) for s in scenes]
+        fwd = _forward_batch(p, conditions, targets)
+        weights = np.where(fwd.mask, np.random.default_rng(b).uniform(0.5, 2.0, fwd.mask.shape), 0.0)
+        loss, grads = _loss_and_grads(p, conditions, fwd, weights)
+        ref_loss, ref_grads = _ref_train_step(p, conditions, targets, weights)
+        assert loss == ref_loss
+        for name, arr in grads.blocks().items():
+            np.testing.assert_array_equal(arr, ref_grads.blocks()[name], err_msg=name)
+
+
 class TestTeacherForcedProbs:
     def test_matches_stepwise_forward(self):
         """Batched teacher forcing equals position-by-position decoding."""
@@ -135,6 +293,26 @@ class TestTeacherForcedProbs:
             for t in range(len(target)):
                 dist = forward(p, conds[i], [BOS_ID] + target[:t])
                 assert batched[i][t] == pytest.approx(dist[target[t]], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1100, SCORE_BLOCK_ROWS + 1])
+    def test_blocks_do_not_change_any_row(self, n):
+        """Rows are scored in blocks of SCORE_BLOCK_ROWS; slices that
+        straddle a block boundary give every row the same bits, and so do
+        a slice small enough to take the stacked output layer and a
+        one-row remainder."""
+        p = _full_size_params(3)
+        scenes = generate_corpus(CorpusConfig(num_scenes=n, seed=9))
+        conds = np.array([s.feature for s in scenes])
+        targets = [list(s.caption[1:]) for s in scenes]
+        assert len({len(t) for t in targets}) > 5
+        whole = teacher_forced_probs(p, conds, targets)
+        cuts = [c for c in (0, 8, 300, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS + 200) if c < n] + [n]
+        parts = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            parts.extend(teacher_forced_probs(p, conds[lo:hi], targets[lo:hi]))
+        assert len(whole) == len(parts) == n
+        for a, b in zip(whole, parts):
+            np.testing.assert_array_equal(a, b)
 
     def test_padding_does_not_leak_between_sequences(self):
         """A ragged batch gives each row the same result as a batch of one."""
@@ -313,11 +491,84 @@ class TestTrainMechanics:
         inv = np.nanmean([rec.mean_w_inv for rec in log])
         assert neg > 1.0 > inv
 
-    def test_vanilla_class_means_are_all_one(self, mle_run):
-        _, log = mle_run
-        for rec in log:
-            for value in (rec.mean_w_pos, rec.mean_w_inv, rec.mean_w_neg):
-                assert math.isnan(value) or value == 1.0
+    def test_class_means_are_logged_exactly_on_weighted_steps(self, mle_run, wneg_run):
+        """An unweighted step runs no noisy pass and logs NaN for every
+        class; a weighted step logs a finite mean for each non-empty class,
+        and every token is in one."""
+        for rec in mle_run[1]:
+            assert all(math.isnan(v) for v in (rec.mean_w_pos, rec.mean_w_inv, rec.mean_w_neg))
+        for rec in wneg_run[1]:
+            assert any(math.isfinite(v) for v in (rec.mean_w_pos, rec.mean_w_inv, rec.mean_w_neg))
+
+    def test_noisy_pass_runs_only_on_weighted_steps(self, monkeypatch):
+        """Corruption and the noisy teacher-forced pass run on the steps
+        from start_fraction on, once per scene and once per step, and never
+        in mle mode."""
+        calls = {"corrupt": [], "teacher_forced_probs": []}
+        step = [0]
+
+        def counting(name):
+            real = getattr(toymodel, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(step[0])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(toymodel, name, wrapper)
+
+        real_loss = toymodel._loss_and_grads
+
+        def loss_and_next_step(*args):
+            out = real_loss(*args)
+            step[0] += 1
+            return out
+
+        counting("corrupt")
+        counting("teacher_forced_probs")
+        monkeypatch.setattr(toymodel, "_loss_and_grads", loss_and_next_step)
+        scenes = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
+        gated = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5)
+        _, log = train(scenes, TrainConfig(epochs=2, batch_size=8, seed=11, reweight=gated))
+        assert len(log) == 6
+        assert calls["corrupt"] == [3] * 8 + [4] * 8 + [5] * 8
+        assert calls["teacher_forced_probs"] == [3, 4, 5]
+
+        calls["corrupt"].clear()
+        calls["teacher_forced_probs"].clear()
+        train(scenes, TrainConfig(epochs=2, batch_size=8, seed=11))
+        assert calls == {"corrupt": [], "teacher_forced_probs": []}
+
+    def test_batch_weights_match_the_trace_path(self):
+        """The (B, T) weights equal, row for row and bit for bit, those built
+        one sequence at a time through TokenTrace, profile_trace and
+        training_weights."""
+        p = _full_size_params(4)
+        scenes = generate_corpus(CorpusConfig(num_scenes=32, seed=4))
+        conds = np.array([s.feature for s in scenes])
+        targets = [list(s.caption[1:]) for s in scenes]
+        fwd = _forward_batch(p, conds, targets)
+        noisy = np.stack([corrupt(c, 900, make_schedule(), i) for i, c in enumerate(conds)])
+        noisy_p = teacher_forced_probs(p, noisy, targets)
+        for cfg in (
+            ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE),
+            ReweightConfig(mode=LossMode.EMPHASIZE_POSITIVE, tau=2.0),
+            ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=0.0, eos_floor=False),
+        ):
+            weights, d = batch_weights(fwd, noisy_p, cfg)
+            for i, (scene, target) in enumerate(zip(scenes, targets)):
+                n = len(target)
+                trace = TokenTrace(
+                    sample_id=scene.scene_id,
+                    tokens=target,
+                    surfaces=synth.surfaces_for(target, p.v_obj),
+                    p_clean=fwd.target_p[i, :n],
+                    p_noisy=noisy_p[i],
+                    eos_index=n - 1,
+                )
+                prof = profile_trace(trace)
+                np.testing.assert_array_equal(d[i, :n], prof.d)
+                np.testing.assert_array_equal(weights[i, :n], training_weights(prof, cfg, 1.0, n - 1).weights)
+                assert not weights[i, n:].any() and not d[i, n:].any()
 
     def test_single_step_matches_manual_replication(self):
         """One optimizer step decomposes into the documented stages:
@@ -356,7 +607,7 @@ class TestTrainMechanics:
             ]
         )
         noisy_p = teacher_forced_probs(params, noisy, targets)
-        weights, _ = batch_weights(params, batch, fwd, noisy_p, cfg, progress=0.0)
+        weights, _ = batch_weights(fwd, noisy_p, cfg.reweight)
         loss, grads = _loss_and_grads(params, features, fwd, weights)
         _Adam(params, cfg.learning_rate).step(params, grads)
 
@@ -394,19 +645,22 @@ class TestTrainMechanics:
                 features = np.array([s.feature for s in batch])
                 targets = [list(s.caption[1:]) for s in batch]
                 fwd = _forward_batch(params, features, targets)
-                noisy = np.stack(
-                    [
-                        corrupt(
-                            np.array(s.feature),
-                            cfg.noise_step,
-                            schedule,
-                            derive_seed(cfg.seed, "noise", step, s.scene_id),
-                        )
-                        for s in batch
-                    ]
-                )
-                noisy_p = teacher_forced_probs(params, noisy, targets)
-                weights, _ = batch_weights(params, batch, fwd, noisy_p, cfg, progress=step / 6)
+                if step < 3:  # before start_fraction: all-ones weights, no noisy pass
+                    weights = np.where(fwd.mask, 1.0, 0.0)
+                else:
+                    noisy = np.stack(
+                        [
+                            corrupt(
+                                np.array(s.feature),
+                                cfg.noise_step,
+                                schedule,
+                                derive_seed(cfg.seed, "noise", step, s.scene_id),
+                            )
+                            for s in batch
+                        ]
+                    )
+                    noisy_p = teacher_forced_probs(params, noisy, targets)
+                    weights, _ = batch_weights(fwd, noisy_p, cfg.reweight)
                 loss, grads = _loss_and_grads(params, features, fwd, weights)
                 opt.step(params, grads)
                 losses.append(loss)
