@@ -141,17 +141,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--strategy", choices=[s.value for s in FilterStrategy], required=True)
     p.add_argument("--frac", type=float, required=True)
-    p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--noise-step", type=int, default=DEFAULT_NOISE_STEP)
+    _add_split_flags(p)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("eval", help="decode the test split and report hallucination metrics")
     _add_common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--noise-step", type=int, default=DEFAULT_NOISE_STEP)
     p.add_argument("--max-len", type=int, default=40)
+    _add_split_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train+eval across one hyperparameter axis")
@@ -229,6 +229,7 @@ def _train_run_config(args) -> dict:
         "lr": args.lr,
         "optimizer": args.optimizer,
         "test_frac": args.test_frac,
+        "split_seed": args.split_seed,
         "seed": args.seed,
     }
 
@@ -236,7 +237,7 @@ def _train_run_config(args) -> dict:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     scenes = synth.read_corpus(args.corpus)
-    train_scenes, _ = synth.train_test_split(scenes, args.test_frac, args.seed)
+    train_scenes = synth.train_split(scenes, args.test_frac, args.split_seed)
     if args.manifest:
         manifest = load_manifest(args.manifest)
         kept = set(manifest.kept)
@@ -270,7 +271,7 @@ def cmd_analyze(args) -> int:
 def cmd_filter(args) -> int:
     out = _out_dir(args)
     scenes = synth.read_corpus(args.corpus)
-    train_scenes, _ = synth.train_test_split(scenes, args.test_frac, args.seed)
+    train_scenes = synth.train_split(scenes, args.test_frac, args.split_seed)
     params = load_params(args.ckpt)
     scores = score_corpus(train_scenes, params, noise_step=args.noise_step, seed=args.seed)
     manifest = apply_filter(scores, FilterStrategy(args.strategy), args.frac, seed=args.seed)
@@ -284,6 +285,7 @@ def cmd_filter(args) -> int:
             "strategy": args.strategy,
             "frac": args.frac,
             "test_frac": args.test_frac,
+            "split_seed": args.split_seed,
             "noise_step": args.noise_step,
             "seed": args.seed,
         },
@@ -294,7 +296,7 @@ def cmd_filter(args) -> int:
 
 def _eval_split(args):
     scenes = synth.read_corpus(args.corpus)
-    _, test_scenes = synth.train_test_split(scenes, args.test_frac, args.seed)
+    _, test_scenes = synth.train_test_split(scenes, args.test_frac, args.split_seed)
     return test_scenes
 
 
@@ -373,6 +375,7 @@ def cmd_eval(args) -> int:
             "corpus": os.fspath(args.corpus),
             "ckpt": os.fspath(args.ckpt),
             "test_frac": args.test_frac,
+            "split_seed": args.split_seed,
             "noise_step": args.noise_step,
             "max_len": args.max_len,
             "seed": args.seed,
@@ -388,7 +391,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     scenes = synth.read_corpus(args.corpus)
-    train_scenes, test_scenes = synth.train_test_split(scenes, args.test_frac, args.seed)
+    train_scenes, test_scenes = synth.train_test_split(scenes, args.test_frac, args.split_seed)
     rows = ["value,chair_s,chair_i,recall,mean_len"]
     for value in args.values:
         sub_args = argparse.Namespace(**vars(args))
@@ -428,6 +431,7 @@ def cmd_sweep(args) -> int:
             "lr": args.lr,
             "optimizer": args.optimizer,
             "test_frac": args.test_frac,
+            "split_seed": args.split_seed,
             "max_len": args.max_len,
             "seed": args.seed,
         },

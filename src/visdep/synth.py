@@ -295,6 +295,22 @@ def expected_hallucination_fraction(cfg: CorpusConfig) -> float:
     return expected_ins / (mean_k + expected_ins)
 
 
+def _test_indices(n: int, test_fraction: float, seed: int) -> set[int]:
+    """Corpus positions of the test half; deterministic in ``(n, test_fraction, seed)``."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    n_test = int(round(test_fraction * n))
+    if n_test < 1 or n_test >= n:
+        raise ValueError(f"degenerate split: {n_test} test scenes out of {n}")
+    return set(int(i) for i in rng_for(seed, "split").permutation(n)[:n_test])
+
+
+def train_split(scenes: list[SyntheticScene], test_fraction: float, seed: int) -> list[SyntheticScene]:
+    """The training half of ``train_test_split``, without rebuilding the test captions."""
+    test_idx = _test_indices(len(scenes), test_fraction, seed)
+    return [s for i, s in enumerate(scenes) if i not in test_idx]
+
+
 def train_test_split(
     scenes: list[SyntheticScene],
     test_fraction: float,
@@ -306,14 +322,7 @@ def train_test_split(
     generated caption with no hallucinated insertions, so evaluation
     labels are clean.  Deterministic in ``(scenes, test_fraction, seed)``.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n = len(scenes)
-    n_test = int(round(test_fraction * n))
-    if n_test < 1 or n_test >= n:
-        raise ValueError(f"degenerate split: {n_test} test scenes out of {n}")
-    perm = rng_for(seed, "split").permutation(n)
-    test_idx = set(int(i) for i in perm[:n_test])
+    test_idx = _test_indices(len(scenes), test_fraction, seed)
     train = [s for i, s in enumerate(scenes) if i not in test_idx]
     test = []
     for i, s in enumerate(scenes):

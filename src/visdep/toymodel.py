@@ -316,9 +316,14 @@ def _forward_batch(
     The output layer does not feed the recurrence.  For training, and for
     any batch whose stack of states has at most ``SCORE_BLOCK_ROWS`` rows,
     it runs once on that stack, so a small batch pays its per-call cost
-    once instead of at every step.  A larger batch (a scoring block) takes
-    each step's output at that step, so no state outlives its step; there
-    the per-call cost is small next to the work.  Both give the same bits.
+    once instead of at every step.  A larger batch (a scoring block) must
+    come longest row first: step ``t`` then runs only the rows whose length
+    exceeds ``t``, a prefix of the block, and takes their output at that
+    step, so no state outlives its step.  It never runs fewer than two
+    rows, since a lone row's matmuls are matrix-vector products that round
+    differently.  In a batch of two or more rows a row's bits do not depend
+    on the other rows, so every path gives the same bits.  In the scoring
+    path ``target_p`` and ``target_logp`` are 0 past each length.
     """
     b = conditions.shape[0]
     ids, lengths, mask = _pad_targets(targets)
@@ -337,10 +342,17 @@ def _forward_batch(
                 caches.append(cache)
         probs, target_p, target_logp = _output_layer(p, hs, ids.T)
     else:
-        target_p, target_logp = np.empty((t_max, b)), np.empty((t_max, b))
+        if np.any(lengths[1:] > lengths[:-1]):
+            raise ValueError("a scoring block must list its rows longest first")
+        # live[t]: rows still inside their target at step t, at least two
+        live = np.maximum(np.searchsorted(-lengths, -np.arange(t_max), side="left"), min(b, 2))
+        target_p, target_logp = np.zeros((t_max, b)), np.zeros((t_max, b))
         for t in range(t_max):
-            h, _ = _cell_forward(gates, h, p.emb[inputs[:, t]])
-            _, target_p[t : t + 1], target_logp[t : t + 1] = _output_layer(p, h[None], ids.T[t : t + 1])
+            k = live[t]
+            _cell_forward(gates, h[:k], p.emb[inputs[:k, t]], out=h[:k])
+            _, target_p[t : t + 1, :k], target_logp[t : t + 1, :k] = _output_layer(
+                p, h[None, :k], ids.T[t : t + 1, :k]
+            )
     if not keep_cache:
         hs = probs = None
     return _ForwardCache(inputs, ids, lengths, mask, caches, hs, probs, target_p.T, target_logp.T)
@@ -430,51 +442,66 @@ def sequence_loss(p: ModelParams, condition, target, weights) -> tuple[float, Mo
 
 
 def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) -> list[np.ndarray]:
-    """Per-position probability of each target token, in blocks of ``SCORE_BLOCK_ROWS`` rows.
+    """Per-position probability of each target token, in input order.
 
-    The blocks bound the memory and change no bit: in a batch of two or
-    more rows, a row's probabilities do not depend on the other rows.  A
-    lone row runs its matmuls as matrix-vector products, which round
+    Rows are ordered longest first (a stable sort) and then cut into blocks
+    of ``SCORE_BLOCK_ROWS``, so a block pads little and its steps run only
+    the rows still inside their target (see ``_forward_batch``).  The
+    blocks bound the memory and change no bit: in a batch of two or more
+    rows, a row's probabilities do not depend on the other rows.  A lone
+    row runs its matmuls as matrix-vector products, which round
     differently, so a one-row remainder joins the block before it.
     """
     conditions = np.asarray(conditions, dtype=np.float64)
     n = len(targets)
+    order = np.argsort([-len(t) for t in targets], kind="stable")
     starts = list(range(0, n, SCORE_BLOCK_ROWS))
     if n > 1 and n % SCORE_BLOCK_ROWS == 1:
         starts.pop()
-    out = []
+    out: list = [None] * n
     for start, stop in zip(starts, starts[1:] + [n]):
-        block = targets[start:stop]
-        fwd = _forward_batch(p, conditions[start:stop], block, keep_cache=False)
-        out.extend(fwd.target_p[i, : len(t)].copy() for i, t in enumerate(block))
+        rows = order[start:stop]
+        block = [targets[i] for i in rows]
+        fwd = _forward_batch(p, conditions[rows], block, keep_cache=False)
+        for j, i in enumerate(rows.tolist()):
+            out[i] = fwd.target_p[j, : len(block[j])].copy()
     return out
 
 
 def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) -> list[tuple[int, ...]]:
-    """Greedy decode for a batch of conditions, BOS through EOS or max_len."""
+    """Greedy decode for a batch of conditions, BOS through EOS or max_len.
+
+    Each step runs only the rows that have not yet emitted EOS, and never
+    fewer than two while the batch has two: a row that is done stays in as
+    padding, since a lone row's matmuls round differently.
+    """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     conditions = np.asarray(conditions, dtype=np.float64)
     b = conditions.shape[0]
     gates = _gates(p)
-    h = np.zeros((b, p.d_hid))
-    h, _ = _cell_forward(gates, h, _cond_embed(p, conditions))
-    tokens = np.full((b, 1), synth.BOS_ID, dtype=np.int64)
-    seqs = [[synth.BOS_ID] for _ in range(b)]
-    done = np.zeros(b, dtype=bool)
+    h, _ = _cell_forward(gates, np.zeros((b, p.d_hid)), _cond_embed(p, conditions))
+    tokens = np.full((b, max_len), synth.BOS_ID, dtype=np.int64)
+    lengths = np.full(b, max_len)
+    rows = np.arange(b)  # batch row -> input row
+    live = np.ones(b, dtype=bool)
     current = tokens[:, 0]
-    while not done.all() and max(len(s) for s in seqs) < max_len:
-        h_new, _ = _cell_forward(gates, h, p.emb[current])
-        h = np.where(done[:, None], h, h_new)
-        logits = h @ p.w_out + p.b_out
-        nxt = logits.argmax(axis=1)
-        for i in range(b):
-            if not done[i]:
-                seqs[i].append(int(nxt[i]))
-                if nxt[i] == synth.EOS_ID:
-                    done[i] = True
-        current = nxt
-    return [tuple(s) for s in seqs]
+    for step in range(1, max_len):
+        h, _ = _cell_forward(gates, h, p.emb[current])
+        current = (h @ p.w_out + p.b_out).argmax(axis=1)
+        tokens[rows, step] = current  # a padding row writes past its length, which is cut off
+        ended = live & (current == synth.EOS_ID)
+        if not ended.any():
+            continue
+        lengths[rows[ended]] = step + 1
+        live &= ~ended
+        if not live.any():
+            break
+        keep = live.copy()
+        if keep.sum() == 1 and keep.size > 1:
+            keep[np.flatnonzero(~keep)[0]] = True
+        h, rows, live, current = h[keep], rows[keep], live[keep], current[keep]
+    return [tuple(tokens[i, :n].tolist()) for i, n in enumerate(lengths.tolist())]
 
 
 def generate(p: ModelParams, condition, max_len: int = 40) -> tuple[int, ...]:

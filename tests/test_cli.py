@@ -132,6 +132,69 @@ class TestEval:
             ).read_bytes()
 
 
+class TestSplitSeed:
+    """Every stage splits with --split-seed, whatever its --seed."""
+
+    def test_eval_with_another_seed_sees_no_training_scene(self, pipeline, tmp_path, monkeypatch):
+        import visdep.cli as cli
+
+        corpus = pipeline / "data" / "corpus.jsonl"
+        trained_on = []
+        real_train = cli.train
+
+        def recording_train(scenes, cfg):
+            trained_on.extend(s.scene_id for s in scenes)
+            return real_train(scenes, cfg)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        assert (
+            run_cli(
+                "train", "--corpus", corpus, "--epochs", 1, "--batch-size", 16, "--lr", 0.01,
+                "--seed", 2, "--out-dir", tmp_path / "train",
+            )
+            == 0
+        )
+        assert (
+            run_cli(
+                "eval", "--corpus", corpus, "--ckpt", tmp_path / "train" / "ckpt.json",
+                "--seed", 42, "--out-dir", tmp_path / "eval",
+            )
+            == 0
+        )
+        assert (
+            run_cli(
+                "filter", "--corpus", corpus, "--ckpt", tmp_path / "train" / "ckpt.json",
+                "--strategy", "lowest", "--frac", 0.1, "--seed", 42, "--out-dir", tmp_path / "filter",
+            )
+            == 0
+        )
+        evaluated = [tr.sample_id for tr in read_traces(tmp_path / "eval" / "traces.jsonl").traces]
+        assert len(trained_on) == 64 and len(evaluated) == 16
+        assert set(evaluated).isdisjoint(trained_on)
+        assert set(load_manifest(tmp_path / "filter" / "manifest.json").scores) == set(trained_on)
+        for stage in ("train", "eval", "filter"):
+            assert json.loads((tmp_path / stage / "run.json").read_text())["config"]["split_seed"] == 42
+
+    def test_split_seed_moves_the_split(self, pipeline, tmp_path):
+        corpus = pipeline / "data" / "corpus.jsonl"
+        ckpt = pipeline / "mle" / "ckpt.json"
+        for split_seed in (42, 5):
+            assert (
+                run_cli(
+                    "eval", "--corpus", corpus, "--ckpt", ckpt, "--seed", 7,
+                    "--split-seed", split_seed, "--out-dir", tmp_path / str(split_seed),
+                )
+                == 0
+            )
+        ids = [
+            {tr.sample_id for tr in read_traces(tmp_path / str(s) / "traces.jsonl").traces} for s in (42, 5)
+        ]
+        assert ids[0] == {tr.sample_id for tr in read_traces(pipeline / "eval" / "traces.jsonl").traces}
+        assert ids[0] != ids[1]
+        run = json.loads((tmp_path / "5" / "run.json").read_text())
+        assert run["config"]["split_seed"] == 5
+
+
 class TestAnalyze:
     def test_one_row_per_token(self, pipeline, tmp_path):
         traces = pipeline / "eval" / "traces.jsonl"

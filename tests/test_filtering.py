@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visdep import synth
+from visdep import filtering, synth
 from visdep.dependence import profile_trace, sample_dependence
 from visdep.diffusion import corrupt, make_schedule
 from visdep.filtering import (
@@ -200,6 +200,58 @@ class TestScoreCorpus:
             )
             expected = sample_dependence(profile_trace(trace))
             assert scores[scene.scene_id] == pytest.approx(expected, rel=1e-12)
+
+    def test_equals_the_trace_path_bit_for_bit(self, scored_setup):
+        """Σd on arrays gives every caption exactly the score of its
+        TokenTrace -> profile_trace -> sample_dependence, with the
+        probabilities of the same batched passes."""
+        _, _, trained = scored_setup
+        scenes = generate_corpus(CorpusConfig(num_scenes=300, seed=5))
+        noise_step, seed = 900, 3
+        scores = score_corpus(scenes, trained, noise_step=noise_step, seed=seed)
+        schedule = make_schedule()
+        targets = [list(s.caption[1:]) for s in scenes]
+        clean = teacher_forced_probs(trained, np.array([s.feature for s in scenes]), targets)
+        noisy_features = np.stack(
+            [
+                corrupt(np.array(s.feature), noise_step, schedule, derive_seed(seed, "filternoise", s.scene_id))
+                for s in scenes
+            ]
+        )
+        noisy = teacher_forced_probs(trained, noisy_features, targets)
+        assert list(scores) == [s.scene_id for s in scenes]
+        for i, scene in enumerate(scenes):
+            target = scene.caption[1:]
+            trace = TokenTrace(
+                sample_id=scene.scene_id,
+                tokens=target,
+                surfaces=synth.surfaces_for(target, len(scene.feature)),
+                p_clean=tuple(float(x) for x in clean[i]),
+                p_noisy=tuple(float(x) for x in noisy[i]),
+                eos_index=len(target) - 1,
+            )
+            expected = sample_dependence(profile_trace(trace))
+            assert scores[scene.scene_id] == expected, scene.scene_id
+            assert type(scores[scene.scene_id]) is float
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_rejects_probabilities_outside_the_unit_interval(self, scored_setup, monkeypatch, bad):
+        scenes, fresh, _ = scored_setup
+        real = teacher_forced_probs
+        calls = []
+
+        def corrupted(params, conditions, targets):
+            probs = real(params, conditions, targets)
+            calls.append(len(targets))
+            if len(calls) == 2:  # the noised pass
+                probs[3] = probs[3].copy()
+                probs[3][1] = bad
+            return probs
+
+        monkeypatch.setattr(filtering, "teacher_forced_probs", corrupted)
+        with pytest.raises(ValueError, match="outside"):
+            score_corpus(scenes[:10], fresh)
+        assert calls == [10, 10]
 
     def test_deterministic(self, scored_setup):
         scenes, _, trained = scored_setup

@@ -22,6 +22,7 @@ from visdep.synth import (
     surface,
     surfaces_for,
     token_object,
+    train_split,
     train_test_split,
     vocab_size,
     write_corpus,
@@ -258,6 +259,18 @@ class TestTrainTestSplit:
             train_test_split(scenes, 1.0, seed=42)
         with pytest.raises(ValueError):
             train_test_split(scenes, 0.01, seed=42)
+
+    @pytest.mark.parametrize("fraction,seed", [(0.2, 42), (0.2, 7), (0.35, 3)])
+    def test_train_split_is_the_training_half(self, fraction, seed):
+        """The training half alone is the same list, in the same order."""
+        scenes = small_corpus(100)
+        assert train_split(scenes, fraction, seed) == train_test_split(scenes, fraction, seed)[0]
+
+    def test_train_split_rejects_degenerate_fractions(self):
+        scenes = small_corpus(10)
+        for fraction in (0.0, 1.0, 0.01):
+            with pytest.raises(ValueError):
+                train_split(scenes, fraction, seed=42)
 
 
 class TestBuildCaption:

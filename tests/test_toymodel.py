@@ -178,7 +178,7 @@ def _ref_cell_backward(p, g, dh_new, cache):
 
 def _ref_train_step(p, conditions, targets, weights):
     """Loss and gradients of one step with everything per time step and unfused."""
-    fwd = _forward_batch(p, conditions, targets, keep_cache=False)  # ids, lengths, mask
+    fwd = _forward_batch(p, conditions, targets)  # only its ids, lengths, mask and inputs are read
     b, t_max = fwd.targets.shape
     rows = np.arange(b)
     h, cache = _ref_cell_forward(p, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions))
@@ -326,6 +326,77 @@ class TestTeacherForcedProbs:
             np.testing.assert_allclose(batched[i], solo, rtol=1e-12)
 
 
+def _ref_teacher_forced_probs(p, conditions, targets):
+    """Blocks of SCORE_BLOCK_ROWS rows in input order, every row run at every step."""
+    n = len(targets)
+    starts = list(range(0, n, SCORE_BLOCK_ROWS))
+    if n > 1 and n % SCORE_BLOCK_ROWS == 1:
+        starts.pop()
+    gates = _gates(p)
+    out = []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        block = targets[start:stop]
+        ids, _, _ = toymodel._pad_targets(block)
+        b, t_max = ids.shape
+        inputs = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
+        h, _ = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions[start:stop]))
+        if b * t_max <= SCORE_BLOCK_ROWS:
+            hs = np.empty((t_max, b, p.d_hid))
+            for t in range(t_max):
+                h, _ = _cell_forward(gates, h, p.emb[inputs[:, t]], out=hs[t])
+            _, target_p, _ = toymodel._output_layer(p, hs, ids.T)
+        else:
+            target_p = np.empty((t_max, b))
+            for t in range(t_max):
+                h, _ = _cell_forward(gates, h, p.emb[inputs[:, t]])
+                _, target_p[t : t + 1], _ = toymodel._output_layer(p, h[None], ids.T[t : t + 1])
+        out.extend(target_p.T[i, : len(t)].copy() for i, t in enumerate(block))
+    return out
+
+
+def _scoring_targets(n, shape):
+    """Corpus captions of mixed lengths, one caption 6 tokens longer than
+    any other (in the middle of the batch), or n equal lengths."""
+    scenes = generate_corpus(CorpusConfig(num_scenes=n, seed=11))
+    conds = np.array([s.feature for s in scenes])
+    targets = [list(s.caption[1:]) for s in scenes]
+    if shape == "one_long":
+        longest = max(len(t) for t in targets)
+        targets[n // 2] = targets[n // 2] + [object_token(0)] * (longest + 6 - len(targets[n // 2]))
+    elif shape == "equal":
+        targets = [(t * 3)[:20] for t in targets]
+    return conds, targets
+
+
+class TestPackedScoringMatchesBlockLoop:
+    """Rows sorted longest first, each step run on the live rows only (never
+    fewer than two), and the rows put back in input order must give every
+    probability the bits of the plain block loop."""
+
+    @pytest.mark.parametrize("shape", ["mixed", "one_long", "equal"])
+    @pytest.mark.parametrize("n", [2, SCORE_BLOCK_ROWS + 1, 1100])
+    def test_bit_identical_to_the_block_loop(self, n, shape):
+        p = _full_size_params(4)
+        conds, targets = _scoring_targets(n, shape)
+        lengths = sorted(len(t) for t in targets)
+        if shape == "one_long":
+            assert lengths[-1] >= lengths[-2] + 5
+        assert (len(set(lengths)) == 1) == (shape == "equal")
+        got = teacher_forced_probs(p, conds, targets)
+        want = _ref_teacher_forced_probs(p, conds, targets)
+        assert len(got) == len(want) == n
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == (len(targets[i]),)
+            assert np.array_equal(a, b), f"row {i}"
+
+    def test_scoring_block_must_come_longest_first(self):
+        p = small_params()
+        conds = np.zeros((SCORE_BLOCK_ROWS, V_OBJ_SMALL))
+        targets = [[3]] + [[3, 4]] * (SCORE_BLOCK_ROWS - 1)
+        with pytest.raises(ValueError, match="longest first"):
+            _forward_batch(p, conds, targets, keep_cache=False)
+
+
 class TestSequenceLoss:
     def test_uniform_weights_give_mean_cross_entropy(self):
         p = small_params()
@@ -440,6 +511,76 @@ class TestGenerate:
         p = small_params()
         for max_len in (2, 5, 9):
             assert len(generate(p, small_condition(), max_len=max_len)) <= max_len
+
+
+def _ref_generate_batch(p, conditions, max_len):
+    """Greedy decode that steps every row until all are done; also returns
+    the state each step computes, (B, d_hid) per step."""
+    b = conditions.shape[0]
+    gates = _gates(p)
+    h, _ = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions))
+    seqs = [[BOS_ID] for _ in range(b)]
+    done = np.zeros(b, dtype=bool)
+    current = np.full(b, BOS_ID, dtype=np.int64)
+    states = [None]
+    while not done.all() and max(len(s) for s in seqs) < max_len:
+        h_new, _ = _cell_forward(gates, h, p.emb[current])
+        states.append(h_new.copy())
+        h = np.where(done[:, None], h, h_new)
+        nxt = (h @ p.w_out + p.b_out).argmax(axis=1)
+        for i in range(b):
+            if not done[i]:
+                seqs[i].append(int(nxt[i]))
+                if nxt[i] == EOS_ID:
+                    done[i] = True
+        current = nxt
+    return [tuple(s) for s in seqs], states
+
+
+def _spread_decoder():
+    """Full-size parameters whose greedy decodes stop anywhere from the
+    first step to never (within 40 tokens)."""
+    p = _full_size_params(4)
+    p.w_out[:, EOS_ID] *= 5.0
+    conds = np.random.default_rng(4).normal(0.0, 1.0, (64, 40))
+    return p, conds[np.r_[14, :14, 15:64]]  # a row that never stops comes first
+
+
+class TestLiveRowDecodeMatchesReference:
+    """Greedy decode steps only the rows that have not emitted EOS (never
+    fewer than two) and must still produce today's tokens, and every live
+    row's state must carry the bits of the full-batch decode."""
+
+    def test_decoder_lengths_are_spread(self):
+        p, conds = _spread_decoder()
+        lengths = [len(s) for s in _ref_generate_batch(p, conds, 40)[0]]
+        assert min(lengths) == 2 and max(lengths) == 40
+        assert len(set(lengths)) > 10
+        assert lengths[0] == 40 and lengths[0] > lengths[1] > lengths[2]
+
+    @pytest.mark.parametrize("max_len", [2, 40])
+    @pytest.mark.parametrize("b", [1, 2, 3, 64])
+    def test_bit_identical_to_full_batch_decode(self, monkeypatch, b, max_len):
+        p, conds = _spread_decoder()
+        conds = conds[:b]
+        want, ref_states = _ref_generate_batch(p, conds, max_len)
+        states = []
+        real = toymodel._cell_forward
+
+        def recording(gates, h, x, out=None):
+            h_new, cache = real(gates, h, x, out)
+            states.append(h_new.copy())
+            return h_new, cache
+
+        monkeypatch.setattr(toymodel, "_cell_forward", recording)
+        got = generate_batch(p, conds, max_len=max_len)
+        assert got == want
+        assert len(states) == len(ref_states)
+        for step in range(1, len(states)):
+            live = [i for i, seq in enumerate(want) if len(seq) > step]
+            assert len(states[step]) == (min(b, 2) if len(live) < 2 else len(live))
+            for i in live:
+                assert any(np.array_equal(row, ref_states[step][i]) for row in states[step]), (step, i)
 
 
 class TestTrainMechanics:
