@@ -9,11 +9,11 @@ content appears.
 """
 
 from .dependence import (
-    DependenceProfile,
     TokenClass,
     classify,
+    classify_array,
+    dependence_array,
     profile_trace,
-    sample_dependence,
     visual_dependence,
 )
 from .diffusion import NoiseSchedule, corrupt, make_schedule
@@ -24,13 +24,10 @@ from .halleval import (
     class_object_counts,
     co_occurrence,
     evaluate,
-    score_response,
 )
 from .reweight import (
     LossMode,
     ReweightConfig,
-    WeightVector,
-    apply_eos_floor,
     normalize_weights,
     raw_weight,
     raw_weights,
@@ -53,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusConfig",
-    "DependenceProfile",
     "FilterManifest",
     "FilterStrategy",
     "HallucinationReport",
@@ -69,13 +65,13 @@ __all__ = [
     "TraceFile",
     "TrainConfig",
     "TrainingDiverged",
-    "WeightVector",
-    "apply_eos_floor",
     "apply_filter",
     "class_object_counts",
     "classify",
+    "classify_array",
     "co_occurrence",
     "corrupt",
+    "dependence_array",
     "evaluate",
     "forward",
     "generate",
@@ -87,9 +83,7 @@ __all__ = [
     "raw_weight",
     "raw_weights",
     "read_traces",
-    "sample_dependence",
     "score_corpus",
-    "score_response",
     "sequence_loss",
     "train",
     "train_test_split",

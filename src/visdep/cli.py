@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .dependence import profile_trace
-from .diffusion import DEFAULT_NOISE_STEP, corrupt, make_schedule
+from .dependence import CLASS_BY_CODE, classify_array, profile_trace
+from .diffusion import DEFAULT_NOISE_STEP
 from .filtering import (
     FilterStrategy,
     apply_filter,
@@ -35,12 +35,18 @@ from .toymodel import (
     TrainingDiverged,
     generate_batch,
     load_params,
+    noised_dependence,
     save_params,
     teacher_forced_probs,
     train,
     write_train_log,
 )
 from .trace import TokenTrace, TraceError, TraceFile, read_traces, write_traces
+
+# ``run_eval`` corrupts through ``noised_dependence``, but ``bench/tracer.py``
+# hooks ``corrupt`` by name in this module to count calls; it stays
+# importable here until its hook list changes.
+from .diffusion import corrupt  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,7 +110,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
     _add_split_flags(p)
 
 
@@ -203,7 +208,6 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.lr,
-        optimizer=args.optimizer,
         seed=args.seed,
         reweight=ReweightConfig(
             mode=LossMode(args.loss),
@@ -216,9 +220,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _train_run_config(args) -> dict:
+    """The run config of the training flags, shared by ``train`` and ``sweep``."""
     return {
         "corpus": os.fspath(args.corpus),
-        "manifest": os.fspath(args.manifest) if getattr(args, "manifest", None) else None,
         "loss": args.loss,
         "tau": args.tau,
         "start_frac": args.start_frac,
@@ -227,7 +231,6 @@ def _train_run_config(args) -> dict:
         "epochs": args.epochs,
         "batch_size": args.batch_size,
         "lr": args.lr,
-        "optimizer": args.optimizer,
         "test_frac": args.test_frac,
         "split_seed": args.split_seed,
         "seed": args.seed,
@@ -240,14 +243,24 @@ def cmd_train(args) -> int:
     train_scenes = synth.train_split(scenes, args.test_frac, args.split_seed)
     if args.manifest:
         manifest = load_manifest(args.manifest)
+        if set(manifest.kept) | set(manifest.removed) != {s.scene_id for s in train_scenes}:
+            raise ValueError(
+                f"{args.manifest}: scored scenes are not this training split "
+                f"(--test-frac {args.test_frac}, --split-seed {args.split_seed})"
+            )
         kept = set(manifest.kept)
         train_scenes = [s for s in train_scenes if s.scene_id in kept]
     params, log = train(train_scenes, _train_config(args))
     save_params(params, out / CKPT_FILE)
     write_train_log(log, out / TRAINLOG_FILE)
-    _write_run(out, "train", _train_run_config(args))
+    manifest_path = os.fspath(args.manifest) if args.manifest else None
+    _write_run(out, "train", {**_train_run_config(args), "manifest": manifest_path})
     print(f"wrote {out / CKPT_FILE} ({len(train_scenes)} training scenes, {len(log)} steps)")
     return EXIT_OK
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
 
 
 def cmd_analyze(args) -> int:
@@ -255,12 +268,12 @@ def cmd_analyze(args) -> int:
     tf = read_traces(args.traces)
     lines = ["sample_id,t,surface,p_clean,p_noisy,d,class"]
     for tr in tf.traces:
-        prof = profile_trace(tr)
-        for t in range(len(tr)):
-            surf = tr.surfaces[t].replace('"', '""')
+        d = profile_trace(tr)
+        sid = _csv_field(tr.sample_id) if any(c in tr.sample_id for c in ',"\n\r') else tr.sample_id
+        for t, (dt, code) in enumerate(zip(d.tolist(), classify_array(d).tolist())):
             lines.append(
-                f'{tr.sample_id},{t},"{surf}",{tr.p_clean[t]!r},{tr.p_noisy[t]!r},'
-                f"{prof.d[t]!r},{prof.classes[t].value}"
+                f"{sid},{t},{_csv_field(tr.surfaces[t])},{tr.p_clean[t]!r},{tr.p_noisy[t]!r},"
+                f"{dt!r},{CLASS_BY_CODE[code].value}"
             )
     write_text(out / ANALYSIS_FILE, "\n".join(lines) + "\n")
     _write_run(out, "analyze", {"traces": os.fspath(args.traces), "seed": args.seed})
@@ -305,40 +318,33 @@ def run_eval(params, test_scenes, noise_step: int, seed: int, max_len: int):
 
     Returns (trace_file, report, counts, histogram).
     """
-    schedule = make_schedule()
     v_obj = params.v_obj
     features = np.array([s.feature for s in test_scenes])
     generated = generate_batch(params, features, max_len=max_len)
     responses = [g[1:] for g in generated]  # drop BOS; probabilities exist from there on
     targets = [list(r) for r in responses]
-    clean_p = teacher_forced_probs(params, features, targets)
-    noisy = np.stack(
-        [
-            corrupt(np.array(s.feature), noise_step, schedule, derive_seed(seed, "evalnoise", s.scene_id))
-            for s in test_scenes
-        ]
-    )
-    noisy_p = teacher_forced_probs(params, noisy, targets)
+    p_clean = teacher_forced_probs(params, features, targets)
+    seeds = [derive_seed(seed, "evalnoise", s.scene_id) for s in test_scenes]
+    p_noisy, d = noised_dependence(params, features, targets, p_clean, seeds, noise_step)
     traces = []
-    for i, s in enumerate(test_scenes):
-        resp = responses[i]
+    for s, resp, clean, noisy in zip(test_scenes, responses, p_clean, p_noisy):
         traces.append(
             TokenTrace(
                 sample_id=s.scene_id,
                 tokens=resp,
                 surfaces=synth.surfaces_for(resp, v_obj),
-                p_clean=tuple(float(x) for x in clean_p[i]),
-                p_noisy=tuple(float(x) for x in noisy_p[i]),
+                p_clean=clean[: len(resp)],
+                p_noisy=noisy[: len(resp)],
                 eos_index=len(resp) - 1 if resp[-1] == synth.EOS_ID else None,
             )
         )
     tf = TraceFile(noise_step=noise_step, traces=tuple(traces), generator={"source": "toymodel-eval"})
-    profiles = [profile_trace(tr) for tr in tf.traces]
+    d_rows = [row[: len(resp)] for row, resp in zip(d, responses)]
     lexicon = ObjectLexicon.for_token_vocab(v_obj)
     truths = [set(s.true_objects) for s in test_scenes]
     report = evaluate(responses, truths, lexicon)
-    counts = class_object_counts(profiles, responses, truths, lexicon)
-    hist = co_occurrence(profiles, responses, truths, lexicon, window=3)
+    counts = class_object_counts(d_rows, responses, truths, lexicon)
+    hist = co_occurrence(d_rows, responses, truths, lexicon, window=3)
     return tf, report, counts, hist
 
 
@@ -417,24 +423,7 @@ def cmd_sweep(args) -> int:
     _write_run(
         out,
         "sweep",
-        {
-            "corpus": os.fspath(args.corpus),
-            "axis": args.axis,
-            "values": list(args.values),
-            "loss": args.loss,
-            "tau": args.tau,
-            "start_frac": args.start_frac,
-            "eos_floor": not args.no_eos_floor,
-            "noise_step": args.noise_step,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "lr": args.lr,
-            "optimizer": args.optimizer,
-            "test_frac": args.test_frac,
-            "split_seed": args.split_seed,
-            "max_len": args.max_len,
-            "seed": args.seed,
-        },
+        {**_train_run_config(args), "axis": args.axis, "values": list(args.values), "max_len": args.max_len},
     )
     print(f"wrote {out / SWEEP_FILE} ({len(args.values)} rows)")
     return EXIT_OK
@@ -451,9 +440,12 @@ def cmd_plot(args) -> int:
         if len(tf) == 0:
             raise ValueError(f"{args.traces}: no traces to plot")
         for tr in tf.traces:
-            prof = profile_trace(tr)
+            sid = tr.sample_id
+            if sid in (".", "..") or any(c and c in sid for c in (os.sep, os.altsep, "\0")):
+                raise ValueError(f"{args.traces}: trace {sid!r}: sample_id is not a file name, cannot plot it")
+        for tr in tf.traces:
             path = out / f"trace_{tr.sample_id}.svg"
-            write_text(path, trace_bars_svg(tr, prof))
+            write_text(path, trace_bars_svg(tr, profile_trace(tr)))
             wrote.append(path.name)
     if args.manifest:
         manifest = load_manifest(args.manifest)

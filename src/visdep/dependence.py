@@ -10,12 +10,12 @@ one::
 close to -1 it became more likely once the input was destroyed, and
 around 0 the input made no difference.  Tokens are bucketed into three
 classes with fixed boundaries at +/-0.25.
+
+The array functions are the implementation; the scalar ones wrap them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,82 +32,54 @@ class TokenClass(Enum):
     IMAGE_NEGATIVE = "negative"
 
 
-def visual_dependence(p_clean: float, p_noisy: float) -> float:
-    """Relative probability change between clean and noised conditioning.
+# ``classify_array`` returns indices into this tuple.
+CLASS_BY_CODE = (TokenClass.IMAGE_NEGATIVE, TokenClass.IMAGE_INVARIANT, TokenClass.IMAGE_POSITIVE)
 
-    Both probabilities of exactly zero carry no signal either way and map
-    to 0 by definition.
+
+def check_range(arr: np.ndarray, lo: float, hi: float, what: str) -> None:
+    """Raise ``ValueError`` if any entry is NaN or outside [lo, hi]."""
+    inside = (arr >= lo) & (arr <= hi)
+    if np.count_nonzero(inside) != inside.size:
+        raise ValueError(f"{what} contains values outside [{lo:g}, {hi:g}]")
+
+
+def dependence_array(p_clean, p_noisy) -> np.ndarray:
+    """``d`` for parallel probability arrays; both probabilities zero give 0.
+
+    Both probabilities of exactly zero carry no signal either way, and
+    padding past a sequence's length is zero in both, so it stays zero.
     """
-    p_clean = float(p_clean)
-    p_noisy = float(p_noisy)
-    for name, p in (("p_clean", p_clean), ("p_noisy", p_noisy)):
-        if not math.isfinite(p) or p < 0.0 or p > 1.0:
-            raise ValueError(f"{name} = {p!r} outside [0, 1]")
-    m = p_clean if p_clean >= p_noisy else p_noisy
-    if m == 0.0:
-        return 0.0
-    return (p_clean - p_noisy) / m
-
-
-def dependence_array(p_clean: np.ndarray, p_noisy: np.ndarray) -> np.ndarray:
-    """Vectorized ``visual_dependence`` over parallel probability arrays."""
     pc = np.asarray(p_clean, dtype=np.float64)
     pn = np.asarray(p_noisy, dtype=np.float64)
     if pc.shape != pn.shape:
         raise ValueError("p_clean and p_noisy must have the same shape")
-    for name, arr in (("p_clean", pc), ("p_noisy", pn)):
-        if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError(f"{name} contains values outside [0, 1]")
     m = np.maximum(pc, pn)
-    return np.where(m > 0.0, (pc - pn) / np.where(m > 0.0, m, 1.0), 0.0)
+    # One check covers both arrays (a NaN survives minimum and maximum), which
+    # keeps the scalar wrapper cheap; on failure, name the offending array.
+    inside = (np.minimum(pc, pn) >= 0.0) & (m <= 1.0)
+    if np.count_nonzero(inside) != inside.size:
+        check_range(pc, 0.0, 1.0, "p_clean")
+        check_range(pn, 0.0, 1.0, "p_noisy")
+    return np.divide(pc - pn, m, out=np.zeros(m.shape), where=m > 0.0)
+
+
+def visual_dependence(p_clean: float, p_noisy: float) -> float:
+    """``dependence_array`` for one probability pair."""
+    return float(dependence_array(p_clean, p_noisy))
+
+
+def classify_array(d) -> np.ndarray:
+    """Class codes (indices into ``CLASS_BY_CODE``); boundaries go to the upper class."""
+    d = np.asarray(d, dtype=np.float64)
+    check_range(d, -1.0, 1.0, "dependence values")
+    return (d >= NEGATIVE_THRESHOLD).astype(np.int8) + (d >= POSITIVE_THRESHOLD)
 
 
 def classify(d: float) -> TokenClass:
-    """Bucket a dependence value; boundaries go to the upper class."""
-    if not math.isfinite(d) or d < -1.0 or d > 1.0:
-        raise ValueError(f"dependence value {d!r} outside [-1, 1]")
-    if d >= POSITIVE_THRESHOLD:
-        return TokenClass.IMAGE_POSITIVE
-    if d < NEGATIVE_THRESHOLD:
-        return TokenClass.IMAGE_NEGATIVE
-    return TokenClass.IMAGE_INVARIANT
+    """``classify_array`` for one dependence value."""
+    return CLASS_BY_CODE[int(classify_array(d))]
 
 
-@dataclass(frozen=True)
-class DependenceProfile:
-    """Dependence values and classes for every token of one trace."""
-
-    sample_id: str
-    d: tuple[float, ...]
-    classes: tuple[TokenClass, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(float(v) for v in self.d))
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if len(self.d) < 1:
-            raise ValueError(f"profile {self.sample_id!r}: must cover at least one token")
-        if len(self.classes) != len(self.d):
-            raise ValueError(f"profile {self.sample_id!r}: d and classes lengths differ")
-        for i, (v, cls) in enumerate(zip(self.d, self.classes)):
-            if classify(v) is not cls:
-                raise ValueError(
-                    f"profile {self.sample_id!r}: classes[{i}] = {cls} inconsistent with d = {v}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.d)
-
-
-def profile_trace(trace: TokenTrace) -> DependenceProfile:
-    """Compute per-token dependence values and classes for a trace."""
-    d = tuple(visual_dependence(pc, pn) for pc, pn in zip(trace.p_clean, trace.p_noisy))
-    return DependenceProfile(
-        sample_id=trace.sample_id,
-        d=d,
-        classes=tuple(classify(v) for v in d),
-    )
-
-
-def sample_dependence(profile: DependenceProfile) -> float:
-    """Sequence-level score: the plain sum of per-token dependence."""
-    return float(sum(profile.d))
+def profile_trace(trace: TokenTrace) -> np.ndarray:
+    """The per-token ``d`` of a trace read from a file."""
+    return dependence_array(trace.p_clean, trace.p_noisy)

@@ -16,15 +16,15 @@ from enum import Enum
 
 import numpy as np
 
-from .dependence import dependence_array
-from .diffusion import DEFAULT_NOISE_STEP, NoiseSchedule, corrupt, make_schedule
+from .diffusion import DEFAULT_NOISE_STEP
 from .seeding import derive_seed, rng_for
-from .toymodel import ModelParams, teacher_forced_probs
+from .toymodel import ModelParams, noised_dependence, teacher_forced_probs
 
-# Scoring no longer calls these two (``score_corpus`` works on arrays), but
-# ``bench/tracer.py`` hooks them by name in this module to count the calls;
-# they stay importable here until its hook list changes.
+# Scoring works on arrays and corrupts through ``noised_dependence``, but
+# ``bench/tracer.py`` hooks these three by name in this module to count
+# calls; they stay importable here until its hook list changes.
 from .dependence import profile_trace  # noqa: F401
+from .diffusion import corrupt  # noqa: F401
 from .trace import TokenTrace  # noqa: F401
 
 MANIFEST_FORMAT = "visdep-filter-manifest"
@@ -100,34 +100,21 @@ def score_corpus(
     params: ModelParams,
     noise_step: int = DEFAULT_NOISE_STEP,
     seed: int = 42,
-    schedule: NoiseSchedule | None = None,
 ) -> dict[str, float]:
     """Summed per-token dependence for every scene, in corpus order.
 
     Uses one fixed noise draw per sample, derived from ``(seed,
-    scene_id)``, so scores are stable across runs and batch sizes.  The
-    per-token ``d`` of every caption comes from one ``dependence_array``
-    call over the concatenated probabilities, and each caption's values
-    are summed left to right, so a score equals ``sample_dependence`` of
-    that caption's profile bit for bit.
+    scene_id)``, so scores are stable across runs and batch sizes.  Each
+    caption's ``d`` values are summed left to right.
     """
     if not scenes:
         raise ValueError("cannot score an empty corpus")
-    if schedule is None:
-        schedule = make_schedule()
     features = np.array([s.feature for s in scenes])
     targets = [list(s.caption[1:]) for s in scenes]
-    clean_p = teacher_forced_probs(params, features, targets)
-    noisy = np.stack(
-        [
-            corrupt(np.array(s.feature), noise_step, schedule, derive_seed(seed, "filternoise", s.scene_id))
-            for s in scenes
-        ]
-    )
-    noisy_p = teacher_forced_probs(params, noisy, targets)
-    d = dependence_array(np.concatenate(clean_p), np.concatenate(noisy_p)).tolist()
-    ends = np.cumsum([len(t) for t in targets]).tolist()
-    return {s.scene_id: float(sum(d[lo:hi])) for s, lo, hi in zip(scenes, [0] + ends, ends)}
+    p_clean = teacher_forced_probs(params, features, targets)
+    seeds = [derive_seed(seed, "filternoise", s.scene_id) for s in scenes]
+    _, d = noised_dependence(params, features, targets, p_clean, seeds, noise_step)
+    return {s.scene_id: float(sum(row[: len(t)].tolist())) for s, t, row in zip(scenes, targets, d)}
 
 
 def apply_filter(

@@ -7,10 +7,10 @@ rate is the share of responses containing any hallucinated object, the
 instance rate is hallucinated mentions over all object mentions — plus
 object recall and mean response length.
 
-The attribution helpers join mentions with dependence profiles: each
-mention takes the class of its highest-|d| token, and co-occurrence
-statistics record how far each hallucinated mention sits from the
-nearest token of every class.
+The attribution helpers join mentions with the per-token dependence
+``d`` of each response: a mention takes the class of its token, and
+co-occurrence statistics record how far each hallucinated mention sits
+from the nearest token of every class.
 """
 
 from __future__ import annotations
@@ -18,46 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dependence import DependenceProfile, TokenClass
+import numpy as np
+
+from .dependence import CLASS_BY_CODE, TokenClass, classify_array
 from .synth import OBJECT_BASE
 
 
 class ObjectLexicon:
-    """Maps response tokens to object ids.
+    """Maps response token ids to object ids."""
 
-    Synthetic captions use exact token ids; imported traces from real
-    models match lowercased surface strings against a supplied word list.
-    """
-
-    def __init__(self, by_token: Mapping[int, int] | None = None, by_surface: Mapping[str, int] | None = None):
-        if (by_token is None) == (by_surface is None):
-            raise ValueError("provide exactly one of by_token / by_surface")
-        self._by_token = dict(by_token) if by_token is not None else None
-        self._by_surface = (
-            {k.lower(): v for k, v in by_surface.items()} if by_surface is not None else None
-        )
+    def __init__(self, by_token: Mapping[int, int]):
+        self._by_token = dict(by_token)
 
     @classmethod
     def for_token_vocab(cls, vocab_objects: int) -> "ObjectLexicon":
-        return cls(by_token={OBJECT_BASE + i: i for i in range(vocab_objects)})
+        return cls({OBJECT_BASE + i: i for i in range(vocab_objects)})
 
-    @classmethod
-    def from_surfaces(cls, mapping: Mapping[str, int]) -> "ObjectLexicon":
-        return cls(by_surface=mapping)
-
-    def mentions(self, tokens: Sequence[int], surfaces: Sequence[str] | None = None) -> list[tuple[int, int]]:
+    def mentions(self, tokens: Sequence[int]) -> list[tuple[int, int]]:
         """(position, object_id) for every object mention, in order."""
-        if self._by_token is not None:
-            return [(i, self._by_token[t]) for i, t in enumerate(tokens) if t in self._by_token]
-        if surfaces is None:
-            raise ValueError("surface-based lexicon requires surfaces")
-        if len(surfaces) != len(tokens):
-            raise ValueError("tokens and surfaces must be parallel")
-        return [
-            (i, self._by_surface[s.lower()])
-            for i, s in enumerate(surfaces)
-            if s.lower() in self._by_surface
-        ]
+        return [(i, self._by_token[t]) for i, t in enumerate(tokens) if t in self._by_token]
 
 
 @dataclass(frozen=True)
@@ -98,22 +77,10 @@ class HallucinationReport:
         )
 
 
-def score_response(
-    tokens: Sequence[int],
-    truth: set[int] | frozenset[int],
-    lexicon: ObjectLexicon,
-    surfaces: Sequence[str] | None = None,
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Distinct mentioned objects and the hallucinated subset."""
-    mentioned = frozenset(obj for _, obj in lexicon.mentions(tokens, surfaces))
-    return mentioned, mentioned - frozenset(truth)
-
-
 def evaluate(
     responses: Sequence[Sequence[int]],
     truths: Sequence[set[int] | frozenset[int] | Sequence[int]],
     lexicon: ObjectLexicon,
-    surfaces: Sequence[Sequence[str]] | None = None,
 ) -> HallucinationReport:
     """Corpus-level hallucination report.
 
@@ -123,8 +90,6 @@ def evaluate(
     """
     if len(responses) != len(truths):
         raise ValueError("responses and truths must be parallel")
-    if surfaces is not None and len(surfaces) != len(responses):
-        raise ValueError("surfaces must be parallel to responses")
     n = len(responses)
     if n == 0:
         raise ValueError("cannot evaluate zero samples")
@@ -136,7 +101,7 @@ def evaluate(
     total_len = 0
     for i, resp in enumerate(responses):
         truth = frozenset(truths[i])
-        ms = lexicon.mentions(resp, surfaces[i] if surfaces is not None else None)
+        ms = lexicon.mentions(resp)
         bad = sum(1 for _, obj in ms if obj not in truth)
         halluc_mentions += bad
         total_mentions += len(ms)
@@ -155,25 +120,6 @@ def evaluate(
     )
 
 
-def span_class(profile: DependenceProfile, positions: Sequence[int]) -> TokenClass:
-    """Class of a (possibly multi-token) mention: its highest-|d| token.
-
-    Ties resolve to the earlier token.
-    """
-    if len(positions) == 0:
-        raise ValueError("mention span must contain at least one position")
-    best = None
-    best_mag = -1.0
-    for pos in positions:
-        if not 0 <= pos < len(profile):
-            raise ValueError(f"span position {pos} outside profile of length {len(profile)}")
-        mag = abs(profile.d[pos])
-        if mag > best_mag:
-            best_mag = mag
-            best = pos
-    return profile.classes[best]
-
-
 @dataclass(frozen=True)
 class ClassObjectCounts:
     """Grounded / hallucinated mention counts per token class."""
@@ -190,25 +136,29 @@ class ClassObjectCounts:
         return sum(self.hallucinated.values())
 
 
+def _response_classes(d_rows: Sequence, responses: Sequence[Sequence[int]], truths: Sequence):
+    """Each response's token classes, one ``d`` array per response."""
+    if not (len(d_rows) == len(responses) == len(truths)):
+        raise ValueError("d arrays, responses and truths must be parallel")
+    for i, (d, resp) in enumerate(zip(d_rows, responses)):
+        if np.shape(d) != (len(resp),):
+            raise ValueError(f"d array {i} does not align with its response")
+        yield [CLASS_BY_CODE[code] for code in classify_array(d).tolist()]
+
+
 def class_object_counts(
-    profiles: Sequence[DependenceProfile],
+    d_rows: Sequence,
     responses: Sequence[Sequence[int]],
     truths: Sequence,
     lexicon: ObjectLexicon,
-    surfaces: Sequence[Sequence[str]] | None = None,
 ) -> ClassObjectCounts:
-    """Tally every object mention by truth status and token class."""
-    if not (len(profiles) == len(responses) == len(truths)):
-        raise ValueError("profiles, responses and truths must be parallel")
+    """Tally every object mention by truth status and the class of its token."""
     grounded = {cls: 0 for cls in TokenClass}
     halluc = {cls: 0 for cls in TokenClass}
-    for i, resp in enumerate(responses):
-        prof = profiles[i]
-        if len(prof) != len(resp):
-            raise ValueError(f"profile {prof.sample_id!r} does not align with its response")
+    for i, classes in enumerate(_response_classes(d_rows, responses, truths)):
         truth = frozenset(truths[i])
-        for pos, obj in lexicon.mentions(resp, surfaces[i] if surfaces is not None else None):
-            cls = span_class(prof, (pos,))
+        for pos, obj in lexicon.mentions(responses[i]):
+            cls = classes[pos]
             if obj in truth:
                 grounded[cls] += 1
             else:
@@ -247,12 +197,11 @@ class CoOccurrenceHistogram:
 
 
 def co_occurrence(
-    profiles: Sequence[DependenceProfile],
+    d_rows: Sequence,
     responses: Sequence[Sequence[int]],
     truths: Sequence,
     lexicon: ObjectLexicon,
     window: int = 3,
-    surfaces: Sequence[Sequence[str]] | None = None,
 ) -> CoOccurrenceHistogram:
     """Distance from each hallucinated mention to the nearest token of each class.
 
@@ -261,20 +210,15 @@ def co_occurrence(
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    if not (len(profiles) == len(responses) == len(truths)):
-        raise ValueError("profiles, responses and truths must be parallel")
     counts = {cls: [0] * (window + 1) for cls in TokenClass}
     beyond = {cls: 0 for cls in TokenClass}
     absent = {cls: 0 for cls in TokenClass}
-    for i, resp in enumerate(responses):
-        prof = profiles[i]
-        if len(prof) != len(resp):
-            raise ValueError(f"profile {prof.sample_id!r} does not align with its response")
+    for i, classes in enumerate(_response_classes(d_rows, responses, truths)):
         truth = frozenset(truths[i])
         class_positions = {cls: [] for cls in TokenClass}
-        for pos, cls in enumerate(prof.classes):
+        for pos, cls in enumerate(classes):
             class_positions[cls].append(pos)
-        for pos, obj in lexicon.mentions(resp, surfaces[i] if surfaces is not None else None):
+        for pos, obj in lexicon.mentions(responses[i]):
             if obj in truth:
                 continue
             for cls in TokenClass:

@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .dependence import DependenceProfile, TokenClass
+from .dependence import CLASS_BY_CODE, TokenClass, classify_array
 from .trace import TokenTrace
 
 CLASS_COLORS = {
@@ -20,21 +20,21 @@ CLASS_COLORS = {
     TokenClass.IMAGE_NEGATIVE: "#27ae60",
 }
 
-_CLASS_ORDER = (TokenClass.IMAGE_POSITIVE, TokenClass.IMAGE_INVARIANT, TokenClass.IMAGE_NEGATIVE)
-
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def trace_bars_svg(trace: TokenTrace, profile: DependenceProfile) -> str:
-    """Paired clean/noisy probability bars per token, colored by class.
+def trace_bars_svg(trace: TokenTrace, d) -> str:
+    """Paired clean/noisy probability bars per token, colored by the class of its ``d``.
 
     Every token contributes two ``class="bar"`` rects: a solid one for
     the clean probability and a translucent one for the noisy one.
     """
-    if len(trace) != len(profile):
-        raise ValueError("trace and profile must cover the same tokens")
+    if np.shape(d) != (len(trace),):
+        raise ValueError("trace and d must cover the same tokens")
+    codes = classify_array(d).tolist()
+    d = np.asarray(d).tolist()
     n = len(trace)
     bar_w = 14.0
     gap = 16.0
@@ -54,7 +54,7 @@ def trace_bars_svg(trace: TokenTrace, profile: DependenceProfile) -> str:
         f'<text x="{_fmt(margin_l - 4)}" y="{_fmt(base + 4)}" text-anchor="end">0.0</text>',
     ]
     for i in range(n):
-        color = CLASS_COLORS[profile.classes[i]]
+        color = CLASS_COLORS[CLASS_BY_CODE[codes[i]]]
         x0 = margin_l + i * group_w
         for j, p in enumerate((trace.p_clean[i], trace.p_noisy[i])):
             h = p * plot_h
@@ -71,14 +71,13 @@ def trace_bars_svg(trace: TokenTrace, profile: DependenceProfile) -> str:
         )
         parts.append(
             f'<text x="{_fmt(label_x)}" y="{_fmt(base + 24)}" text-anchor="middle">'
-            f"d={profile.d[i]:+.2f}</text>"
+            f"d={d[i]:+.2f}</text>"
         )
     ly = base + 40.0
     lx = margin_l
-    for cls in _CLASS_ORDER:
+    for cls, color in CLASS_COLORS.items():
         parts.append(
-            f'<rect class="legend" x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" '
-            f'fill="{CLASS_COLORS[cls]}"/>'
+            f'<rect class="legend" x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>'
         )
         parts.append(f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}">{cls.value}</text>')
         lx += 110.0

@@ -1,4 +1,4 @@
-"""Per-token loss weights derived from dependence profiles.
+"""Per-token loss weights derived from per-token dependence.
 
 Raw weights pick out one side of the dependence axis — emphasize-negative
 keeps ``-d`` for tokens with ``d <= 0``, emphasize-positive keeps ``d``
@@ -6,7 +6,8 @@ for tokens with ``d > 0``, and vanilla zeroes everything.  Raw weights
 are then passed through a temperature softmax and rescaled so they sum
 to the sequence length, which keeps the loss magnitude comparable to the
 unweighted one.  A floor keeps the terminal EOS weight at >= 1 so the
-model never un-learns when to stop.
+model never un-learns when to stop.  Weights are built for padded (B, T)
+rows at once; a one-row batch is the single-sequence case.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dependence import DependenceProfile
+from .dependence import check_range
 
 
 class LossMode(Enum):
@@ -42,41 +43,10 @@ class ReweightConfig:
             raise ValueError(f"start_fraction must lie in [0, 1], got {self.start_fraction}")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Non-negative per-token loss weights for one sequence."""
-
-    weights: np.ndarray
-    seq_len: int
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or len(w) != self.seq_len or self.seq_len < 1:
-            raise ValueError("weights must be 1-D with length seq_len >= 1")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("weights must be finite and non-negative")
-        w.setflags(write=False)
-
-
-def raw_weight(d: float, mode: LossMode) -> float:
-    """Pre-softmax weight of one token under the given mode."""
-    d = float(d)
-    if not math.isfinite(d) or d < -1.0 or d > 1.0:
-        raise ValueError(f"dependence value {d!r} outside [-1, 1]")
-    if mode is LossMode.EMPHASIZE_NEGATIVE:
-        return -d if d <= 0.0 else 0.0
-    if mode is LossMode.EMPHASIZE_POSITIVE:
-        return d if d > 0.0 else 0.0
-    if mode is LossMode.VANILLA:
-        return 0.0
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def raw_weights(d_values, mode: LossMode) -> np.ndarray:
+    """Pre-softmax weight of each token under the given mode."""
     d = np.asarray(d_values, dtype=np.float64)
-    if d.size and (not np.all(np.isfinite(d)) or d.min() < -1.0 or d.max() > 1.0):
-        raise ValueError("dependence values outside [-1, 1]")
+    check_range(d, -1.0, 1.0, "dependence values")
     if mode is LossMode.EMPHASIZE_NEGATIVE:
         return np.where(d <= 0.0, -d, 0.0)
     if mode is LossMode.EMPHASIZE_POSITIVE:
@@ -86,7 +56,12 @@ def raw_weights(d_values, mode: LossMode) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def normalize_weights(raw, tau: float) -> WeightVector:
+def raw_weight(d: float, mode: LossMode) -> float:
+    """``raw_weights`` for one dependence value."""
+    return float(raw_weights(d, mode))
+
+
+def normalize_weights(raw, tau: float) -> np.ndarray:
     """Temperature softmax rescaled so the weights sum to the length.
 
     The max is subtracted before exponentiation, so any finite raw
@@ -100,8 +75,7 @@ def normalize_weights(raw, tau: float) -> WeightVector:
         raise ValueError("raw weights must be finite")
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError(f"tau must be a finite non-negative real, got {tau}")
-    weights = _softmax_rows(r[None, :], np.array([r.size]), tau)[0]
-    return WeightVector(weights=weights, seq_len=r.size)
+    return _softmax_rows(r[None, :], np.array([r.size]), tau)[0]
 
 
 def _softmax_rows(raw: np.ndarray, lengths: np.ndarray, tau: float) -> np.ndarray:
@@ -117,19 +91,6 @@ def _softmax_rows(raw: np.ndarray, lengths: np.ndarray, tau: float) -> np.ndarra
     return (lengths[:, None] * exps) / sums[:, None]
 
 
-def apply_eos_floor(wv: WeightVector, eos_index: int | None) -> WeightVector:
-    """Clamp the EOS weight up to at least 1.0; other entries untouched."""
-    if eos_index is None:
-        return wv
-    if not 0 <= eos_index < wv.seq_len:
-        raise ValueError(f"eos_index {eos_index} out of range for length {wv.seq_len}")
-    if wv.weights[eos_index] >= 1.0:
-        return wv
-    weights = wv.weights.copy()
-    weights[eos_index] = 1.0
-    return WeightVector(weights=weights, seq_len=wv.seq_len)
-
-
 def reweighting_active(cfg: ReweightConfig, progress: float) -> bool:
     """Whether the weights at this point in training can differ from all-ones.
 
@@ -139,33 +100,12 @@ def reweighting_active(cfg: ReweightConfig, progress: float) -> bool:
     return cfg.mode is not LossMode.VANILLA and progress >= cfg.start_fraction
 
 
-def training_weights(
-    profile: DependenceProfile,
-    cfg: ReweightConfig,
-    progress: float,
-    eos_index: int | None = None,
-) -> WeightVector:
-    """Loss weights for one sequence at the given point in training.
+def training_weights(d: np.ndarray, lengths: np.ndarray, cfg: ReweightConfig) -> np.ndarray:
+    """Loss weights of a re-weighted step for padded (B, T) dependence rows.
 
-    Until ``reweighting_active`` holds the result is the exact all-ones
-    vector, so gated runs are bit-identical to unweighted ones.
-    """
-    if not 0.0 <= progress <= 1.0:
-        raise ValueError(f"progress must lie in [0, 1], got {progress}")
-    n = len(profile)
-    if not reweighting_active(cfg, progress):
-        return WeightVector(weights=np.ones(n), seq_len=n)
-    wv = normalize_weights(raw_weights(profile.d, cfg.mode), cfg.tau)
-    if cfg.eos_floor:
-        wv = apply_eos_floor(wv, eos_index)
-    return wv
-
-
-def weight_rows(d: np.ndarray, lengths: np.ndarray, cfg: ReweightConfig) -> np.ndarray:
-    """Active-step weights for padded (B, T) dependence rows; zero past each length.
-
-    Row for row, bit for bit, ``training_weights`` with the EOS at the last
-    position.
+    Each row is normalized over its own length and is zero past it; with
+    the floor on, the last position of each row (its EOS) weighs at least 1.
+    Steps where ``reweighting_active`` fails use all-ones weights instead.
     """
     weights = _softmax_rows(raw_weights(d, cfg.mode), lengths, cfg.tau)
     if cfg.eos_floor:

@@ -3,8 +3,8 @@
 A single gated recurrent (GRU) cell over learned token embeddings.  The
 conditioning feature vector is projected into embedding space and pushed
 through the cell once before BOS, which installs it in the initial
-hidden state.  Forward, backward and both optimizers are written out by
-hand in numpy so the weighted-loss gradient path stays fully auditable;
+hidden state.  Forward, backward and the Adam optimizer are written out
+by hand in numpy so the weighted-loss gradient path stays fully auditable;
 per-token loss weights enter the gradients as constants.
 """
 
@@ -19,16 +19,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import synth
-from .dependence import NEGATIVE_THRESHOLD, POSITIVE_THRESHOLD, TokenClass, dependence_array
-from .diffusion import DEFAULT_NOISE_STEP, corrupt, make_schedule
-from .reweight import ReweightConfig, reweighting_active, weight_rows
+from .dependence import CLASS_BY_CODE, TokenClass, classify_array, dependence_array
+from .diffusion import DEFAULT_NOISE_STEP, DEFAULT_NUM_STEPS, corrupt, make_schedule
+from .reweight import ReweightConfig, reweighting_active, training_weights
 from .seeding import derive_seed, rng_for
 
-# Training no longer calls these three (``batch_weights`` works on arrays),
-# but ``bench/tracer.py`` hooks them by name in this module to count the
-# calls; they stay importable here until its hook list changes.
+# Training works on arrays and builds no trace, but ``bench/tracer.py`` hooks
+# these two by name in this module to count calls; they stay importable here
+# until its hook list changes.
 from .dependence import profile_trace  # noqa: F401
-from .reweight import training_weights  # noqa: F401
 from .trace import TokenTrace  # noqa: F401
 
 D_EMB = 32
@@ -441,8 +440,8 @@ def sequence_loss(p: ModelParams, condition, target, weights) -> tuple[float, Mo
     return _loss_and_grads(p, condition[None, :], fwd, w[None, :])
 
 
-def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) -> list[np.ndarray]:
-    """Per-position probability of each target token, in input order.
+def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) -> np.ndarray:
+    """(n, T) probability of each target token, rows in input order, zero past each length.
 
     Rows are ordered longest first (a stable sort) and then cut into blocks
     of ``SCORE_BLOCK_ROWS``, so a block pads little and its steps run only
@@ -458,14 +457,34 @@ def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) 
     starts = list(range(0, n, SCORE_BLOCK_ROWS))
     if n > 1 and n % SCORE_BLOCK_ROWS == 1:
         starts.pop()
-    out: list = [None] * n
+    out = np.zeros((n, max(map(len, targets), default=0)))
     for start, stop in zip(starts, starts[1:] + [n]):
         rows = order[start:stop]
-        block = [targets[i] for i in rows]
-        fwd = _forward_batch(p, conditions[rows], block, keep_cache=False)
-        for j, i in enumerate(rows.tolist()):
-            out[i] = fwd.target_p[j, : len(block[j])].copy()
+        fwd = _forward_batch(p, conditions[rows], [targets[i] for i in rows], keep_cache=False)
+        out[rows, : fwd.mask.shape[1]] = np.where(fwd.mask, fwd.target_p, 0.0)
     return out
+
+
+def noised_dependence(
+    p: ModelParams,
+    conditions: np.ndarray,
+    targets: list,
+    p_clean: np.ndarray,
+    seeds: list,
+    noise_step: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noised teacher-forced pass and the dependence of every token.
+
+    Condition ``i`` is corrupted to ``noise_step`` with ``seeds[i]``.
+    ``p_clean`` is the clean pass as ``teacher_forced_probs`` returns it.
+    Returns ``(p_noisy, d)``, (B, T) each and zero past each length.
+    """
+    schedule = make_schedule()
+    if not 0 <= noise_step <= schedule.num_steps:
+        raise ValueError(f"noise_step {noise_step} outside the schedule's [0, {schedule.num_steps}]")
+    noisy = np.stack([corrupt(c, noise_step, schedule, seed) for c, seed in zip(conditions, seeds)])
+    p_noisy = teacher_forced_probs(p, noisy, targets)
+    return p_noisy, dependence_array(p_clean, p_noisy)
 
 
 def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) -> list[tuple[int, ...]]:
@@ -514,7 +533,6 @@ class TrainConfig:
     epochs: int = 2
     batch_size: int = 128
     learning_rate: float = 3e-3
-    optimizer: str = "adam"
     seed: int = 42
     reweight: ReweightConfig = field(default_factory=ReweightConfig)
     noise_step: int = DEFAULT_NOISE_STEP
@@ -526,10 +544,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.noise_step < 0:
-            raise ValueError(f"noise_step must be >= 0, got {self.noise_step}")
+        if not 0 <= self.noise_step <= DEFAULT_NUM_STEPS:
+            raise ValueError(f"noise_step must lie in [0, {DEFAULT_NUM_STEPS}], got {self.noise_step}")
 
 
 @dataclass(frozen=True)
@@ -571,40 +587,22 @@ class _Adam:
             start += arr.size
 
 
-class _SGD:
-    def __init__(self, params: ModelParams, lr: float):
-        self.lr = lr
-
-    def step(self, params: ModelParams, grads: ModelParams) -> None:
-        for name, g in grads.blocks().items():
-            getattr(params, name)[...] -= self.lr * g
-
-
 def batch_weights(
-    fwd: _ForwardCache, noisy_p: list[np.ndarray], cfg: ReweightConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token weights for a re-weighted step, on padded (B, T) arrays.
-
-    Returns the weights and the dependence values, both zero past each
-    sequence length.  Row for row the weights are those of
-    ``reweight.training_weights`` with the EOS at the last position.
-    """
-    p_noisy = np.zeros_like(fwd.target_p)
-    p_noisy[fwd.mask] = np.concatenate(noisy_p)
-    d = np.where(fwd.mask, dependence_array(fwd.target_p, p_noisy), 0.0)
-    return weight_rows(d, fwd.lengths, cfg), d
+    fwd: _ForwardCache, d: np.ndarray, cfg: ReweightConfig
+) -> tuple[np.ndarray, dict[TokenClass, float]]:
+    """A re-weighted step's (B, T) weights and the mean weight of each class."""
+    weights = training_weights(d, fwd.lengths, cfg)
+    return weights, _class_means(weights, d, fwd.mask)
 
 
 def _class_means(weights: np.ndarray, d: np.ndarray, mask: np.ndarray) -> dict[TokenClass, float]:
     """Mean weight of the tokens in each dependence class; NaN for an empty class."""
-    pos = mask & (d >= POSITIVE_THRESHOLD)
-    neg = mask & (d < NEGATIVE_THRESHOLD)
-    members = {
-        TokenClass.IMAGE_POSITIVE: pos,
-        TokenClass.IMAGE_INVARIANT: mask & ~pos & ~neg,
-        TokenClass.IMAGE_NEGATIVE: neg,
-    }
-    return {cls: float(weights[sel].mean()) if sel.any() else float("nan") for cls, sel in members.items()}
+    codes = classify_array(d)
+    means = {}
+    for code, cls in enumerate(CLASS_BY_CODE):
+        sel = mask & (codes == code)
+        means[cls] = float(weights[sel].mean()) if sel.any() else float("nan")
+    return means
 
 
 def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRecord]]:
@@ -632,11 +630,8 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
         raise ValueError("cannot train on an empty corpus")
     v_obj = len(scenes[0].feature)
     vocab = synth.vocab_size(v_obj)
-    schedule = make_schedule()
-    if cfg.noise_step > schedule.num_steps:
-        raise ValueError(f"noise_step {cfg.noise_step} exceeds schedule length {schedule.num_steps}")
     params = init_params(vocab, v_obj, seed=derive_seed(cfg.seed, "init"), d_emb=cfg.d_emb, d_hid=cfg.d_hid)
-    opt = _Adam(params, cfg.learning_rate) if cfg.optimizer == "adam" else _SGD(params, cfg.learning_rate)
+    opt = _Adam(params, cfg.learning_rate)
 
     n = len(scenes)
     all_features = np.array([s.feature for s in scenes])
@@ -657,20 +652,10 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
 
             fwd = _forward_batch(params, features, targets)
             if reweighting_active(cfg.reweight, global_step / total_steps):
-                noisy = np.stack(
-                    [
-                        corrupt(
-                            feature,
-                            cfg.noise_step,
-                            schedule,
-                            derive_seed(cfg.seed, "noise", global_step, s.scene_id),
-                        )
-                        for feature, s in zip(features, batch)
-                    ]
-                )
-                noisy_p = teacher_forced_probs(params, noisy, targets)
-                weights, d = batch_weights(fwd, noisy_p, cfg.reweight)
-                means = _class_means(weights, d, fwd.mask)
+                seeds = [derive_seed(cfg.seed, "noise", global_step, s.scene_id) for s in batch]
+                p_clean = np.where(fwd.mask, fwd.target_p, 0.0)
+                _, d = noised_dependence(params, features, targets, p_clean, seeds, cfg.noise_step)
+                weights, means = batch_weights(fwd, d, cfg.reweight)
             else:
                 weights = fwd.mask.astype(np.float64)
                 means = unweighted_means

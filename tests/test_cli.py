@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import csv
 import json
 
 import pytest
@@ -92,6 +93,27 @@ class TestTrain:
         )
         assert "(48 training scenes" in capsys.readouterr().out
         assert (tmp_path / "restricted" / "ckpt.json").exists()
+
+    def test_manifest_scored_on_another_split_is_rejected(self, pipeline, tmp_path, capsys):
+        """A manifest must cover exactly the training split it restricts;
+        one scored with another --split-seed would silently drop scenes."""
+        corpus = pipeline / "data" / "corpus.jsonl"
+        fdir = tmp_path / "filter"
+        assert (
+            run_cli(
+                "filter", "--corpus", corpus, "--ckpt", pipeline / "mle" / "ckpt.json",
+                "--strategy", "highest", "--frac", 0.25, "--split-seed", 5, "--out-dir", fdir,
+            )
+            == 0
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--corpus", corpus, "--manifest", fdir / "manifest.json",
+            "--epochs", 1, "--batch-size", 16, "--out-dir", tmp_path / "restricted",
+        )
+        assert code == 3
+        assert "not this training split" in capsys.readouterr().err
+        assert not (tmp_path / "restricted" / "ckpt.json").exists()
 
 
 class TestEval:
@@ -207,6 +229,25 @@ class TestAnalyze:
         assert first[1] == "0"
         assert first[-1] in {"positive", "invariant", "negative"}
 
+    def test_sample_id_with_csv_specials_is_quoted(self, tmp_path):
+        """An id holding a comma, a quote or a newline is quoted like a
+        surface, so every row parses to 7 fields; a plain id stays bare."""
+        ids = ["plain", 'x,"y', "line\nbreak"]
+        traces = tuple(
+            TokenTrace(sample_id=sid, tokens=(5, 6), surfaces=("a", 'b"c'), p_clean=(0.5, 0.2), p_noisy=(0.1, 0.4))
+            for sid in ids
+        )
+        src = tmp_path / "traces.jsonl"
+        write_traces(TraceFile(noise_step=900, traces=traces), src)
+        assert run_cli("analyze", "--traces", src, "--out-dir", tmp_path) == 0
+        text = (tmp_path / "analysis.csv").read_text()
+        assert "\nplain,0,\"a\"," in text
+        with open(tmp_path / "analysis.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows[1:]] == [sid for sid in ids for _ in range(2)]
+        assert [row[2] for row in rows[1:3]] == ["a", 'b"c']
+
 
 class TestPlot:
     def test_trace_chart_has_two_bars_per_token(self, tmp_path):
@@ -227,6 +268,19 @@ class TestPlot:
         assert svg.count('class="legend"') == 3
         for label in ("positive", "invariant", "negative"):
             assert label in svg
+
+    @pytest.mark.parametrize("sample_id", ["../escaped", "sub/dir", ".."])
+    def test_rejects_an_id_that_is_not_a_file_name(self, tmp_path, capsys, sample_id):
+        traces = tuple(
+            TokenTrace(sample_id=sid, tokens=(5,), surfaces=("a",), p_clean=(0.5,), p_noisy=(0.1,))
+            for sid in ("ok", sample_id)
+        )
+        src = tmp_path / "traces.jsonl"
+        write_traces(TraceFile(noise_step=900, traces=traces), src)
+        out = tmp_path / "out" / "plots"
+        assert run_cli("plot", "--traces", src, "--out-dir", out) == 3
+        assert repr(sample_id) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_score_histogram_artifacts(self, pipeline, tmp_path):
         fdir = tmp_path / "filter"
@@ -257,6 +311,9 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 2
+
+    def test_optimizer_flag_is_gone(self, pipeline):
+        assert run_cli("train", "--corpus", pipeline / "data" / "corpus.jsonl", "--optimizer", "adam") == 2
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
@@ -315,6 +372,8 @@ class TestSweep:
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["command"] == "sweep"
         assert run["config"]["values"] == [0.0, 1.0]
+        train_run = json.loads((pipeline / "mle" / "run.json").read_text())
+        assert set(run["config"]) == set(train_run["config"]) - {"manifest"} | {"axis", "values", "max_len"}
 
 
 class TestRunRecords:

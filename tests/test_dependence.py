@@ -1,7 +1,5 @@
 """Tests for the visual-dependence score and token classification."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +8,12 @@ from hypothesis import strategies as st
 from visdep.dependence import (
     NEGATIVE_THRESHOLD,
     POSITIVE_THRESHOLD,
-    DependenceProfile,
+    CLASS_BY_CODE,
     TokenClass,
     classify,
+    classify_array,
     dependence_array,
     profile_trace,
-    sample_dependence,
     visual_dependence,
 )
 from visdep.trace import TokenTrace
@@ -145,6 +143,27 @@ class TestClassify:
             assert c is TokenClass.IMAGE_INVARIANT
 
 
+class TestClassifyArray:
+    def test_matches_scalar_classify(self):
+        """10^5 random values, both thresholds and their float neighbours."""
+        rng = np.random.default_rng(3)
+        edges = [POSITIVE_THRESHOLD, NEGATIVE_THRESHOLD, -1.0, 0.0, 1.0]
+        near = [float(np.nextafter(e, to)) for e in edges[:2] for to in (-1.0, 1.0)]
+        d = np.concatenate([rng.uniform(-1.0, 1.0, 100_000), edges, near])
+        codes = classify_array(d)
+        assert codes.shape == d.shape
+        assert [CLASS_BY_CODE[c] for c in codes.tolist()] == [classify(v) for v in d.tolist()]
+
+    def test_keeps_the_shape_of_padded_rows(self):
+        d = np.array([[0.9, -0.9, 0.0], [0.25, -0.25, 0.0]])
+        np.testing.assert_array_equal(classify_array(d), [[2, 0, 1], [2, 1, 1]])
+
+    @pytest.mark.parametrize("bad", [-1.001, 1.001, float("nan")])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            classify_array(np.array([0.0, bad]))
+
+
 class TestProfileTrace:
     def _trace(self, pairs, **kwargs):
         clean, noisy = zip(*pairs)
@@ -160,87 +179,31 @@ class TestProfileTrace:
     def test_three_token_worked_example(self):
         """One strongly visual, one flat, one anti-visual token."""
         trace = self._trace([(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)])
-        profile = profile_trace(trace)
-        np.testing.assert_allclose(profile.d, [8.0 / 9.0, 0.0, -8.0 / 9.0], atol=1e-15)
-        assert profile.classes == (
+        d = profile_trace(trace)
+        np.testing.assert_allclose(d, [8.0 / 9.0, 0.0, -8.0 / 9.0], atol=1e-15)
+        assert [CLASS_BY_CODE[c] for c in classify_array(d)] == [
             TokenClass.IMAGE_POSITIVE,
             TokenClass.IMAGE_INVARIANT,
             TokenClass.IMAGE_NEGATIVE,
-        )
+        ]
 
     def test_flat_trace_is_all_invariant(self):
         trace = self._trace([(0.2, 0.2)] * 7)
-        profile = profile_trace(trace)
-        assert profile.d == (0.0,) * 7
-        assert all(c is TokenClass.IMAGE_INVARIANT for c in profile.classes)
-
-    def test_carries_the_sample_id(self):
-        trace = self._trace([(0.6, 0.3)])
-        assert profile_trace(trace).sample_id == trace.sample_id
+        d = profile_trace(trace)
+        assert d.tolist() == [0.0] * 7
+        assert all(CLASS_BY_CODE[c] is TokenClass.IMAGE_INVARIANT for c in classify_array(d))
 
     def test_length_matches_trace(self):
         trace = self._trace([(0.6, 0.3), (0.1, 0.8)])
-        assert len(profile_trace(trace).d) == 2
+        assert profile_trace(trace).shape == (2,)
 
     def test_permuting_tokens_permutes_profile(self):
         rng = np.random.default_rng(42)
         pairs = list(zip(rng.uniform(0, 1, 8), rng.uniform(0, 1, 8)))
         perm = rng.permutation(8)
-        base = np.asarray(profile_trace(self._trace(pairs)).d)
+        base = profile_trace(self._trace(pairs))
         shuffled = profile_trace(self._trace([pairs[i] for i in perm]))
-        np.testing.assert_allclose(shuffled.d, base[perm], rtol=0, atol=0)
-
-
-class TestDependenceProfile:
-    def test_rejects_inconsistent_classes(self):
-        with pytest.raises(ValueError):
-            DependenceProfile(
-                sample_id="s", d=(0.9,), classes=(TokenClass.IMAGE_INVARIANT,)
-            )
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DependenceProfile(
-                sample_id="s", d=(0.9, 0.0), classes=(TokenClass.IMAGE_POSITIVE,)
-            )
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            DependenceProfile(sample_id="s", d=(), classes=())
-
-    def test_is_immutable(self):
-        profile = DependenceProfile(
-            sample_id="s", d=(0.5,), classes=(TokenClass.IMAGE_POSITIVE,)
-        )
-        with pytest.raises(AttributeError):
-            profile.d = (0.0,)
-
-
-class TestSampleDependence:
-    def _profile(self, values):
-        return DependenceProfile(
-            sample_id="s",
-            d=tuple(float(v) for v in values),
-            classes=tuple(classify(v) for v in values),
-        )
-
-    def test_signed_sum(self):
-        profile = self._profile([0.5, -0.2, 0.1])
-        assert sample_dependence(profile) == pytest.approx(0.4, rel=1e-12)
-
-    def test_all_zero_profile(self):
-        assert sample_dependence(self._profile([0.0] * 50)) == 0.0
-
-    def test_matches_independent_resummation(self):
-        rng = np.random.default_rng(42)
-        values = rng.uniform(-1, 1, 200)
-        total = math.fsum(values)
-        assert sample_dependence(self._profile(values)) == pytest.approx(
-            total, rel=1e-12
-        )
-
-    def test_returns_python_float(self):
-        assert isinstance(sample_dependence(self._profile([0.3])), float)
+        np.testing.assert_array_equal(shuffled, base[perm])
 
 
 @settings(max_examples=50)
@@ -255,7 +218,7 @@ class TestSampleDependence:
     )
 )
 def test_profile_matches_pointwise_scores(data):
-    """The vectorized profile agrees with the scalar definition everywhere."""
+    """The trace's d array agrees with the scalar definition everywhere."""
     clean, noisy = zip(*data)
     trace = TokenTrace(
         sample_id="s1",
@@ -264,7 +227,8 @@ def test_profile_matches_pointwise_scores(data):
         p_clean=tuple(clean),
         p_noisy=tuple(noisy),
     )
-    profile = profile_trace(trace)
+    d = profile_trace(trace)
+    codes = classify_array(d)
     for i, (p, q) in enumerate(data):
-        assert profile.d[i] == visual_dependence(p, q)
-        assert profile.classes[i] is classify(profile.d[i])
+        assert d[i] == visual_dependence(p, q)
+        assert CLASS_BY_CODE[codes[i]] is classify(d[i])

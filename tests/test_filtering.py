@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visdep import filtering, synth
-from visdep.dependence import profile_trace, sample_dependence
+from visdep import synth, toymodel
+from visdep.dependence import profile_trace
 from visdep.diffusion import corrupt, make_schedule
 from visdep.filtering import (
     FilterManifest,
@@ -171,8 +171,8 @@ class TestScoreCorpus:
         assert all(v == 0.0 for v in scores.values())
 
     def test_matches_independent_trace_recomputation(self, scored_setup):
-        """Σd recomputed through the public trace/profile path, with the
-        same noise draws, reproduces every score exactly."""
+        """Σd recomputed one caption at a time through the public trace
+        path, with the same noise draws, reproduces every score."""
         scenes, _, trained = scored_setup
         subset = scenes[:12]
         noise_step, seed = 900, 42
@@ -198,13 +198,13 @@ class TestScoreCorpus:
                 p_noisy=tuple(float(x) for x in noisy),
                 eos_index=len(target) - 1,
             )
-            expected = sample_dependence(profile_trace(trace))
+            expected = sum(profile_trace(trace).tolist())
             assert scores[scene.scene_id] == pytest.approx(expected, rel=1e-12)
 
     def test_equals_the_trace_path_bit_for_bit(self, scored_setup):
-        """Σd on arrays gives every caption exactly the score of its
-        TokenTrace -> profile_trace -> sample_dependence, with the
-        probabilities of the same batched passes."""
+        """Σd on arrays gives every caption exactly the left-to-right sum of
+        its TokenTrace -> profile_trace d values, with the probabilities of
+        the same batched passes."""
         _, _, trained = scored_setup
         scenes = generate_corpus(CorpusConfig(num_scenes=300, seed=5))
         noise_step, seed = 900, 3
@@ -226,11 +226,11 @@ class TestScoreCorpus:
                 sample_id=scene.scene_id,
                 tokens=target,
                 surfaces=synth.surfaces_for(target, len(scene.feature)),
-                p_clean=tuple(float(x) for x in clean[i]),
-                p_noisy=tuple(float(x) for x in noisy[i]),
+                p_clean=clean[i, : len(target)].tolist(),
+                p_noisy=noisy[i, : len(target)].tolist(),
                 eos_index=len(target) - 1,
             )
-            expected = sample_dependence(profile_trace(trace))
+            expected = sum(profile_trace(trace).tolist())
             assert scores[scene.scene_id] == expected, scene.scene_id
             assert type(scores[scene.scene_id]) is float
 
@@ -243,15 +243,14 @@ class TestScoreCorpus:
         def corrupted(params, conditions, targets):
             probs = real(params, conditions, targets)
             calls.append(len(targets))
-            if len(calls) == 2:  # the noised pass
-                probs[3] = probs[3].copy()
-                probs[3][1] = bad
+            probs[3, 1] = bad
             return probs
 
-        monkeypatch.setattr(filtering, "teacher_forced_probs", corrupted)
+        # the noised pass runs inside toymodel.noised_dependence
+        monkeypatch.setattr(toymodel, "teacher_forced_probs", corrupted)
         with pytest.raises(ValueError, match="outside"):
             score_corpus(scenes[:10], fresh)
-        assert calls == [10, 10]
+        assert calls == [10]
 
     def test_deterministic(self, scored_setup):
         scenes, _, trained = scored_setup

@@ -3,28 +3,25 @@
 import numpy as np
 import pytest
 
-from visdep.dependence import DependenceProfile, TokenClass, classify
+from visdep.dependence import NEGATIVE_THRESHOLD, POSITIVE_THRESHOLD, TokenClass, classify
 from visdep.halleval import (
     ClassDistanceStats,
+    ClassObjectCounts,
+    CoOccurrenceHistogram,
     HallucinationReport,
     ObjectLexicon,
     class_object_counts,
     co_occurrence,
     evaluate,
-    score_response,
-    span_class,
 )
 from visdep.synth import OBJECT_BASE, object_token
 
 LEX = ObjectLexicon.for_token_vocab(40)
 
 
-def profile_for(d_values, sample_id="s"):
-    return DependenceProfile(
-        sample_id=sample_id,
-        d=tuple(float(v) for v in d_values),
-        classes=tuple(classify(v) for v in d_values),
-    )
+def profile_for(d_values):
+    """The per-token ``d`` array of one response."""
+    return np.asarray(d_values, dtype=np.float64)
 
 
 def naive_report(responses, truths):
@@ -64,47 +61,6 @@ class TestObjectLexicon:
     def test_token_lexicon_finds_mentions_in_order(self):
         tokens = [0, object_token(3), 5, object_token(9), 1]
         assert LEX.mentions(tokens) == [(1, 3), (3, 9)]
-
-    def test_surface_lexicon_is_case_insensitive(self):
-        lex = ObjectLexicon.from_surfaces({"Dog": 0, "cat": 1})
-        tokens = [10, 11, 12]
-        surfaces = ["the", "DOG", "Cat"]
-        assert lex.mentions(tokens, surfaces) == [(1, 0), (2, 1)]
-
-    def test_surface_lexicon_requires_surfaces(self):
-        lex = ObjectLexicon.from_surfaces({"dog": 0})
-        with pytest.raises(ValueError):
-            lex.mentions([1, 2])
-
-    def test_surface_length_mismatch_rejected(self):
-        lex = ObjectLexicon.from_surfaces({"dog": 0})
-        with pytest.raises(ValueError):
-            lex.mentions([1, 2], ["dog"])
-
-    def test_exactly_one_mapping_required(self):
-        with pytest.raises(ValueError):
-            ObjectLexicon()
-        with pytest.raises(ValueError):
-            ObjectLexicon(by_token={1: 0}, by_surface={"a": 0})
-
-
-class TestScoreResponse:
-    def test_grounded_subset_has_no_hallucinations(self):
-        tokens = [0, object_token(3), object_token(7), 1]
-        mentioned, halluc = score_response(tokens, {3, 7, 11}, LEX)
-        assert mentioned == {3, 7}
-        assert halluc == frozenset()
-
-    def test_unknown_object_is_hallucinated(self):
-        tokens = [0, object_token(3), object_token(8), 1]
-        mentioned, halluc = score_response(tokens, {3, 7}, LEX)
-        assert mentioned == {3, 8}
-        assert halluc == {8}
-
-    def test_empty_response(self):
-        mentioned, halluc = score_response([], {3}, LEX)
-        assert mentioned == frozenset()
-        assert halluc == frozenset()
 
 
 class TestEvaluate:
@@ -191,15 +147,6 @@ class TestEvaluate:
         assert bumped.chair_s >= base.chair_s
         assert bumped.chair_i >= base.chair_i
 
-    def test_surface_based_evaluation(self):
-        lex = ObjectLexicon.from_surfaces({"dog": 0, "cat": 1})
-        responses = [[100, 101, 102]]
-        surfaces = [["a", "dog", "cat"]]
-        report = evaluate(responses, [{0}], lex, surfaces=surfaces)
-        assert report.chair_s == 1.0
-        assert report.chair_i == 0.5
-        assert report.recall == 1.0
-
 
 class TestHallucinationReport:
     def test_round_trips_through_dict(self):
@@ -227,30 +174,10 @@ class TestHallucinationReport:
 
 class TestSpanClass:
     def test_single_token_span(self):
-        profile = profile_for([0.9, 0.0, -0.9])
-        assert span_class(profile, (0,)) is TokenClass.IMAGE_POSITIVE
-        assert span_class(profile, (1,)) is TokenClass.IMAGE_INVARIANT
-        assert span_class(profile, (2,)) is TokenClass.IMAGE_NEGATIVE
-
-    def test_highest_magnitude_wins(self):
-        profile = profile_for([0.1, 0.8])
-        assert span_class(profile, (0, 1)) is TokenClass.IMAGE_POSITIVE
-        profile = profile_for([-0.9, 0.3])
-        assert span_class(profile, (0, 1)) is TokenClass.IMAGE_NEGATIVE
-
-    def test_tie_resolves_to_earlier_position(self):
-        profile = profile_for([0.5, -0.5])
-        assert span_class(profile, (0, 1)) is TokenClass.IMAGE_POSITIVE
-        profile = profile_for([-0.5, 0.5])
-        assert span_class(profile, (0, 1)) is TokenClass.IMAGE_NEGATIVE
-
-    def test_empty_span_rejected(self):
-        with pytest.raises(ValueError):
-            span_class(profile_for([0.5]), ())
-
-    def test_out_of_range_position_rejected(self):
-        with pytest.raises(ValueError):
-            span_class(profile_for([0.5]), (1,))
+        """A mention takes the class of its own token."""
+        resp = [object_token(1), object_token(2), object_token(3)]
+        counts = class_object_counts([profile_for([0.9, 0.0, -0.9])], [resp], [{1, 2, 3}], LEX)
+        assert counts.grounded == {cls: 1 for cls in TokenClass}
 
 
 class TestClassObjectCounts:
@@ -276,7 +203,7 @@ class TestClassObjectCounts:
             truth = set(int(o) for o in rng.choice(40, size=4, replace=False))
             responses.append(resp)
             truths.append(truth)
-            profiles.append(profile_for(rng.uniform(-1, 1, length), sample_id=f"s{i}"))
+            profiles.append(profile_for(rng.uniform(-1, 1, length)))
         counts = class_object_counts(profiles, responses, truths, LEX)
         all_mentions = sum(
             1 for r in responses for t in r if OBJECT_BASE <= t < OBJECT_BASE + 40
@@ -354,7 +281,7 @@ class TestCoOccurrence:
             ]
             responses.append(resp)
             truths.append(set(int(o) for o in rng.choice(40, size=3, replace=False)))
-            profiles.append(profile_for(rng.uniform(-1, 1, length), sample_id=f"s{i}"))
+            profiles.append(profile_for(rng.uniform(-1, 1, length)))
         hist = co_occurrence(profiles, responses, truths, LEX, window=3)
         halluc = sum(
             1
@@ -381,3 +308,80 @@ class TestCoOccurrence:
         assert stats.fraction_within == pytest.approx(4 / 6)
         empty = ClassDistanceStats(counts=(0, 0), beyond=0, absent=3)
         assert empty.fraction_within is None
+
+
+def _ref_profile(d):
+    """The classes of one response, token by token, through scalar ``classify``."""
+    return [classify(float(v)) for v in d]
+
+
+def _ref_class_object_counts(d_rows, responses, truths, lexicon):
+    """Test-local copy of the per-profile tally: one mention, one token's class."""
+    grounded = {cls: 0 for cls in TokenClass}
+    halluc = {cls: 0 for cls in TokenClass}
+    for d, resp, truth in zip(d_rows, responses, truths):
+        classes = _ref_profile(d)
+        for pos, obj in lexicon.mentions(resp):
+            (grounded if obj in truth else halluc)[classes[pos]] += 1
+    return ClassObjectCounts(grounded=grounded, hallucinated=halluc)
+
+
+def _ref_co_occurrence(d_rows, responses, truths, lexicon, window):
+    """Test-local copy of the per-profile histogram, nearest token by brute force."""
+    counts = {cls: [0] * (window + 1) for cls in TokenClass}
+    beyond = {cls: 0 for cls in TokenClass}
+    absent = {cls: 0 for cls in TokenClass}
+    for d, resp, truth in zip(d_rows, responses, truths):
+        classes = _ref_profile(d)
+        for pos, obj in lexicon.mentions(resp):
+            if obj in truth:
+                continue
+            for cls in TokenClass:
+                gaps = [abs(q - pos) for q, c in enumerate(classes) if c is cls]
+                if not gaps:
+                    absent[cls] += 1
+                elif min(gaps) <= window:
+                    counts[cls][min(gaps)] += 1
+                else:
+                    beyond[cls] += 1
+    per_class = {
+        cls: ClassDistanceStats(counts=tuple(counts[cls]), beyond=beyond[cls], absent=absent[cls])
+        for cls in TokenClass
+    }
+    return CoOccurrenceHistogram(window=window, per_class=per_class)
+
+
+class TestArrayAttributionMatchesProfiles:
+    """``class_object_counts`` and ``co_occurrence`` on d arrays give what the
+    per-profile versions gave, thresholds and their neighbours included."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        rng = np.random.default_rng(17)
+        edges = [POSITIVE_THRESHOLD, NEGATIVE_THRESHOLD]
+        edges += [float(np.nextafter(e, to)) for e in (POSITIVE_THRESHOLD, NEGATIVE_THRESHOLD) for to in (-1, 1)]
+        responses, truths, d_rows = [], [], []
+        for _ in range(300):
+            length = int(rng.integers(1, 25))
+            responses.append(
+                [int(object_token(rng.integers(0, 40))) if rng.random() < 0.4 else int(rng.integers(0, 13))
+                 for _ in range(length)]
+            )
+            truths.append(set(int(o) for o in rng.choice(40, size=5, replace=False)))
+            d = rng.uniform(-1, 1, length)
+            at_edge = rng.random(length) < 0.3
+            d[at_edge] = rng.choice(edges, int(at_edge.sum()))
+            d_rows.append(d)
+        return d_rows, responses, truths
+
+    def test_class_object_counts(self, sample):
+        d_rows, responses, truths = sample
+        got = class_object_counts(d_rows, responses, truths, LEX)
+        assert got == _ref_class_object_counts(d_rows, responses, truths, LEX)
+        assert got.total_grounded > 50 and got.total_hallucinated > 50
+
+    @pytest.mark.parametrize("window", [0, 3, 8])
+    def test_co_occurrence(self, sample, window):
+        d_rows, responses, truths = sample
+        got = co_occurrence(d_rows, responses, truths, LEX, window=window)
+        assert got == _ref_co_occurrence(d_rows, responses, truths, LEX, window)

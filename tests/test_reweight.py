@@ -7,27 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visdep.dependence import DependenceProfile, classify
 from visdep.reweight import (
     LossMode,
     ReweightConfig,
-    WeightVector,
-    apply_eos_floor,
     normalize_weights,
     raw_weight,
     raw_weights,
     reweighting_active,
     training_weights,
-    weight_rows,
 )
 
 
-def profile_from(values):
-    return DependenceProfile(
-        sample_id="s",
-        d=tuple(float(v) for v in values),
-        classes=tuple(classify(v) for v in values),
-    )
+def row_weights(values, cfg):
+    """``training_weights`` of one sequence, as a batch of one row."""
+    d = np.asarray(values, dtype=np.float64)
+    return training_weights(d[None, :], np.array([d.size]), cfg)[0]
 
 
 class TestRawWeight:
@@ -77,41 +71,41 @@ class TestRawWeights:
 class TestNormalizeWeights:
     def test_all_equal_raw_gives_exact_ones(self):
         wv = normalize_weights(np.full(17, 0.37), tau=1.3)
-        assert np.all(wv.weights == 1.0)
+        assert np.all(wv == 1.0)
 
     def test_zero_temperature_gives_exact_ones(self):
         rng = np.random.default_rng(42)
         wv = normalize_weights(rng.uniform(0, 1, 33), tau=0.0)
-        assert np.all(wv.weights == 1.0)
+        assert np.all(wv == 1.0)
 
     def test_two_token_closed_form(self):
         """raw (1, 0) at tau 0.5 gives (2e^0.5, 2) / (e^0.5 + 1)."""
         wv = normalize_weights(np.array([1.0, 0.0]), tau=0.5)
         denom = math.exp(0.5) + 1.0
         np.testing.assert_allclose(
-            wv.weights, [2.0 * math.exp(0.5) / denom, 2.0 / denom], rtol=1e-12
+            wv, [2.0 * math.exp(0.5) / denom, 2.0 / denom], rtol=1e-12
         )
-        np.testing.assert_allclose(wv.weights, [1.2449, 0.7551], atol=1e-4)
+        np.testing.assert_allclose(wv, [1.2449, 0.7551], atol=1e-4)
 
     def test_sum_equals_length(self):
         rng = np.random.default_rng(42)
         for n in (1, 2, 7, 100, 2048):
             raw = rng.uniform(0, 1, n)
             wv = normalize_weights(raw, tau=rng.uniform(0, 4))
-            assert wv.weights.sum() == pytest.approx(n, rel=1e-9)
+            assert wv.sum() == pytest.approx(n, rel=1e-9)
 
     def test_monotone_in_raw_weight(self):
         """Raising one raw weight raises its share of the total."""
         base = np.array([0.2, 0.4, 0.6])
         lifted = np.array([0.2, 0.7, 0.6])
-        w0 = normalize_weights(base, tau=2.0).weights
-        w1 = normalize_weights(lifted, tau=2.0).weights
+        w0 = normalize_weights(base, tau=2.0)
+        w1 = normalize_weights(lifted, tau=2.0)
         assert w1[1] > w0[1]
 
     def test_order_preserving(self):
         rng = np.random.default_rng(42)
         raw = rng.uniform(0, 1, 50)
-        w = normalize_weights(raw, tau=1.5).weights
+        w = normalize_weights(raw, tau=1.5)
         order_raw = np.argsort(raw, kind="stable")
         order_w = np.argsort(w, kind="stable")
         np.testing.assert_array_equal(order_raw, order_w)
@@ -119,8 +113,8 @@ class TestNormalizeWeights:
     def test_large_raw_values_are_stable(self):
         """Max-subtraction keeps the softmax finite for extreme inputs."""
         wv = normalize_weights(np.array([0.0, 1.0]), tau=500.0)
-        assert np.all(np.isfinite(wv.weights))
-        assert wv.weights.sum() == pytest.approx(2.0, rel=1e-9)
+        assert np.all(np.isfinite(wv))
+        assert wv.sum() == pytest.approx(2.0, rel=1e-9)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -137,106 +131,78 @@ class TestNormalizeWeights:
     )
     def test_sum_and_positivity_properties(self, raw, tau):
         wv = normalize_weights(np.array(raw), tau=tau)
-        assert wv.weights.sum() == pytest.approx(len(raw), rel=1e-9)
-        assert np.all(wv.weights > 0.0)
+        assert wv.sum() == pytest.approx(len(raw), rel=1e-9)
+        assert np.all(wv > 0.0)
 
 
 class TestApplyEosFloor:
-    def _wv(self, values):
-        return WeightVector(weights=np.array(values), seq_len=len(values))
+    """The floor lifts the last weight of each row (its EOS) to at least 1."""
+
+    FLOORED = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=2.0)
+    BARE = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=2.0, eos_floor=False)
 
     def test_low_eos_weight_raised_to_one(self):
-        wv = apply_eos_floor(self._wv([1.5, 0.9, 0.6]), eos_index=2)
-        np.testing.assert_array_equal(wv.weights, [1.5, 0.9, 1.0])
+        bare = row_weights([-0.9, 0.0, 0.0], self.BARE)
+        assert bare[2] < 1.0
+        floored = row_weights([-0.9, 0.0, 0.0], self.FLOORED)
+        np.testing.assert_array_equal(floored, [bare[0], bare[1], 1.0])
 
     def test_high_eos_weight_untouched(self):
-        original = self._wv([0.7, 1.3])
-        wv = apply_eos_floor(original, eos_index=1)
-        assert wv is original
-
-    def test_none_index_is_identity(self):
-        original = self._wv([0.2, 0.3])
-        assert apply_eos_floor(original, None) is original
-
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError):
-            apply_eos_floor(self._wv([1.0]), eos_index=1)
+        bare = row_weights([0.0, -0.9], self.BARE)
+        assert bare[1] > 1.0
+        np.testing.assert_array_equal(row_weights([0.0, -0.9], self.FLOORED), bare)
 
     @given(
-        values=st.lists(st.floats(0.0, 3.0, allow_nan=False), min_size=1, max_size=20)
+        values=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=20)
     )
     def test_only_eos_entry_changes(self, values):
-        wv = self._wv(values)
-        floored = apply_eos_floor(wv, eos_index=len(values) - 1)
-        assert floored.weights[-1] >= 1.0
-        np.testing.assert_array_equal(floored.weights[:-1], wv.weights[:-1])
+        bare = row_weights(values, self.BARE)
+        floored = row_weights(values, self.FLOORED)
+        assert floored[-1] == max(bare[-1], 1.0)
+        np.testing.assert_array_equal(floored[:-1], bare[:-1])
 
 
 class TestTrainingWeights:
     def test_vanilla_is_exact_ones_at_any_progress(self):
-        profile = profile_from([0.9, -0.9, 0.0])
-        cfg = ReweightConfig(mode=LossMode.VANILLA)
-        for progress in (0.0, 0.5, 1.0):
-            wv = training_weights(profile, cfg, progress)
-            assert np.all(wv.weights == 1.0)
-
-    def test_before_activation_is_exact_ones(self):
-        profile = profile_from([0.9, -0.9, 0.0])
-        cfg = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5)
-        wv = training_weights(profile, cfg, progress=0.3)
-        assert np.all(wv.weights == 1.0)
-
-    def test_activation_boundary_is_inclusive(self):
-        profile = profile_from([0.9, -0.9, 0.0])
-        cfg = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5)
-        wv = training_weights(profile, cfg, progress=0.5)
-        assert not np.all(wv.weights == 1.0)
+        """Vanilla mode never activates, and its weights are exact ones anyway."""
+        cfg = ReweightConfig(mode=LossMode.VANILLA, start_fraction=0.0)
+        assert not any(reweighting_active(cfg, p) for p in (0.0, 0.5, 1.0))
+        assert np.all(row_weights([0.9, -0.9, 0.0], cfg) == 1.0)
 
     def test_emphasize_negative_lifts_negative_token(self):
         """After activation the anti-visual token outweighs the rest."""
-        profile = profile_from([-0.9, 0.0, 0.5])
         cfg = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, eos_floor=False)
-        wv = training_weights(profile, cfg, progress=1.0)
-        assert wv.weights[0] > 1.0
-        assert wv.weights[1] < 1.0
-        assert wv.weights[2] < 1.0
-        assert wv.weights[1] == wv.weights[2]
+        wv = row_weights([-0.9, 0.0, 0.5], cfg)
+        assert wv[0] > 1.0
+        assert wv[1] < 1.0
+        assert wv[2] < 1.0
+        assert wv[1] == wv[2]
 
     def test_emphasize_positive_lifts_positive_token(self):
-        profile = profile_from([-0.9, 0.0, 0.5])
         cfg = ReweightConfig(mode=LossMode.EMPHASIZE_POSITIVE, eos_floor=False)
-        wv = training_weights(profile, cfg, progress=1.0)
-        assert wv.weights[2] > 1.0
-        assert wv.weights[0] < 1.0
-        assert wv.weights[0] == wv.weights[1]
+        wv = row_weights([-0.9, 0.0, 0.5], cfg)
+        assert wv[2] > 1.0
+        assert wv[0] < 1.0
+        assert wv[0] == wv[1]
 
     def test_eos_floor_applies_after_normalization(self):
-        profile = profile_from([-0.9, 0.0, 0.0, 0.0])
-        cfg = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=2.0)
-        floored = training_weights(profile, cfg, 1.0, eos_index=3)
-        bare = training_weights(
-            profile,
-            ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=2.0, eos_floor=False),
-            1.0,
-            eos_index=3,
-        )
-        assert bare.weights[3] < 1.0
-        assert floored.weights[3] == 1.0
-        np.testing.assert_array_equal(floored.weights[:3], bare.weights[:3])
+        """The floor lifts the EOS weight after the softmax, so the other
+        weights keep their normalized values and the sum exceeds the length."""
+        d = [-0.9, 0.0, 0.0, 0.0]
+        floored = row_weights(d, ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=2.0))
+        bare = row_weights(d, ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=2.0, eos_floor=False))
+        assert bare[3] < 1.0
+        assert floored[3] == 1.0
+        np.testing.assert_array_equal(floored[:3], bare[:3])
+        assert floored.sum() > len(d)
 
     def test_sum_with_floor_stays_below_length_plus_one(self):
         rng = np.random.default_rng(42)
         cfg = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=3.0)
         for _ in range(50):
             n = int(rng.integers(2, 40))
-            profile = profile_from(rng.uniform(-1, 1, n))
-            wv = training_weights(profile, cfg, 1.0, eos_index=n - 1)
-            assert n - 1e-9 <= wv.weights.sum() <= n + 1.0 + 1e-9
-
-    def test_rejects_bad_progress(self):
-        profile = profile_from([0.0])
-        with pytest.raises(ValueError):
-            training_weights(profile, ReweightConfig(), progress=1.5)
+            wv = row_weights(rng.uniform(-1, 1, n), cfg)
+            assert n - 1e-9 <= wv.sum() <= n + 1.0 + 1e-9
 
 
 class TestReweightingActive:
@@ -262,15 +228,18 @@ class TestWeightRows:
     )
     def test_rows_match_training_weights_bit_for_bit(self, cfg):
         """Padded rows of every length up to 40, with exact zeros of both
-        signs, give each row the bits of the one-sequence path."""
+        signs, give each row the bits of the one-sequence path:
+        ``normalize_weights`` of its raw weights, then the EOS floor."""
         rng = np.random.default_rng(7)
         lengths = np.array([1, 2, 7, 8, 9, 16, 17, 23, 40] + list(rng.integers(1, 41, 200)))
         d = np.zeros((len(lengths), 40))
         for i, n in enumerate(lengths):
             d[i, :n] = rng.choice([-1.0, -0.3, -0.0, 0.0, 0.25, 1.0], n) * rng.uniform(0.0, 1.0, n)
-        weights = weight_rows(d, lengths, cfg)
+        weights = training_weights(d, lengths, cfg)
         for i, n in enumerate(lengths):
-            expected = training_weights(profile_from(d[i, :n]), cfg, 1.0, eos_index=int(n) - 1).weights
+            expected = normalize_weights(raw_weights(d[i, :n], cfg.mode), cfg.tau)
+            if cfg.eos_floor:
+                expected[-1] = max(expected[-1], 1.0)
             np.testing.assert_array_equal(weights[i, :n], expected)
             assert not weights[i, n:].any()
 
@@ -299,22 +268,3 @@ class TestConfigValidation:
         assert LossMode.VANILLA.value == "mle"
         assert LossMode.EMPHASIZE_NEGATIVE.value == "wneg"
         assert LossMode.EMPHASIZE_POSITIVE.value == "wpos"
-
-
-class TestWeightVectorValidation:
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            WeightVector(weights=np.array([0.5, -0.1]), seq_len=2)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            WeightVector(weights=np.array([np.inf]), seq_len=1)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightVector(weights=np.ones(3), seq_len=2)
-
-    def test_array_is_read_only(self):
-        wv = WeightVector(weights=np.ones(2), seq_len=2)
-        with pytest.raises(ValueError):
-            wv.weights[0] = 5.0

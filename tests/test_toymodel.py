@@ -8,7 +8,7 @@ import pytest
 
 import visdep.toymodel as toymodel
 from visdep import synth
-from visdep.dependence import profile_trace
+from visdep.dependence import CLASS_BY_CODE, classify_array, dependence_array, profile_trace
 from visdep.diffusion import make_schedule, corrupt
 from visdep.reweight import LossMode, ReweightConfig, training_weights
 from visdep.seeding import derive_seed, rng_for
@@ -32,6 +32,7 @@ from visdep.toymodel import (
     generate_batch,
     init_params,
     load_params,
+    noised_dependence,
     save_params,
     sequence_loss,
     teacher_forced_probs,
@@ -288,8 +289,9 @@ class TestTeacherForcedProbs:
             [int(t) for t in rng.integers(2, VOCAB_SMALL, size=n)] for n in (4, 7, 2)
         ]
         batched = teacher_forced_probs(p, conds, targets)
+        assert batched.shape == (3, 7)
         for i, target in enumerate(targets):
-            assert batched[i].shape == (len(target),)
+            assert not batched[i, len(target) :].any()
             for t in range(len(target)):
                 dist = forward(p, conds[i], [BOS_ID] + target[:t])
                 assert batched[i][t] == pytest.approx(dist[target[t]], rel=1e-12)
@@ -306,13 +308,12 @@ class TestTeacherForcedProbs:
         targets = [list(s.caption[1:]) for s in scenes]
         assert len({len(t) for t in targets}) > 5
         whole = teacher_forced_probs(p, conds, targets)
+        assert whole.shape == (n, max(len(t) for t in targets))
         cuts = [c for c in (0, 8, 300, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS + 200) if c < n] + [n]
-        parts = []
         for lo, hi in zip(cuts, cuts[1:]):
-            parts.extend(teacher_forced_probs(p, conds[lo:hi], targets[lo:hi]))
-        assert len(whole) == len(parts) == n
-        for a, b in zip(whole, parts):
-            np.testing.assert_array_equal(a, b)
+            part = teacher_forced_probs(p, conds[lo:hi], targets[lo:hi])
+            np.testing.assert_array_equal(whole[lo:hi, : part.shape[1]], part)
+            assert not whole[lo:hi, part.shape[1] :].any()
 
     def test_padding_does_not_leak_between_sequences(self):
         """A ragged batch gives each row the same result as a batch of one."""
@@ -323,7 +324,7 @@ class TestTeacherForcedProbs:
         batched = teacher_forced_probs(p, conds, targets)
         for i, target in enumerate(targets):
             solo = teacher_forced_probs(p, conds[i : i + 1], [target])[0]
-            np.testing.assert_allclose(batched[i], solo, rtol=1e-12)
+            np.testing.assert_allclose(batched[i, : len(target)], solo, rtol=1e-12)
 
 
 def _ref_teacher_forced_probs(p, conditions, targets):
@@ -386,8 +387,8 @@ class TestPackedScoringMatchesBlockLoop:
         want = _ref_teacher_forced_probs(p, conds, targets)
         assert len(got) == len(want) == n
         for i, (a, b) in enumerate(zip(got, want)):
-            assert a.shape == (len(targets[i]),)
-            assert np.array_equal(a, b), f"row {i}"
+            assert np.array_equal(a[: len(b)], b), f"row {i}"
+            assert not a[len(b) :].any(), f"row {i}"
 
     def test_scoring_block_must_come_longest_first(self):
         p = small_params()
@@ -680,22 +681,26 @@ class TestTrainMechanics:
         assert calls == {"corrupt": [], "teacher_forced_probs": []}
 
     def test_batch_weights_match_the_trace_path(self):
-        """The (B, T) weights equal, row for row and bit for bit, those built
-        one sequence at a time through TokenTrace, profile_trace and
-        training_weights."""
+        """The noised pass's (B, T) dependence and the step's weights equal,
+        row for row and bit for bit, those built one sequence at a time
+        through TokenTrace, profile_trace and a one-row training_weights;
+        the class means are those of the per-token classes."""
         p = _full_size_params(4)
         scenes = generate_corpus(CorpusConfig(num_scenes=32, seed=4))
         conds = np.array([s.feature for s in scenes])
         targets = [list(s.caption[1:]) for s in scenes]
         fwd = _forward_batch(p, conds, targets)
+        p_clean = np.where(fwd.mask, fwd.target_p, 0.0)
+        noisy_p, d = noised_dependence(p, conds, targets, p_clean, list(range(len(scenes))), 900)
         noisy = np.stack([corrupt(c, 900, make_schedule(), i) for i, c in enumerate(conds)])
-        noisy_p = teacher_forced_probs(p, noisy, targets)
+        np.testing.assert_array_equal(noisy_p, teacher_forced_probs(p, noisy, targets))
         for cfg in (
             ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE),
             ReweightConfig(mode=LossMode.EMPHASIZE_POSITIVE, tau=2.0),
             ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=0.0, eos_floor=False),
         ):
-            weights, d = batch_weights(fwd, noisy_p, cfg)
+            weights, means = batch_weights(fwd, d, cfg)
+            classes = []
             for i, (scene, target) in enumerate(zip(scenes, targets)):
                 n = len(target)
                 trace = TokenTrace(
@@ -703,13 +708,25 @@ class TestTrainMechanics:
                     tokens=target,
                     surfaces=synth.surfaces_for(target, p.v_obj),
                     p_clean=fwd.target_p[i, :n],
-                    p_noisy=noisy_p[i],
+                    p_noisy=noisy_p[i, :n],
                     eos_index=n - 1,
                 )
-                prof = profile_trace(trace)
-                np.testing.assert_array_equal(d[i, :n], prof.d)
-                np.testing.assert_array_equal(weights[i, :n], training_weights(prof, cfg, 1.0, n - 1).weights)
-                assert not weights[i, n:].any() and not d[i, n:].any()
+                row = profile_trace(trace)
+                np.testing.assert_array_equal(d[i, :n], row)
+                np.testing.assert_array_equal(weights[i, :n], training_weights(row[None], np.array([n]), cfg)[0])
+                assert not weights[i, n:].any() and not d[i, n:].any() and not noisy_p[i, n:].any()
+                classes.extend((CLASS_BY_CODE[c], w) for c, w in zip(classify_array(row), weights[i, :n]))
+            for cls, mean in means.items():
+                members = [w for c, w in classes if c is cls]
+                if members:
+                    np.testing.assert_allclose(mean, np.mean(members), rtol=1e-12)
+                else:
+                    assert math.isnan(mean)
+
+    def test_noised_pass_rejects_a_step_outside_the_schedule(self):
+        p = small_params()
+        with pytest.raises(ValueError, match="schedule"):
+            noised_dependence(p, np.zeros((1, V_OBJ_SMALL)), [[3]], np.ones((1, 1)), [0], 1001)
 
     def test_single_step_matches_manual_replication(self):
         """One optimizer step decomposes into the documented stages:
@@ -748,7 +765,8 @@ class TestTrainMechanics:
             ]
         )
         noisy_p = teacher_forced_probs(params, noisy, targets)
-        weights, _ = batch_weights(fwd, noisy_p, cfg.reweight)
+        d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), noisy_p)
+        weights, _ = batch_weights(fwd, d, cfg.reweight)
         loss, grads = _loss_and_grads(params, features, fwd, weights)
         _Adam(params, cfg.learning_rate).step(params, grads)
 
@@ -801,7 +819,8 @@ class TestTrainMechanics:
                         ]
                     )
                     noisy_p = teacher_forced_probs(params, noisy, targets)
-                    weights, _ = batch_weights(fwd, noisy_p, cfg.reweight)
+                    d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), noisy_p)
+                    weights, _ = batch_weights(fwd, d, cfg.reweight)
                 loss, grads = _loss_and_grads(params, features, fwd, weights)
                 opt.step(params, grads)
                 losses.append(loss)
@@ -936,7 +955,6 @@ class TestConfigValidation:
         cfg = TrainConfig()
         assert cfg.epochs == 2
         assert cfg.batch_size == 128
-        assert cfg.optimizer == "adam"
         assert cfg.noise_step == 900
 
     @pytest.mark.parametrize(
@@ -945,7 +963,7 @@ class TestConfigValidation:
             {"epochs": 0},
             {"batch_size": 0},
             {"learning_rate": 0.0},
-            {"optimizer": "rmsprop"},
+            {"learning_rate": float("nan")},
             {"noise_step": -1},
         ],
     )
