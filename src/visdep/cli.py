@@ -101,6 +101,15 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_split(args) -> tuple[list, list]:
+    """The (train, test) halves of ``--corpus`` under ``--test-frac`` and ``--split-seed``.
+
+    Every stage that reads a corpus splits it here, so they all hold out the same scenes.
+    """
+    scenes = synth.read_corpus(args.corpus)
+    return synth.train_test_split(scenes, args.test_frac, args.split_seed)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=[m.value for m in LossMode], default="mle")
     p.add_argument("--tau", type=float, default=0.5, help="softmax temperature for the weights")
@@ -239,8 +248,7 @@ def _train_run_config(args) -> dict:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    scenes = synth.read_corpus(args.corpus)
-    train_scenes = synth.train_split(scenes, args.test_frac, args.split_seed)
+    train_scenes, _ = _read_split(args)
     if args.manifest:
         manifest = load_manifest(args.manifest)
         if set(manifest.kept) | set(manifest.removed) != {s.scene_id for s in train_scenes}:
@@ -283,8 +291,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_filter(args) -> int:
     out = _out_dir(args)
-    scenes = synth.read_corpus(args.corpus)
-    train_scenes = synth.train_split(scenes, args.test_frac, args.split_seed)
+    train_scenes, _ = _read_split(args)
     params = load_params(args.ckpt)
     scores = score_corpus(train_scenes, params, noise_step=args.noise_step, seed=args.seed)
     manifest = apply_filter(scores, FilterStrategy(args.strategy), args.frac, seed=args.seed)
@@ -305,12 +312,6 @@ def cmd_filter(args) -> int:
     )
     print(f"wrote {out / MANIFEST_FILE} (removed {len(manifest.removed)} of {len(scores)})")
     return EXIT_OK
-
-
-def _eval_split(args):
-    scenes = synth.read_corpus(args.corpus)
-    _, test_scenes = synth.train_test_split(scenes, args.test_frac, args.split_seed)
-    return test_scenes
 
 
 def run_eval(params, test_scenes, noise_step: int, seed: int, max_len: int):
@@ -370,7 +371,7 @@ def _write_eval_artifacts(out: Path, tf, report, counts, hist) -> None:
 
 def cmd_eval(args) -> int:
     out = _out_dir(args)
-    test_scenes = _eval_split(args)
+    _, test_scenes = _read_split(args)
     params = load_params(args.ckpt)
     tf, report, counts, hist = run_eval(params, test_scenes, args.noise_step, args.seed, args.max_len)
     _write_eval_artifacts(out, tf, report, counts, hist)
@@ -395,9 +396,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.axis == "noise-step" and not all(v.is_integer() for v in args.values):
+        print(f"error: --axis noise-step takes integer values, got {args.values}", file=sys.stderr)
+        return EXIT_USAGE
     out = _out_dir(args)
-    scenes = synth.read_corpus(args.corpus)
-    train_scenes, test_scenes = synth.train_test_split(scenes, args.test_frac, args.split_seed)
+    train_scenes, test_scenes = _read_split(args)
     rows = ["value,chair_s,chair_i,recall,mean_len"]
     for value in args.values:
         sub_args = argparse.Namespace(**vars(args))

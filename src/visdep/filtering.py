@@ -31,6 +31,10 @@ MANIFEST_FORMAT = "visdep-filter-manifest"
 MANIFEST_VERSION = 1
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 class FilterStrategy(Enum):
     REMOVE_HIGHEST = "highest"
     REMOVE_LOWEST = "lowest"
@@ -72,15 +76,23 @@ class FilterManifest:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FilterManifest":
-        if d.get("format") != MANIFEST_FORMAT:
+    def from_dict(cls, d) -> "FilterManifest":
+        if not isinstance(d, dict) or d.get("format") != MANIFEST_FORMAT:
             raise ValueError(f"not a {MANIFEST_FORMAT} object")
+        for name in ("kept", "removed"):
+            if not isinstance(d.get(name), list) or not all(isinstance(sid, str) for sid in d[name]):
+                raise ValueError(f"{name} must be a list of sample ids")
+        scores, fraction = d.get("scores"), d.get("fraction")
+        if not isinstance(scores, dict) or not all(map(_is_finite_number, scores.values())):
+            raise ValueError("scores must map sample ids to finite numbers")
+        if not _is_finite_number(fraction):
+            raise ValueError(f"fraction must be a finite number, got {fraction!r}")
         return cls(
-            strategy=FilterStrategy(d["strategy"]),
-            fraction=d["fraction"],
+            strategy=FilterStrategy(d.get("strategy")),
+            fraction=fraction,
             kept=d["kept"],
             removed=d["removed"],
-            scores=d["scores"],
+            scores=scores,
         )
 
 
@@ -92,7 +104,10 @@ def save_manifest(manifest: FilterManifest, path: str | os.PathLike) -> None:
 
 def load_manifest(path: str | os.PathLike) -> FilterManifest:
     with open(path, "r", encoding="utf-8") as fh:
-        return FilterManifest.from_dict(json.load(fh))
+        try:
+            return FilterManifest.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{os.fspath(path)}: {exc}") from exc
 
 
 def score_corpus(

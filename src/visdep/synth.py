@@ -184,15 +184,17 @@ class SyntheticScene:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "SyntheticScene":
-        return cls(
-            scene_id=record["scene_id"],
-            true_objects=record["true_objects"],
-            feature=record["feature"],
-            caption=record["caption"],
-            caption_surfaces=record["caption_surfaces"],
-            hallucinated_positions=record["hallucinated_positions"],
-        )
+    def from_record(cls, record) -> "SyntheticScene":
+        if not isinstance(record, dict):
+            raise ValueError("scene record must be a JSON object")
+        sid = record.get("scene_id")
+        if not isinstance(sid, str) or sid == "":
+            raise ValueError("scene_id must be a non-empty string")
+        lists = ("true_objects", "feature", "caption", "caption_surfaces", "hallucinated_positions")
+        for name in lists:
+            if not isinstance(record.get(name), list):
+                raise ValueError(f"scene {sid!r}: {name} must be a list")
+        return cls(scene_id=sid, **{name: record[name] for name in lists})
 
 
 def _sample_gap(rng: np.random.Generator) -> list[int]:
@@ -250,15 +252,14 @@ def groundable_objects(cfg: CorpusConfig) -> tuple[int, ...]:
     return tuple(o for o in range(cfg.vocab_objects) if o not in partners)
 
 
-def _make_scene(cfg: CorpusConfig, index: int, *, clean: bool = False, salt: str = "scene") -> SyntheticScene:
-    rng = rng_for(cfg.seed, salt, index)
+def _make_scene(cfg: CorpusConfig, index: int) -> SyntheticScene:
+    rng = rng_for(cfg.seed, "scene", index)
     k = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
     objs = np.sort(rng.choice(groundable_objects(cfg), size=k, replace=False))
     feature = np.zeros(cfg.vocab_objects)
     feature[objs] = 1.0
     feature = feature + rng.normal(0.0, cfg.sigma_jitter, cfg.vocab_objects)
-    rate = 0.0 if clean else cfg.hallucination_rate
-    caption, halluc = build_caption(rng, objs, cfg.bias_pairs, rate)
+    caption, halluc = build_caption(rng, objs, cfg.bias_pairs, cfg.hallucination_rate)
     return SyntheticScene(
         scene_id=f"scene-{index:06d}",
         true_objects=tuple(int(o) for o in objs),
@@ -295,52 +296,25 @@ def expected_hallucination_fraction(cfg: CorpusConfig) -> float:
     return expected_ins / (mean_k + expected_ins)
 
 
-def _test_indices(n: int, test_fraction: float, seed: int) -> set[int]:
-    """Corpus positions of the test half; deterministic in ``(n, test_fraction, seed)``."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n_test = int(round(test_fraction * n))
-    if n_test < 1 or n_test >= n:
-        raise ValueError(f"degenerate split: {n_test} test scenes out of {n}")
-    return set(int(i) for i in rng_for(seed, "split").permutation(n)[:n_test])
-
-
-def train_split(scenes: list[SyntheticScene], test_fraction: float, seed: int) -> list[SyntheticScene]:
-    """The training half of ``train_test_split``, without rebuilding the test captions."""
-    test_idx = _test_indices(len(scenes), test_fraction, seed)
-    return [s for i, s in enumerate(scenes) if i not in test_idx]
-
-
 def train_test_split(
     scenes: list[SyntheticScene],
     test_fraction: float,
     seed: int,
 ) -> tuple[list[SyntheticScene], list[SyntheticScene]]:
-    """Disjoint, exhaustive split; test captions are rebuilt bias-free.
+    """Partition ``scenes`` into (train, test), both in corpus order.
 
-    Test scenes keep their objects and features but get a freshly
-    generated caption with no hallucinated insertions, so evaluation
-    labels are clean.  Deterministic in ``(scenes, test_fraction, seed)``.
+    The halves hold the input scene objects themselves; which positions
+    are held out is deterministic in ``(len(scenes), test_fraction, seed)``.
     """
-    test_idx = _test_indices(len(scenes), test_fraction, seed)
+    n = len(scenes)
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    n_test = int(round(test_fraction * n))
+    if n_test < 1 or n_test >= n:
+        raise ValueError(f"degenerate split: {n_test} test scenes out of {n}")
+    test_idx = set(rng_for(seed, "split").permutation(n)[:n_test].tolist())
     train = [s for i, s in enumerate(scenes) if i not in test_idx]
-    test = []
-    for i, s in enumerate(scenes):
-        if i not in test_idx:
-            continue
-        rng = rng_for(seed, "cleancap", s.scene_id)
-        caption, halluc = build_caption(rng, s.true_objects, (), 0.0)
-        vocab_objects = len(s.feature)
-        test.append(
-            SyntheticScene(
-                scene_id=s.scene_id,
-                true_objects=s.true_objects,
-                feature=s.feature,
-                caption=caption,
-                caption_surfaces=surfaces_for(caption, vocab_objects),
-                hallucinated_positions=halluc,
-            )
-        )
+    test = [s for i, s in enumerate(scenes) if i in test_idx]
     return train, test
 
 
@@ -355,7 +329,10 @@ def write_corpus(scenes: list[SyntheticScene], path: str | os.PathLike) -> None:
 
 
 def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
+    """Scenes of a JSON-lines corpus; a malformed line or a repeated scene_id raises ValueError."""
+    where = os.fspath(path)
     scenes = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip() == "":
@@ -363,6 +340,15 @@ def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{os.fspath(path)}:{lineno}: invalid JSON: {exc.msg}") from exc
-            scenes.append(SyntheticScene.from_record(record))
+                raise ValueError(f"{where}:{lineno}: invalid JSON: {exc.msg}") from exc
+            try:
+                scene = SyntheticScene.from_record(record)
+            except (TypeError, ValueError) as exc:
+                # int() and float() raise TypeError on a null or nested list element
+                raise ValueError(f"{where}:{lineno}: {exc}") from exc
+            sid = scene.scene_id
+            if sid in first_line:
+                raise ValueError(f"{where}:{lineno}: duplicate scene_id {sid!r} (first on line {first_line[sid]})")
+            first_line[sid] = lineno
+            scenes.append(scene)
     return scenes

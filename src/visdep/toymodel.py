@@ -710,21 +710,29 @@ def save_params(p: ModelParams, path: str | os.PathLike) -> None:
 
 
 def load_params(path: str | os.PathLike) -> ModelParams:
+    where = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CKPT_FORMAT:
-        raise ValueError(f"{os.fspath(path)}: not a {CKPT_FORMAT} checkpoint")
+    if not isinstance(payload, dict) or payload.get("format") != CKPT_FORMAT:
+        raise ValueError(f"{where}: not a {CKPT_FORMAT} checkpoint")
     if payload.get("version") != CKPT_VERSION:
-        raise ValueError(f"{os.fspath(path)}: unsupported checkpoint version {payload.get('version')!r}")
-    expected = _block_shapes(payload["vocab_size"], payload["v_obj"], payload["d_emb"], payload["d_hid"])
+        raise ValueError(f"{where}: unsupported checkpoint version {payload.get('version')!r}")
+    dims = [payload.get(k) for k in ("vocab_size", "v_obj", "d_emb", "d_hid")]
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in dims):
+        raise ValueError(f"{where}: checkpoint dimensions {dims} are not positive integers")
+    stored = payload.get("blocks")
+    if not isinstance(stored, dict):
+        raise ValueError(f"{where}: checkpoint blocks must be a JSON object, got {type(stored).__name__}")
     blocks = {}
-    for name, shape in expected.items():
-        entry = payload["blocks"].get(name)
-        if entry is None:
-            raise ValueError(f"{os.fspath(path)}: checkpoint missing block {name!r}")
-        if tuple(entry["shape"]) != shape:
-            raise ValueError(
-                f"{os.fspath(path)}: block {name!r} has shape {entry['shape']}, expected {list(shape)}"
-            )
-        blocks[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
+    for name, shape in _block_shapes(*dims).items():
+        entry = stored.get(name)
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: checkpoint block {name!r} is missing or not an object")
+        if entry.get("shape") != list(shape):
+            raise ValueError(f"{where}: block {name!r} has shape {entry.get('shape')}, expected {list(shape)}")
+        try:
+            blocks[name] = np.array(entry.get("data"), dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            # float() raises TypeError on an object element
+            raise ValueError(f"{where}: block {name!r}: {exc}") from exc
     return ModelParams(**blocks)

@@ -7,6 +7,7 @@ import pytest
 
 import visdep.toymodel as toymodel
 from visdep.cli import main
+from visdep.diffusion import DEFAULT_NOISE_STEP
 from visdep.filtering import load_manifest
 from visdep.synth import read_corpus
 from visdep.toymodel import load_params
@@ -327,6 +328,17 @@ class TestExitCodes:
         bad.write_text("not json\n", encoding="utf-8")
         assert run_cli("train", "--corpus", bad, "--out-dir", tmp_path) == 3
 
+    def test_repeated_scene_id_is_a_data_error(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "data" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:20]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        code = run_cli(
+            "filter", "--corpus", corpus, "--ckpt", pipeline / "mle" / "ckpt.json",
+            "--strategy", "lowest", "--frac", 0.1, "--out-dir", tmp_path / "filter",
+        )
+        assert code == 3
+        assert "corpus.jsonl:21: duplicate scene_id 'scene-000000'" in capsys.readouterr().err
+
     def test_empty_trace_file(self, tmp_path, capsys):
         empty = tmp_path / "traces.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -374,6 +386,49 @@ class TestSweep:
         assert run["config"]["values"] == [0.0, 1.0]
         train_run = json.loads((pipeline / "mle" / "run.json").read_text())
         assert set(run["config"]) == set(train_run["config"]) - {"manifest"} | {"axis", "values", "max_len"}
+
+    @pytest.mark.parametrize(
+        "axis,values,field",
+        [
+            ("tau", (0.25, 2.0), lambda cfg: cfg.reweight.tau),
+            ("start-frac", (0.25, 0.75), lambda cfg: cfg.reweight.start_fraction),
+            ("noise-step", (100, 900), lambda cfg: cfg.noise_step),
+        ],
+        ids=["tau", "start-frac", "noise-step"],
+    )
+    def test_each_value_reaches_its_config_field(self, pipeline, tmp_path, monkeypatch, axis, values, field):
+        import visdep.cli as cli
+
+        params = load_params(pipeline / "mle" / "ckpt.json")
+        configs = []
+
+        def recording_train(scenes, cfg):
+            configs.append(cfg)
+            return params, []
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        code = run_cli(
+            "sweep", "--corpus", pipeline / "data" / "corpus.jsonl", "--axis", axis,
+            "--values", *values, "--seed", 7, "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert [field(cfg) for cfg in configs] == list(values)
+        for value in values:
+            noise_step = read_traces(tmp_path / f"{axis}-{value:g}" / "traces.jsonl").noise_step
+            assert noise_step == (value if axis == "noise-step" else DEFAULT_NOISE_STEP)
+
+    @pytest.mark.parametrize("value", [900.5, float("inf"), float("nan")])
+    def test_rejects_a_non_integer_noise_step(self, pipeline, tmp_path, monkeypatch, capsys, value):
+        import visdep.cli as cli
+
+        monkeypatch.setattr(cli, "train", lambda scenes, cfg: pytest.fail("trained on a bad value"))
+        code = run_cli(
+            "sweep", "--corpus", pipeline / "data" / "corpus.jsonl", "--axis", "noise-step",
+            "--values", 100, value, "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert "integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunRecords:

@@ -1,5 +1,7 @@
 """Tests for dependence-based corpus scoring and filtering."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,26 @@ class TestManifestRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other"}', encoding="utf-8")
         with pytest.raises(ValueError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: {**d, "kept": 5},
+            lambda d: {**d, "removed": [1]},
+            lambda d: {**d, "scores": 5},
+            lambda d: {**d, "scores": {"a": "1.0", "b": 2.0}},
+            lambda d: {**d, "fraction": None},
+            lambda d: {**d, "strategy": None},
+            lambda d: [d],
+        ],
+        ids=["kept-int", "removed-ints", "scores-int", "score-string", "fraction-null", "strategy-null", "list"],
+    )
+    def test_load_rejects_a_malformed_manifest_naming_the_file(self, tmp_path, edit):
+        manifest = apply_filter({"a": 1.0, "b": 2.0}, FilterStrategy.REMOVE_HIGHEST, 0.5)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(manifest.to_dict())), encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.json: "):
             load_manifest(path)
 
 

@@ -1,5 +1,7 @@
 """Tests for the synthetic scene/caption corpus generator."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from visdep.synth import (
     surface,
     surfaces_for,
     token_object,
-    train_split,
     train_test_split,
     vocab_size,
     write_corpus,
@@ -218,6 +219,34 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=":1"):
             read_corpus(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: {**r, "true_objects": 5},
+            lambda r: {**r, "feature": None},
+            lambda r: {**r, "feature": [None] * len(r["feature"])},
+            lambda r: {**r, "scene_id": 5},
+            lambda r: {k: v for k, v in r.items() if k != "caption"},
+            lambda r: [1, 2],
+        ],
+        ids=["objects-int", "feature-null", "feature-null-element", "id-int", "no-caption", "not-an-object"],
+    )
+    def test_read_rejects_a_malformed_record_with_its_line(self, tmp_path, edit):
+        scenes = small_corpus(3)
+        lines = [json.dumps(s.to_record()) for s in scenes]
+        lines[1] = json.dumps(edit(scenes[1].to_record()))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.jsonl:2: "):
+            read_corpus(path)
+
+    def test_read_rejects_a_repeated_scene_id(self, tmp_path):
+        scenes = small_corpus(3)
+        path = tmp_path / "dup.jsonl"
+        write_corpus(scenes + scenes[:1], path)
+        with pytest.raises(ValueError, match="dup.jsonl:4: duplicate scene_id 'scene-000000' \\(first on line 1\\)"):
+            read_corpus(path)
+
 
 class TestTrainTestSplit:
     def test_split_sizes_and_disjointness(self):
@@ -234,13 +263,16 @@ class TestTrainTestSplit:
         scenes = small_corpus(100)
         assert train_test_split(scenes, 0.2, 7) == train_test_split(scenes, 0.2, 7)
 
-    def test_test_captions_are_hallucination_free(self):
+    def test_halves_are_the_input_scenes_in_corpus_order(self):
         scenes = small_corpus(100)
-        _, test = train_test_split(scenes, 0.2, seed=42)
-        for scene in test:
-            assert scene.hallucinated_positions == ()
-            mentioned = {token_object(t) for t in scene.caption} - {None}
-            assert mentioned == set(scene.true_objects)
+        train, test = train_test_split(scenes, 0.2, seed=42)
+        held_out = {s.scene_id for s in test}
+        for half, expected in (
+            (train, [s for s in scenes if s.scene_id not in held_out]),
+            (test, [s for s in scenes if s.scene_id in held_out]),
+        ):
+            assert len(half) == len(expected)
+            assert all(a is b for a, b in zip(half, expected))
 
     def test_test_scenes_keep_objects_and_features(self):
         scenes = small_corpus(100)
@@ -259,18 +291,6 @@ class TestTrainTestSplit:
             train_test_split(scenes, 1.0, seed=42)
         with pytest.raises(ValueError):
             train_test_split(scenes, 0.01, seed=42)
-
-    @pytest.mark.parametrize("fraction,seed", [(0.2, 42), (0.2, 7), (0.35, 3)])
-    def test_train_split_is_the_training_half(self, fraction, seed):
-        """The training half alone is the same list, in the same order."""
-        scenes = small_corpus(100)
-        assert train_split(scenes, fraction, seed) == train_test_split(scenes, fraction, seed)[0]
-
-    def test_train_split_rejects_degenerate_fractions(self):
-        scenes = small_corpus(10)
-        for fraction in (0.0, 1.0, 0.01):
-            with pytest.raises(ValueError):
-                train_split(scenes, fraction, seed=42)
 
 
 class TestBuildCaption:

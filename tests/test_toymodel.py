@@ -949,6 +949,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="w_out"):
             load_params(path)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda p: {**p, "blocks": None}, "blocks"),
+            (lambda p: [p], "not a visdep-ckpt"),
+            (lambda p: {**p, "d_hid": None}, "dimensions"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": None}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "shape": [9]}}}, "shape"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [0.0] * 9}}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [{}] * 8}}}, "b_z"),
+        ],
+        ids=["blocks-null", "list", "dim-null", "block-null", "shape-vs-header", "data-size", "data-objects"],
+    )
+    def test_rejects_a_malformed_checkpoint_naming_the_file(self, tmp_path, edit, message):
+        import json
+
+        path = tmp_path / "ckpt.json"
+        save_params(small_params(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(edit(payload)), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"ckpt.json: .*{message}"):
+            load_params(path)
+
 
 class TestConfigValidation:
     def test_defaults(self):

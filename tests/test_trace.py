@@ -75,6 +75,11 @@ class TestTokenTraceValidation:
         with pytest.raises(TraceError):
             TokenTrace("a", (1, 2), ("x", "y"), (0.5, 0.5), (0.5, 0.5), eos_index=0)
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_non_integer_eos_index_rejected(self, bad):
+        with pytest.raises(TraceError, match="eos_index must be an integer"):
+            TokenTrace("a", (1, 2), ("x", "y"), (0.5, 0.5), (0.5, 0.5), eos_index=bad)
+
     def test_eos_index_at_last_accepted(self):
         trace = TokenTrace("a", (1, 2), ("x", "y"), (0.5, 0.5), (0.5, 0.5), eos_index=1)
         assert trace.eos_index == 1
@@ -208,6 +213,11 @@ class TestReadErrors:
         }
         path = self._write(tmp_path, [self._header(), json.dumps(record)])
         with pytest.raises(TraceError, match=":2.*p_clean"):
+            read_traces(path)
+
+    def test_record_that_is_not_an_object_reports_line(self, tmp_path):
+        path = self._write(tmp_path, [self._header(), "[1, 2]"])
+        with pytest.raises(TraceError, match=":2: expected a JSON object"):
             read_traces(path)
 
     def test_record_missing_key_rejected(self, tmp_path):
