@@ -110,6 +110,18 @@ def _read_split(args) -> tuple[list, list]:
     return synth.train_test_split(scenes, args.test_frac, args.split_seed)
 
 
+def _load_ckpt(args, scenes: list):
+    """``--ckpt``, rejected unless it takes the feature length of ``--corpus``."""
+    params = load_params(args.ckpt)
+    n_feature = len(scenes[0].feature)
+    if params.v_obj != n_feature:
+        raise ValueError(
+            f"{args.ckpt}: checkpoint takes {params.v_obj} features per scene, "
+            f"but {args.corpus} has {n_feature}"
+        )
+    return params
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=[m.value for m in LossMode], default="mle")
     p.add_argument("--tau", type=float, default=0.5, help="softmax temperature for the weights")
@@ -292,7 +304,7 @@ def cmd_analyze(args) -> int:
 def cmd_filter(args) -> int:
     out = _out_dir(args)
     train_scenes, _ = _read_split(args)
-    params = load_params(args.ckpt)
+    params = _load_ckpt(args, train_scenes)
     scores = score_corpus(train_scenes, params, noise_step=args.noise_step, seed=args.seed)
     manifest = apply_filter(scores, FilterStrategy(args.strategy), args.frac, seed=args.seed)
     save_manifest(manifest, out / MANIFEST_FILE)
@@ -372,7 +384,7 @@ def _write_eval_artifacts(out: Path, tf, report, counts, hist) -> None:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     _, test_scenes = _read_split(args)
-    params = load_params(args.ckpt)
+    params = _load_ckpt(args, test_scenes)
     tf, report, counts, hist = run_eval(params, test_scenes, args.noise_step, args.seed, args.max_len)
     _write_eval_artifacts(out, tf, report, counts, hist)
     _write_run(
@@ -399,9 +411,8 @@ def cmd_sweep(args) -> int:
     if args.axis == "noise-step" and not all(v.is_integer() for v in args.values):
         print(f"error: --axis noise-step takes integer values, got {args.values}", file=sys.stderr)
         return EXIT_USAGE
-    out = _out_dir(args)
-    train_scenes, test_scenes = _read_split(args)
-    rows = ["value,chair_s,chair_i,recall,mean_len"]
+    # every value is checked before the first one trains
+    configs = []
     for value in args.values:
         sub_args = argparse.Namespace(**vars(args))
         if args.axis == "tau":
@@ -410,14 +421,16 @@ def cmd_sweep(args) -> int:
             sub_args.start_frac = value
         else:
             sub_args.noise_step = int(value)
-        cfg = _train_config(sub_args)
+        configs.append(_train_config(sub_args))
+    out = _out_dir(args)
+    train_scenes, test_scenes = _read_split(args)
+    rows = ["value,chair_s,chair_i,recall,mean_len"]
+    for value, cfg in zip(args.values, configs):
         params, _ = train(train_scenes, cfg)
         sub_out = out / f"{args.axis}-{value:g}"
         sub_out.mkdir(parents=True, exist_ok=True)
         save_params(params, sub_out / CKPT_FILE)
-        tf, report, counts, hist = run_eval(
-            params, test_scenes, sub_args.noise_step, args.seed, args.max_len
-        )
+        tf, report, counts, hist = run_eval(params, test_scenes, cfg.noise_step, args.seed, args.max_len)
         _write_eval_artifacts(sub_out, tf, report, counts, hist)
         rows.append(
             f"{value:g},{report.chair_s!r},{report.chair_i!r},{report.recall!r},{report.mean_len!r}"

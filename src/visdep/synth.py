@@ -172,6 +172,11 @@ class SyntheticScene:
         for pos in self.hallucinated_positions:
             if not 0 <= pos < len(self.caption):
                 raise ValueError(f"scene {self.scene_id!r}: hallucinated position {pos} out of range")
+        for obj in self.true_objects:
+            if not 0 <= obj < len(self.feature):
+                raise ValueError(
+                    f"scene {self.scene_id!r}: object id {obj} outside [0, {len(self.feature)}), the feature length"
+                )
 
     def to_record(self) -> dict:
         return {
@@ -329,7 +334,11 @@ def write_corpus(scenes: list[SyntheticScene], path: str | os.PathLike) -> None:
 
 
 def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
-    """Scenes of a JSON-lines corpus; a malformed line or a repeated scene_id raises ValueError."""
+    """Scenes of a JSON-lines corpus.
+
+    A malformed line, a repeated scene_id or a feature whose length differs
+    from the first scene's raises ValueError naming the file and the line.
+    """
     where = os.fspath(path)
     scenes = []
     first_line: dict[str, int] = {}
@@ -349,6 +358,11 @@ def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
             sid = scene.scene_id
             if sid in first_line:
                 raise ValueError(f"{where}:{lineno}: duplicate scene_id {sid!r} (first on line {first_line[sid]})")
+            if scenes and len(scene.feature) != len(scenes[0].feature):
+                raise ValueError(
+                    f"{where}:{lineno}: feature has {len(scene.feature)} values, "
+                    f"the first scene's has {len(scenes[0].feature)}"
+                )
             first_line[sid] = lineno
             scenes.append(scene)
     return scenes

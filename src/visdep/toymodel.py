@@ -177,84 +177,90 @@ def _cond_embed(p: ModelParams, conditions: np.ndarray) -> np.ndarray:
     return np.tanh(_normalized_conditions(conditions) @ p.cond)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function; ``exp`` only ever sees ``-|x|``, so it cannot overflow."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class _Gates(NamedTuple):
-    """The GRU blocks laid side by side, so one matmul serves several gates.
+    """The GRU blocks arranged so that one call serves several gates.
 
-    A fused matmul gives each gate's columns the bits of that gate's own
-    matmul whenever both run the same BLAS kernel, so the cell computes
-    what the unfused one did.  OpenBLAS picks its kernel by matrix size,
-    which leaves one exception (measured with OpenBLAS 0.3.31 on an
-    AVX-512 Xeon): for a batch of 385-488 rows the fused input-weight
-    gradient ``x.T @ da`` leaves the small-matrix kernel that one gate's
-    product stays in, and sums the batch in another order.
+    The input weights are stacked per gate: one stacked matmul projects an
+    input into gate-major ``(3, B, d_hid)`` blocks ``[z, r, c]``, each
+    contiguous, so the cell's elementwise work never runs on a column
+    slice, which numpy does slower than a whole array.  Each block has the
+    bits of that gate's own matmul.  The recurrent weights of the two
+    sigmoid gates lie side by side: a fused matmul gives each gate's
+    columns the bits of the gate's own matmul whenever both run the same
+    BLAS kernel.  OpenBLAS picks its kernel by matrix size, which leaves one
+    exception (measured with OpenBLAS 0.3.31 on an AVX-512 Xeon): for a
+    batch of 385-488 rows the fused input-weight gradient ``x.T @ da``
+    leaves the small-matrix kernel that one gate's product stays in, and
+    sums the batch in another order.  That gradient therefore keeps its
+    one fused product.
     """
 
-    w_x: np.ndarray   # (d_emb, 3 d_hid): [w_xz | w_xr | w_xc]
+    w_x: np.ndarray   # (3, d_emb, d_hid): w_xz, w_xr, w_xc
     w_h: np.ndarray   # (d_hid, 2 d_hid): [w_hz | w_hr]
     w_hc: np.ndarray  # (d_hid, d_hid)
-    b: np.ndarray     # (3 d_hid,): [b_z | b_r | b_c]
+    b: np.ndarray     # (3, 1, d_hid): b_z, b_r, b_c
 
 
 def _gates(p: ModelParams) -> _Gates:
     return _Gates(
-        w_x=np.concatenate([p.w_xz, p.w_xr, p.w_xc], axis=1),
+        w_x=np.stack([p.w_xz, p.w_xr, p.w_xc]),
         w_h=np.concatenate([p.w_hz, p.w_hr], axis=1),
         w_hc=p.w_hc,
-        b=np.concatenate([p.b_z, p.b_r, p.b_c]),
+        b=np.stack([p.b_z, p.b_r, p.b_c])[:, None, :],
     )
 
 
-def _cell_forward(gates: _Gates, h: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
-    """One GRU step for a (B, d) batch; returns new state (written to ``out`` if given) and the cache."""
-    hid = h.shape[1]
-    xw = x @ gates.w_x
-    zr = _sigmoid(xw[:, : 2 * hid] + h @ gates.w_h + gates.b[: 2 * hid])
-    z, r = zr[:, :hid], zr[:, hid:]
-    hr = r * h
-    c = np.tanh(xw[:, 2 * hid :] + hr @ gates.w_hc + gates.b[2 * hid :])
-    h_new = np.add((1.0 - z) * h, z * c, out=out)
-    return h_new, (x, h, zr, hr, c)
+def _cell_step(
+    gates: _Gates, h: np.ndarray, g: np.ndarray, hr: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One GRU step of a (B, d_hid) state from its input projection ``g = x @ gates.w_x``.
 
-
-def _cell_backward(p: ModelParams, g: _Gates, dh_new: np.ndarray, cache):
-    """Backprop one GRU step; accumulates into the fused ``g``, returns (dx, dh_prev).
-
-    The weight gradients come from fused matmuls over ``[da_z | da_r |
-    da_c]``.  ``dx`` and ``dh_prev`` keep one matmul per gate, summed in
-    the order of the unfused cell: one fused matmul would regroup the sum.
+    Overwrites ``g`` (3, B, d_hid) with the gates ``[z, r, c]`` and ``hr``
+    with ``r * h``, the two things the backward step reads; returns the new
+    state, written to ``out`` if given.
     """
-    x, h_prev, zr, hr, c = cache
-    hid = h_prev.shape[1]
-    z, r = zr[:, :hid], zr[:, hid:]
-    da = np.empty((x.shape[0], 3 * hid))
-    da_zr, da_z, da_r, da_c = da[:, : 2 * hid], da[:, :hid], da[:, hid : 2 * hid], da[:, 2 * hid :]
+    zr, (z, r, c) = g[:2], g
+    zr += (h @ gates.w_h).reshape(h.shape[0], 2, -1).transpose(1, 0, 2)
+    zr += gates.b[:2]
+    _sigmoid(zr, out=zr)
+    np.multiply(r, h, out=hr)
+    c += hr @ gates.w_hc
+    c += gates.b[2]
+    np.tanh(c, out=c)
+    return np.add((1.0 - z) * h, z * c, out=out)
 
-    np.multiply(dh_new * z, 1.0 - c * c, out=da_c)
-    dx = da_c @ p.w_xc.T
-    dhr = da_c @ p.w_hc.T
+
+def _cell_forward(gates: _Gates, h: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One GRU step for a (B, d) batch; returns the new state (written to ``out`` if given)."""
+    return _cell_step(gates, h, x @ gates.w_x, np.empty_like(h), out)
+
+
+def _cell_backward(p: ModelParams, dh_new: np.ndarray, h_prev: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Backprop one GRU step through its gates ``g = [z, r, c]``; returns dh_prev.
+
+    Overwrites ``g`` with the pre-activation gradients ``[da_z, da_r,
+    da_c]``.  ``dh_prev`` sums one matmul per gate in the order of the
+    unfused cell: one fused matmul would regroup the sum.
+    """
+    zr, (z, r, c) = g[:2], g
+    dz = dh_new * (c - h_prev)
     dh_prev = dh_new * (1.0 - z)
+    np.multiply(dh_new * z, 1.0 - c * c, out=c)  # da_c
+    dhr = c @ p.w_hc.T
     dh_prev += dhr * r
-    np.multiply(dh_new, c - h_prev, out=da_z)
-    np.multiply(dhr, h_prev, out=da_r)
-    da_zr *= zr
-    da_zr *= 1.0 - zr
-    dx += da_r @ p.w_xr.T
-    dh_prev += da_r @ p.w_hr.T
-    dx += da_z @ p.w_xz.T
-    dh_prev += da_z @ p.w_hz.T
-
-    g_x, g_h, g_hc, g_b = g
-    g_x += x.T @ da
-    g_h += h_prev.T @ da_zr
-    g_hc += hr.T @ da_c
-    g_b += da.sum(axis=0)
-    return dx, dh_prev
+    dzr = 1.0 - zr
+    z *= dz
+    r *= dhr * h_prev
+    zr *= dzr  # da_z, da_r
+    dh_prev += r @ p.w_hr.T
+    dh_prev += z @ p.w_hz.T
+    return dh_prev
 
 
 def _pad_targets(targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,17 +277,28 @@ def _pad_targets(targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _ForwardCache(NamedTuple):
-    """Everything the backward pass needs from one teacher-forced forward."""
+    """Everything the backward pass needs from one teacher-forced forward.
+
+    Step 0 of each stack is the condition step, step ``t + 1`` reads input
+    token ``t``.  Every field but ``lengths`` has the batch on its
+    second-to-last axis.
+    """
 
     inputs: np.ndarray            # (B, T) BOS then the targets shifted right
     targets: np.ndarray           # (B, T) padded target ids
     lengths: np.ndarray           # (B,)
     mask: np.ndarray              # (B, T) True within each length
-    caches: list | None           # per-step cell caches, the condition step first
-    hs: np.ndarray | None         # (T, B, d_hid) hidden state after each step
+    xs: np.ndarray | None         # (T+1, B, d_emb) cell input at each step
+    hs: np.ndarray | None         # (T+2, B, d_hid) zero, then the state after each step
+    hr: np.ndarray | None         # (T+1, B, d_hid) r * h_prev at each step
+    gz: np.ndarray | None         # (T+1, 3, B, d_hid) the gates [z, r, c] at each step
     probs: np.ndarray | None      # (T, B, vocab) next-token distributions
     target_p: np.ndarray          # (B, T) probability of each target
     target_logp: np.ndarray       # (B, T) its log
+
+    def head(self, b: int) -> "_ForwardCache":
+        """The cache of the first ``b`` rows, as views."""
+        return _ForwardCache(*(None if f is None else f[:b] if f.ndim == 1 else f[..., :b, :] for f in self))
 
 
 def _output_layer(p: ModelParams, hs: np.ndarray, ids: np.ndarray):
@@ -330,19 +347,24 @@ def _forward_batch(
     inputs = np.concatenate([np.full((b, 1), synth.BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
 
     gates = _gates(p)
-    h, cache = _cell_forward(gates, np.zeros((b, p.d_hid)), _cond_embed(p, conditions))
-    caches = [cache] if keep_cache else None
+    cond_x = _cond_embed(p, conditions)
     if keep_cache or b * t_max <= SCORE_BLOCK_ROWS:
-        xs = p.emb[inputs.T]  # (T, B, d_emb): one gather, a contiguous slice per step
-        hs = np.empty((t_max, b, p.d_hid))
-        for t in range(t_max):
-            h, cache = _cell_forward(gates, h, xs[t], out=hs[t])
-            if keep_cache:
-                caches.append(cache)
-        probs, target_p, target_logp = _output_layer(p, hs, ids.T)
+        # Only the recurrence runs step by step: the input projections of
+        # every step are one stacked matmul, which makes each step's own BLAS
+        # calls, and the cell turns them into the gates in place.
+        xs = np.empty((t_max + 1, b, p.d_emb))
+        xs[0] = cond_x
+        p.emb.take(inputs.T, axis=0, out=xs[1:])
+        gz = xs[:, None] @ gates.w_x
+        hs = np.zeros((t_max + 2, b, p.d_hid))
+        hr = np.empty((t_max + 1, b, p.d_hid))
+        for t in range(t_max + 1):
+            _cell_step(gates, hs[t], gz[t], hr[t], out=hs[t + 1])
+        probs, target_p, target_logp = _output_layer(p, hs[2:], ids.T)
     else:
         if np.any(lengths[1:] > lengths[:-1]):
             raise ValueError("a scoring block must list its rows longest first")
+        h = _cell_forward(gates, np.zeros((b, p.d_hid)), cond_x)
         # live[t]: rows still inside their target at step t, at least two
         live = np.maximum(np.searchsorted(-lengths, -np.arange(t_max), side="left"), min(b, 2))
         target_p, target_logp = np.zeros((t_max, b)), np.zeros((t_max, b))
@@ -353,8 +375,8 @@ def _forward_batch(
                 p, h[None, :k], ids.T[t : t + 1, :k]
             )
     if not keep_cache:
-        hs = probs = None
-    return _ForwardCache(inputs, ids, lengths, mask, caches, hs, probs, target_p.T, target_logp.T)
+        xs = hs = hr = gz = probs = None
+    return _ForwardCache(inputs, ids, lengths, mask, xs, hs, hr, gz, probs, target_p.T, target_logp.T)
 
 
 def _loss_and_grads(
@@ -366,37 +388,49 @@ def _loss_and_grads(
     """Weighted loss (mean over sequences) and gradients for the batch.
 
     ``weights`` is (B, T_max) with zeros beyond each sequence length; it is
-    treated as a constant throughout.
+    treated as a constant throughout.  The pass consumes ``fwd``: its
+    distributions become the logit gradients and its gates the gates'
+    gradients.  The output layer and ``dx`` do not feed the recurrence and
+    run once on the (steps, B, .) stacks; the output weights sum their
+    per-step products last step first, the order of a per-step ``+=``.
+    The cell's weight gradients keep one product per step, accumulated in
+    the loop: those products cost the same stacked or not, and a stack of
+    them is slower to sum at a large batch.
     """
     b, t_max = fwd.targets.shape
     coef = np.where(fwd.mask, weights / (fwd.lengths[:, None] * b), 0.0)
     loss = float(-(coef * np.where(fwd.mask, fwd.target_logp, 0.0)).sum())
 
-    g = p.zeros_like()
     hid = p.d_hid
-    fused = _Gates(
-        w_x=np.zeros((p.d_emb, 3 * hid)), w_h=np.zeros((hid, 2 * hid)), w_hc=g.w_hc, b=np.zeros(3 * hid)
-    )
-    # The gradients at the logits, and from them at each state, do not
-    # feed the recurrence: they run once on the (T, B, .) stacks.
     coef_t = coef.T
-    dlogits = fwd.probs * coef_t[:, :, None]
+    dlogits = fwd.probs
+    dlogits *= coef_t[:, :, None]
     dlogits[np.arange(t_max)[:, None], np.arange(b)[None, :], fwd.targets.T] -= coef_t
     dh_out = dlogits @ p.w_out.T
-    dxs = np.empty((t_max, b, p.d_emb))
-    dh_next = np.zeros((b, hid))
-    for t in range(t_max - 1, -1, -1):
-        g.w_out += fwd.hs[t].T @ dlogits[t]
-        g.b_out += dlogits[t].sum(axis=0)
-        dxs[t], dh_next = _cell_backward(p, fused, dh_next + dh_out[t], fwd.caches[t + 1])
+    xs, hs, hr, da = fwd.xs, fwd.hs, fwd.hr, fwd.gz
+    g = p.zeros_like()
+    g_x, g_h, g_b = np.zeros((p.d_emb, 3 * hid)), np.zeros((hid, 2 * hid)), np.zeros(3 * hid)
+    dh = np.zeros((b, hid))
+    for t in range(t_max, -1, -1):
+        dh = _cell_backward(p, dh + dh_out[t - 1] if t else dh, hs[t], da[t])
+        # x.T @ da stays one fused product (see _Gates), on a (B, 3 d_hid) copy
+        da_t = da[t].transpose(1, 0, 2).reshape(b, 3 * hid)
+        g_x += xs[t].T @ da_t
+        g_h += hs[t].T @ da_t[:, : 2 * hid]
+        g.w_hc += hr[t].T @ da_t[:, 2 * hid :]
+        g_b += da_t.sum(axis=0)
+    g.w_xz[...], g.w_xr[...], g.w_xc[...] = np.split(g_x, 3, axis=1)
+    g.w_hz[...], g.w_hr[...] = np.split(g_h, 2, axis=1)
+    g.b_z[...], g.b_r[...], g.b_c[...] = np.split(g_b, 3)
+    # sum over steps of hs[t].T @ dlogits[t], last step first
+    g.w_out[...] = (hs[2:].transpose(0, 2, 1) @ dlogits)[::-1].sum(axis=0)
+    g.b_out[...] = dlogits.sum(axis=1)[::-1].sum(axis=0)
+    dxs = da[:, 2] @ p.w_xc.T
+    dxs += da[:, 1] @ p.w_xr.T
+    dxs += da[:, 0] @ p.w_xz.T
     # One scatter-add, its rows in the order of one add per step, last step first.
-    np.add.at(g.emb, fwd.inputs.T[::-1].ravel(), dxs[::-1].reshape(-1, p.d_emb))
-    dx_cond, _ = _cell_backward(p, fused, dh_next, fwd.caches[0])
-    cond_emb = fwd.caches[0][0]
-    g.cond += _normalized_conditions(conditions).T @ (dx_cond * (1.0 - cond_emb * cond_emb))
-    g.w_xz[...], g.w_xr[...], g.w_xc[...] = np.split(fused.w_x, 3, axis=1)
-    g.w_hz[...], g.w_hr[...] = np.split(fused.w_h, 2, axis=1)
-    g.b_z[...], g.b_r[...], g.b_c[...] = np.split(fused.b, 3)
+    np.add.at(g.emb, fwd.inputs.T[::-1].ravel(), dxs[:0:-1].reshape(-1, p.d_emb))
+    g.cond += _normalized_conditions(conditions).T @ (dxs[0] * (1.0 - xs[0] * xs[0]))
     return loss, g
 
 
@@ -411,10 +445,9 @@ def forward(p: ModelParams, condition, prefix) -> np.ndarray:
     if any(not 0 <= t < p.vocab_size for t in prefix):
         raise ValueError("prefix contains out-of-vocabulary token ids")
     gates = _gates(p)
-    h = np.zeros((1, p.d_hid))
-    h, _ = _cell_forward(gates, h, _cond_embed(p, condition[None, :]))
+    h = _cell_forward(gates, np.zeros((1, p.d_hid)), _cond_embed(p, condition[None, :]))
     for t in prefix:
-        h, _ = _cell_forward(gates, h, p.emb[[t]])
+        h = _cell_forward(gates, h, p.emb[[t]])
     logits = (h @ p.w_out + p.b_out)[0]
     logits = logits - logits.max()
     e = np.exp(logits)
@@ -465,6 +498,14 @@ def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) 
     return out
 
 
+def _noised_conditions(conditions: np.ndarray, seeds: list, noise_step: int) -> np.ndarray:
+    """Condition ``i`` corrupted to ``noise_step`` with ``seeds[i]``."""
+    schedule = make_schedule()
+    if not 0 <= noise_step <= schedule.num_steps:
+        raise ValueError(f"noise_step {noise_step} outside the schedule's [0, {schedule.num_steps}]")
+    return np.stack([corrupt(c, noise_step, schedule, seed) for c, seed in zip(conditions, seeds)])
+
+
 def noised_dependence(
     p: ModelParams,
     conditions: np.ndarray,
@@ -479,11 +520,7 @@ def noised_dependence(
     ``p_clean`` is the clean pass as ``teacher_forced_probs`` returns it.
     Returns ``(p_noisy, d)``, (B, T) each and zero past each length.
     """
-    schedule = make_schedule()
-    if not 0 <= noise_step <= schedule.num_steps:
-        raise ValueError(f"noise_step {noise_step} outside the schedule's [0, {schedule.num_steps}]")
-    noisy = np.stack([corrupt(c, noise_step, schedule, seed) for c, seed in zip(conditions, seeds)])
-    p_noisy = teacher_forced_probs(p, noisy, targets)
+    p_noisy = teacher_forced_probs(p, _noised_conditions(conditions, seeds, noise_step), targets)
     return p_noisy, dependence_array(p_clean, p_noisy)
 
 
@@ -499,14 +536,14 @@ def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) ->
     conditions = np.asarray(conditions, dtype=np.float64)
     b = conditions.shape[0]
     gates = _gates(p)
-    h, _ = _cell_forward(gates, np.zeros((b, p.d_hid)), _cond_embed(p, conditions))
+    h = _cell_forward(gates, np.zeros((b, p.d_hid)), _cond_embed(p, conditions))
     tokens = np.full((b, max_len), synth.BOS_ID, dtype=np.int64)
     lengths = np.full(b, max_len)
     rows = np.arange(b)  # batch row -> input row
     live = np.ones(b, dtype=bool)
     current = tokens[:, 0]
     for step in range(1, max_len):
-        h, _ = _cell_forward(gates, h, p.emb[current])
+        h = _cell_forward(gates, h, p.emb[current])
         current = (h @ p.w_out + p.b_out).argmax(axis=1)
         tokens[rows, step] = current  # a padding row writes past its length, which is cut off
         ended = live & (current == synth.EOS_ID)
@@ -558,7 +595,11 @@ class TrainLogRecord:
 
 
 class _Adam:
-    """Adam on all blocks at once: the moments are flat vectors, one entry per parameter."""
+    """Adam on all blocks at once: the moments are flat vectors, one entry per parameter.
+
+    A step allocates nothing: the flat gradient and every temporary live in
+    buffers made once.
+    """
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -569,18 +610,27 @@ class _Adam:
         size = sum(arr.size for arr in params.blocks().values())
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._g, self._tmp, self._update = np.empty(size), np.empty(size), np.empty(size)
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        g = np.concatenate([arr.ravel() for arr in grads.blocks().values()])
+        g, tmp, update = self._g, self._tmp, self._update
+        np.concatenate([arr.ravel() for arr in grads.blocks().values()], out=g)
         m, v = self.m, self.v
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        np.divide(m, b1c, out=update)
+        update *= self.lr
+        np.divide(v, b2c, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update /= tmp
         start = 0
         for arr in params.blocks().values():
             arr -= update[start : start + arr.size].reshape(arr.shape)
@@ -610,12 +660,13 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
 
     Every batch runs a clean teacher-forced pass.  Once
     ``reweighting_active`` holds (never in vanilla mode, otherwise from
-    ``start_fraction`` of the total steps on), a batch also runs a noised
-    pass, weights each token by its dependence and logs the mean weight of
-    each dependence class.  Before that every weight is exactly 1, the
-    noised pass is skipped and the class means are logged as NaN.  Each
-    noise draw is seeded by ``(seed, step, scene_id)``, so skipping some
-    steps changes no other step's draw.
+    ``start_fraction`` of the total steps on), a batch also corrupts its
+    conditions, runs them in the same forward as the clean rows, weights
+    each token by its dependence and logs the mean weight of each
+    dependence class.  Before that every weight is exactly 1, nothing is
+    corrupted and the class means are logged as NaN.  Each noise draw is
+    seeded by ``(seed, step, scene_id)``, so skipping some steps changes no
+    other step's draw.
 
     The returned parameters are the uniform average of the iterates that
     steps ``total_steps // 2`` through ``total_steps - 1`` (counting from
@@ -650,13 +701,20 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
             features = all_features[idx]
             targets = [list(s.caption[1:]) for s in batch]
 
-            fwd = _forward_batch(params, features, targets)
             if reweighting_active(cfg.reweight, global_step / total_steps):
                 seeds = [derive_seed(cfg.seed, "noise", global_step, s.scene_id) for s in batch]
-                p_clean = np.where(fwd.mask, fwd.target_p, 0.0)
-                _, d = noised_dependence(params, features, targets, p_clean, seeds, cfg.noise_step)
+                noisy = _noised_conditions(features, seeds, cfg.noise_step)
+                b = len(batch)
+                if b > 1:  # in a batch of two or more rows, no row's bits depend on the others
+                    both = _forward_batch(params, np.concatenate([features, noisy]), targets * 2)
+                    fwd, p_noisy = both.head(b), both.target_p[b:]
+                else:  # a lone row's matmuls round differently from a pair's
+                    fwd = _forward_batch(params, features, targets)
+                    p_noisy = _forward_batch(params, noisy, targets).target_p
+                d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), np.where(fwd.mask, p_noisy, 0.0))
                 weights, means = batch_weights(fwd, d, cfg.reweight)
             else:
+                fwd = _forward_batch(params, features, targets)
                 weights = fwd.mask.astype(np.float64)
                 means = unweighted_means
             loss, grads = _loss_and_grads(params, features, fwd, weights)

@@ -339,6 +339,23 @@ class TestExitCodes:
         assert code == 3
         assert "corpus.jsonl:21: duplicate scene_id 'scene-000000'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["filter", "eval"])
+    def test_checkpoint_for_another_feature_length_is_a_data_error(self, pipeline, tmp_path, monkeypatch, capsys, stage):
+        import visdep.cli as cli
+
+        assert run_cli("synth", "--scenes", 40, "--objects", 50, "--out-dir", tmp_path / "data") == 0
+        monkeypatch.setattr(cli, "score_corpus", lambda *a, **k: pytest.fail("scored with a mismatched checkpoint"))
+        monkeypatch.setattr(cli, "run_eval", lambda *a, **k: pytest.fail("evaluated with a mismatched checkpoint"))
+        extra = ["--strategy", "lowest", "--frac", 0.1] if stage == "filter" else []
+        code = run_cli(
+            stage, "--corpus", tmp_path / "data" / "corpus.jsonl", "--ckpt", pipeline / "mle" / "ckpt.json",
+            *extra, "--out-dir", tmp_path / "out",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ckpt.json: checkpoint takes 40 features per scene" in err
+        assert "corpus.jsonl has 50" in err
+
     def test_empty_trace_file(self, tmp_path, capsys):
         empty = tmp_path / "traces.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -428,6 +445,19 @@ class TestSweep:
         )
         assert code == 2
         assert "integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    def test_rejects_a_bad_value_before_any_training(self, pipeline, tmp_path, monkeypatch, capsys):
+        import visdep.cli as cli
+
+        monkeypatch.setattr(cli, "train", lambda scenes, cfg: pytest.fail("trained before checking every value"))
+        code = run_cli(
+            "sweep", "--corpus", pipeline / "data" / "corpus.jsonl", "--axis", "tau",
+            "--values", 0.5, -1, "--out-dir", tmp_path / "out",
+        )
+        assert code == 3
+        assert "tau" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

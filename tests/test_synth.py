@@ -220,24 +220,31 @@ class TestDeterminism:
             read_corpus(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,message",
         [
-            lambda r: {**r, "true_objects": 5},
-            lambda r: {**r, "feature": None},
-            lambda r: {**r, "feature": [None] * len(r["feature"])},
-            lambda r: {**r, "scene_id": 5},
-            lambda r: {k: v for k, v in r.items() if k != "caption"},
-            lambda r: [1, 2],
+            (lambda r: {**r, "true_objects": 5}, ""),
+            (lambda r: {**r, "feature": None}, ""),
+            (lambda r: {**r, "feature": [None] * len(r["feature"])}, ""),
+            (lambda r: {**r, "scene_id": 5}, ""),
+            (lambda r: {k: v for k, v in r.items() if k != "caption"}, ""),
+            (lambda r: [1, 2], ""),
+            (lambda r: {**r, "true_objects": [99]}, r".*object id 99 outside \[0, 40\)"),
+            (lambda r: {**r, "true_objects": [-1]}, r".*object id -1 outside \[0, 40\)"),
+            (lambda r: {**r, "feature": r["feature"][:-1]}, "feature has 39 values, the first scene's has 40"),
+            (lambda r: {**r, "feature": r["feature"] + [0.0]}, "feature has 41 values, the first scene's has 40"),
         ],
-        ids=["objects-int", "feature-null", "feature-null-element", "id-int", "no-caption", "not-an-object"],
+        ids=[
+            "objects-int", "feature-null", "feature-null-element", "id-int", "no-caption", "not-an-object",
+            "object-id-outside-feature", "negative-object-id", "short-feature", "long-feature",
+        ],
     )
-    def test_read_rejects_a_malformed_record_with_its_line(self, tmp_path, edit):
+    def test_read_rejects_a_malformed_record_with_its_line(self, tmp_path, edit, message):
         scenes = small_corpus(3)
         lines = [json.dumps(s.to_record()) for s in scenes]
         lines[1] = json.dumps(edit(scenes[1].to_record()))
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bad.jsonl:2: "):
+        with pytest.raises(ValueError, match="bad.jsonl:2: " + message):
             read_corpus(path)
 
     def test_read_rejects_a_repeated_scene_id(self, tmp_path):

@@ -21,7 +21,7 @@ from visdep.toymodel import (
     _Adam,
     _cell_backward,
     _cell_forward,
-    _Gates,
+    _cell_step,
     _gates,
     _forward_batch,
     _loss_and_grads,
@@ -243,26 +243,30 @@ class TestFusedCellMatchesReference:
         x[0, :4] = [0.0, -0.0, 700.0, -700.0]
         dh = rng.normal(0.0, 1.0, (b, p.d_hid))
 
-        h_new, cache = _cell_forward(_gates(p), h, x)
+        g = x @ _gates(p).w_x
+        hr = np.empty_like(h)
+        h_new = _cell_step(_gates(p), h, g, hr)
         ref_h, ref_cache = _ref_cell_forward(p, h, x)
         np.testing.assert_array_equal(h_new, ref_h)
-        _, _, zr, hr, c = cache
+        np.testing.assert_array_equal(_cell_forward(_gates(p), h, x), ref_h)
         _, _, z, r, ref_hr, ref_c = ref_cache
-        np.testing.assert_array_equal(zr, np.concatenate([z, r], axis=1))
+        np.testing.assert_array_equal(g, np.stack([z, r, ref_c]))
         np.testing.assert_array_equal(hr, ref_hr)
-        np.testing.assert_array_equal(c, ref_c)
 
-        hid = p.d_hid
-        fused = _Gates(np.zeros((p.d_emb, 3 * hid)), np.zeros((hid, 2 * hid)), np.zeros((hid, hid)), np.zeros(3 * hid))
-        dx, dh_prev = _cell_backward(p, fused, dh, cache)
         ref_g = p.zeros_like()
         ref_dx, ref_dh_prev = _ref_cell_backward(p, ref_g, dh, ref_cache)
+        np.testing.assert_array_equal(_cell_backward(p, dh, h, g), ref_dh_prev)
+        # g now holds [da_z, da_r, da_c], from which the caller builds dx
+        # and the weight gradients as _loss_and_grads does
+        da_z, da_r, da_c = g
+        dx = da_c @ p.w_xc.T
+        dx += da_r @ p.w_xr.T
+        dx += da_z @ p.w_xz.T
         np.testing.assert_array_equal(dx, ref_dx)
-        np.testing.assert_array_equal(dh_prev, ref_dh_prev)
-        np.testing.assert_array_equal(fused.w_x, np.concatenate([ref_g.w_xz, ref_g.w_xr, ref_g.w_xc], axis=1))
-        np.testing.assert_array_equal(fused.w_h, np.concatenate([ref_g.w_hz, ref_g.w_hr], axis=1))
-        np.testing.assert_array_equal(fused.w_hc, ref_g.w_hc)
-        np.testing.assert_array_equal(fused.b, np.concatenate([ref_g.b_z, ref_g.b_r, ref_g.b_c]))
+        np.testing.assert_array_equal(x.T @ da_z, ref_g.w_xz)
+        np.testing.assert_array_equal(h.T @ da_r, ref_g.w_hr)
+        np.testing.assert_array_equal(hr.T @ da_c, ref_g.w_hc)
+        np.testing.assert_array_equal(g.sum(axis=1), np.stack([ref_g.b_z, ref_g.b_r, ref_g.b_c]))
 
     @pytest.mark.parametrize("b", [1, 2, 8, 128])
     def test_training_step_is_bit_identical(self, b):
@@ -340,16 +344,16 @@ def _ref_teacher_forced_probs(p, conditions, targets):
         ids, _, _ = toymodel._pad_targets(block)
         b, t_max = ids.shape
         inputs = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
-        h, _ = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions[start:stop]))
+        h = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions[start:stop]))
         if b * t_max <= SCORE_BLOCK_ROWS:
             hs = np.empty((t_max, b, p.d_hid))
             for t in range(t_max):
-                h, _ = _cell_forward(gates, h, p.emb[inputs[:, t]], out=hs[t])
+                h = _cell_forward(gates, h, p.emb[inputs[:, t]], out=hs[t])
             _, target_p, _ = toymodel._output_layer(p, hs, ids.T)
         else:
             target_p = np.empty((t_max, b))
             for t in range(t_max):
-                h, _ = _cell_forward(gates, h, p.emb[inputs[:, t]])
+                h = _cell_forward(gates, h, p.emb[inputs[:, t]])
                 _, target_p[t : t + 1], _ = toymodel._output_layer(p, h[None], ids.T[t : t + 1])
         out.extend(target_p.T[i, : len(t)].copy() for i, t in enumerate(block))
     return out
@@ -519,13 +523,13 @@ def _ref_generate_batch(p, conditions, max_len):
     the state each step computes, (B, d_hid) per step."""
     b = conditions.shape[0]
     gates = _gates(p)
-    h, _ = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions))
+    h = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions))
     seqs = [[BOS_ID] for _ in range(b)]
     done = np.zeros(b, dtype=bool)
     current = np.full(b, BOS_ID, dtype=np.int64)
     states = [None]
     while not done.all() and max(len(s) for s in seqs) < max_len:
-        h_new, _ = _cell_forward(gates, h, p.emb[current])
+        h_new = _cell_forward(gates, h, p.emb[current])
         states.append(h_new.copy())
         h = np.where(done[:, None], h, h_new)
         nxt = (h @ p.w_out + p.b_out).argmax(axis=1)
@@ -569,9 +573,9 @@ class TestLiveRowDecodeMatchesReference:
         real = toymodel._cell_forward
 
         def recording(gates, h, x, out=None):
-            h_new, cache = real(gates, h, x, out)
+            h_new = real(gates, h, x, out)
             states.append(h_new.copy())
-            return h_new, cache
+            return h_new
 
         monkeypatch.setattr(toymodel, "_cell_forward", recording)
         got = generate_batch(p, conds, max_len=max_len)
@@ -643,17 +647,18 @@ class TestTrainMechanics:
             assert any(math.isfinite(v) for v in (rec.mean_w_pos, rec.mean_w_inv, rec.mean_w_neg))
 
     def test_noisy_pass_runs_only_on_weighted_steps(self, monkeypatch):
-        """Corruption and the noisy teacher-forced pass run on the steps
-        from start_fraction on, once per scene and once per step, and never
-        in mle mode."""
-        calls = {"corrupt": [], "teacher_forced_probs": []}
+        """Corruption runs on the steps from start_fraction on, once per
+        scene, and never in mle mode; a weighted step runs its clean and
+        noised rows as one forward of twice the batch, an unweighted step
+        only the clean rows, and training never calls the scoring pass."""
+        calls = {"corrupt": [], "teacher_forced_probs": [], "_forward_batch": []}
         step = [0]
 
-        def counting(name):
+        def counting(name, record):
             real = getattr(toymodel, name)
 
             def wrapper(*args, **kwargs):
-                calls[name].append(step[0])
+                calls[name].append(record(args))
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(toymodel, name, wrapper)
@@ -665,20 +670,23 @@ class TestTrainMechanics:
             step[0] += 1
             return out
 
-        counting("corrupt")
-        counting("teacher_forced_probs")
+        counting("corrupt", lambda args: step[0])
+        counting("teacher_forced_probs", lambda args: step[0])
+        counting("_forward_batch", lambda args: (step[0], len(args[1])))
         monkeypatch.setattr(toymodel, "_loss_and_grads", loss_and_next_step)
         scenes = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
         gated = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5)
         _, log = train(scenes, TrainConfig(epochs=2, batch_size=8, seed=11, reweight=gated))
         assert len(log) == 6
         assert calls["corrupt"] == [3] * 8 + [4] * 8 + [5] * 8
-        assert calls["teacher_forced_probs"] == [3, 4, 5]
+        assert calls["_forward_batch"] == [(0, 8), (1, 8), (2, 8), (3, 16), (4, 16), (5, 16)]
+        assert calls["teacher_forced_probs"] == []
 
-        calls["corrupt"].clear()
-        calls["teacher_forced_probs"].clear()
+        for rows in calls.values():
+            rows.clear()
+        step[0] = 0
         train(scenes, TrainConfig(epochs=2, batch_size=8, seed=11))
-        assert calls == {"corrupt": [], "teacher_forced_probs": []}
+        assert calls == {"corrupt": [], "teacher_forced_probs": [], "_forward_batch": [(i, 8) for i in range(6)]}
 
     def test_batch_weights_match_the_trace_path(self):
         """The noised pass's (B, T) dependence and the step's weights equal,
@@ -775,19 +783,33 @@ class TestTrainMechanics:
             np.testing.assert_array_equal(arr, trained_params.blocks()[name])
 
     def test_returns_the_average_of_the_second_half_iterates(self):
-        """A six-step run replicated step by step: the returned parameters
-        are the mean of the iterates after steps 3, 4 and 5, while the
-        logged losses are those of the plain, unaveraged trajectory."""
-        scenes = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
+        """A six-step run replicated step by step, with a separate clean
+        and noisy pass per step: the returned parameters are the mean of the
+        iterates after steps 3, 4 and 5, while the logged losses are those
+        of the plain, unaveraged trajectory."""
+        self._check_replicated_run(24, 8)
+
+    @pytest.mark.parametrize("num_scenes,batch_size", [(24, 1), (24, 23), (400, 200)])
+    def test_one_row_batches_and_large_stacks_match_separate_passes(self, num_scenes, batch_size):
+        """The same replication where a re-weighted step cannot stack its
+        rows (batch 1, and batch 23 on 24 scenes, whose last batch has one
+        row) and where it stacks 400 clean and noised rows (batch 200), a
+        row count at which OpenBLAS has changed kernels before."""
+        self._check_replicated_run(num_scenes, batch_size)
+
+    @staticmethod
+    def _check_replicated_run(num_scenes, batch_size):
+        scenes = generate_corpus(CorpusConfig(num_scenes=num_scenes, seed=5))
         cfg = TrainConfig(
             epochs=2,
-            batch_size=8,
+            batch_size=batch_size,
             learning_rate=0.01,
             seed=11,
             reweight=ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5),
         )
         averaged, log = train(scenes, cfg)
-        assert len(log) == 6
+        n_steps = 2 * -(-len(scenes) // batch_size)
+        assert len(log) == n_steps
 
         v_obj = len(scenes[0].feature)
         params = init_params(
@@ -804,7 +826,7 @@ class TestTrainMechanics:
                 features = np.array([s.feature for s in batch])
                 targets = [list(s.caption[1:]) for s in batch]
                 fwd = _forward_batch(params, features, targets)
-                if step < 3:  # before start_fraction: all-ones weights, no noisy pass
+                if step < n_steps // 2:  # before start_fraction: all-ones weights, no noisy pass
                     weights = np.where(fwd.mask, 1.0, 0.0)
                 else:
                     noisy = np.stack(
@@ -827,7 +849,7 @@ class TestTrainMechanics:
                 iterates.append(params.copy())
 
         assert [rec.loss for rec in log] == losses
-        tail = iterates[3:]
+        tail = iterates[n_steps // 2 :]
         for name, arr in averaged.blocks().items():
             expected = sum(it.blocks()[name] for it in tail) / len(tail)
             np.testing.assert_array_equal(arr, expected)
@@ -859,6 +881,59 @@ class TestTrainMechanics:
         scenes = generate_corpus(CorpusConfig(num_scenes=4, seed=1))
         with pytest.raises(ValueError):
             train(scenes, TrainConfig(noise_step=1001))
+
+
+class _RefAdam:
+    """The flat Adam as it was before its step reused buffers."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        size = sum(arr.size for arr in params.blocks().values())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+
+    def step(self, params, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        g = np.concatenate([arr.ravel() for arr in grads.blocks().values()])
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        start = 0
+        for arr in params.blocks().values():
+            arr -= update[start : start + arr.size].reshape(arr.shape)
+            start += arr.size
+
+
+class TestAdam:
+    def test_buffered_step_is_bit_identical_to_the_allocating_one(self):
+        """Five steps on gradients that mix ordinary values with 0, -0.0,
+        +-1e300 (whose square overflows) and +-1e-300 (whose square
+        underflows) leave the parameters and both moments bit for bit as
+        the allocating step does."""
+        p, ref_p = _full_size_params(3), _full_size_params(3)
+        opt, ref = _Adam(p, 0.02), _RefAdam(ref_p, 0.02)
+        rng = np.random.default_rng(3)
+        specials = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
+        for _ in range(5):
+            grads = p.zeros_like()
+            for arr in grads.blocks().values():
+                arr[...] = rng.normal(0.0, 1.0, arr.shape)
+                flat = arr.reshape(-1)
+                picks = rng.random(flat.size) < 0.3
+                flat[picks] = rng.choice(specials, picks.sum())
+            with np.errstate(over="ignore"):  # the square of 1e300 overflows to inf, by design
+                opt.step(p, grads)
+                ref.step(ref_p, grads)
+            for name, arr in p.blocks().items():
+                np.testing.assert_array_equal(arr, ref_p.blocks()[name], err_msg=name)
+            np.testing.assert_array_equal(opt.m, ref.m)
+            np.testing.assert_array_equal(opt.v, ref.v)
+            assert np.signbit(opt.m).tolist() == np.signbit(ref.m).tolist()
 
 
 class TestTrainedBehaviour:
