@@ -1,6 +1,6 @@
 """Command-line pipeline: synth, train, analyze, filter, eval, sweep, plot.
 
-Every run writes its resolved configuration to ``run.json`` in the output
+Every run writes its command and parsed flags to ``run.json`` in the output
 directory; re-invoking any stage with the same inputs and seed reproduces
 its artifacts byte for byte.  Exit codes: 0 success, 2 usage error,
 3 data or invariant error, 4 numerical divergence.
@@ -74,8 +74,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_run(out: Path, command: str, config: dict) -> None:
-    payload = {"command": command, "config": config}
+def _write_run(out: Path, args) -> None:
+    """``run.json``: the command, and every flag it parsed by its dest name except ``--out-dir``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")}
+    payload = {"command": args.command, "config": config}
     with open(out / RUN_FILE, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -126,7 +128,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=[m.value for m in LossMode], default="mle")
     p.add_argument("--tau", type=float, default=0.5, help="softmax temperature for the weights")
     p.add_argument("--start-frac", type=float, default=0.5, help="fraction of training before re-weighting starts")
-    p.add_argument("--no-eos-floor", action="store_true", help="disable the EOS weight floor")
+    p.add_argument("--no-eos-floor", dest="eos_floor", action="store_false", help="disable the EOS weight floor")
     p.add_argument("--noise-step", type=int, default=DEFAULT_NOISE_STEP)
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--batch-size", type=int, default=128)
@@ -209,17 +211,7 @@ def cmd_synth(args) -> int:
     )
     scenes = synth.generate_corpus(cfg)
     synth.write_corpus(scenes, out / CORPUS_FILE)
-    _write_run(
-        out,
-        "synth",
-        {
-            "scenes": args.scenes,
-            "objects": args.objects,
-            "halluc_rate": args.halluc_rate,
-            "jitter": args.jitter,
-            "seed": args.seed,
-        },
-    )
+    _write_run(out, args)
     print(f"wrote {out / CORPUS_FILE} ({len(scenes)} scenes)")
     return EXIT_OK
 
@@ -234,28 +226,10 @@ def _train_config(args) -> TrainConfig:
             mode=LossMode(args.loss),
             tau=args.tau,
             start_fraction=args.start_frac,
-            eos_floor=not args.no_eos_floor,
+            eos_floor=args.eos_floor,
         ),
         noise_step=args.noise_step,
     )
-
-
-def _train_run_config(args) -> dict:
-    """The run config of the training flags, shared by ``train`` and ``sweep``."""
-    return {
-        "corpus": os.fspath(args.corpus),
-        "loss": args.loss,
-        "tau": args.tau,
-        "start_frac": args.start_frac,
-        "eos_floor": not args.no_eos_floor,
-        "noise_step": args.noise_step,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "test_frac": args.test_frac,
-        "split_seed": args.split_seed,
-        "seed": args.seed,
-    }
 
 
 def cmd_train(args) -> int:
@@ -273,8 +247,7 @@ def cmd_train(args) -> int:
     params, log = train(train_scenes, _train_config(args))
     save_params(params, out / CKPT_FILE)
     write_train_log(log, out / TRAINLOG_FILE)
-    manifest_path = os.fspath(args.manifest) if args.manifest else None
-    _write_run(out, "train", {**_train_run_config(args), "manifest": manifest_path})
+    _write_run(out, args)
     print(f"wrote {out / CKPT_FILE} ({len(train_scenes)} training scenes, {len(log)} steps)")
     return EXIT_OK
 
@@ -296,7 +269,7 @@ def cmd_analyze(args) -> int:
                 f"{dt!r},{CLASS_BY_CODE[code].value}"
             )
     write_text(out / ANALYSIS_FILE, "\n".join(lines) + "\n")
-    _write_run(out, "analyze", {"traces": os.fspath(args.traces), "seed": args.seed})
+    _write_run(out, args)
     print(f"wrote {out / ANALYSIS_FILE} ({len(tf)} traces)")
     return EXIT_OK
 
@@ -308,20 +281,7 @@ def cmd_filter(args) -> int:
     scores = score_corpus(train_scenes, params, noise_step=args.noise_step, seed=args.seed)
     manifest = apply_filter(scores, FilterStrategy(args.strategy), args.frac, seed=args.seed)
     save_manifest(manifest, out / MANIFEST_FILE)
-    _write_run(
-        out,
-        "filter",
-        {
-            "corpus": os.fspath(args.corpus),
-            "ckpt": os.fspath(args.ckpt),
-            "strategy": args.strategy,
-            "frac": args.frac,
-            "test_frac": args.test_frac,
-            "split_seed": args.split_seed,
-            "noise_step": args.noise_step,
-            "seed": args.seed,
-        },
-    )
+    _write_run(out, args)
     print(f"wrote {out / MANIFEST_FILE} (removed {len(manifest.removed)} of {len(scores)})")
     return EXIT_OK
 
@@ -387,19 +347,7 @@ def cmd_eval(args) -> int:
     params = _load_ckpt(args, test_scenes)
     tf, report, counts, hist = run_eval(params, test_scenes, args.noise_step, args.seed, args.max_len)
     _write_eval_artifacts(out, tf, report, counts, hist)
-    _write_run(
-        out,
-        "eval",
-        {
-            "corpus": os.fspath(args.corpus),
-            "ckpt": os.fspath(args.ckpt),
-            "test_frac": args.test_frac,
-            "split_seed": args.split_seed,
-            "noise_step": args.noise_step,
-            "max_len": args.max_len,
-            "seed": args.seed,
-        },
-    )
+    _write_run(out, args)
     print(
         f"wrote {out / REPORT_FILE} "
         f"(chair_s={report.chair_s:.4f} chair_i={report.chair_i:.4f} recall={report.recall:.4f})"
@@ -411,23 +359,22 @@ def cmd_sweep(args) -> int:
     if args.axis == "noise-step" and not all(v.is_integer() for v in args.values):
         print(f"error: --axis noise-step takes integer values, got {args.values}", file=sys.stderr)
         return EXIT_USAGE
+    names = [f"{args.axis}-{value:g}" for value in args.values]
+    if len(set(names)) < len(names):
+        print(f"error: two --values share a sub-run name: {names}", file=sys.stderr)
+        return EXIT_USAGE
     # every value is checked before the first one trains
     configs = []
     for value in args.values:
         sub_args = argparse.Namespace(**vars(args))
-        if args.axis == "tau":
-            sub_args.tau = value
-        elif args.axis == "start-frac":
-            sub_args.start_frac = value
-        else:
-            sub_args.noise_step = int(value)
+        setattr(sub_args, args.axis.replace("-", "_"), int(value) if args.axis == "noise-step" else value)
         configs.append(_train_config(sub_args))
     out = _out_dir(args)
     train_scenes, test_scenes = _read_split(args)
     rows = ["value,chair_s,chair_i,recall,mean_len"]
-    for value, cfg in zip(args.values, configs):
+    for value, name, cfg in zip(args.values, names, configs):
         params, _ = train(train_scenes, cfg)
-        sub_out = out / f"{args.axis}-{value:g}"
+        sub_out = out / name
         sub_out.mkdir(parents=True, exist_ok=True)
         save_params(params, sub_out / CKPT_FILE)
         tf, report, counts, hist = run_eval(params, test_scenes, cfg.noise_step, args.seed, args.max_len)
@@ -436,11 +383,7 @@ def cmd_sweep(args) -> int:
             f"{value:g},{report.chair_s!r},{report.chair_i!r},{report.recall!r},{report.mean_len!r}"
         )
     write_text(out / SWEEP_FILE, "\n".join(rows) + "\n")
-    _write_run(
-        out,
-        "sweep",
-        {**_train_run_config(args), "axis": args.axis, "values": list(args.values), "max_len": args.max_len},
-    )
+    _write_run(out, args)
     print(f"wrote {out / SWEEP_FILE} ({len(args.values)} rows)")
     return EXIT_OK
 
@@ -472,15 +415,7 @@ def cmd_plot(args) -> int:
             lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
         write_text(out / SCORE_HIST_CSV, "\n".join(lines) + "\n")
         wrote.extend([SCORE_HIST_SVG, SCORE_HIST_CSV])
-    _write_run(
-        out,
-        "plot",
-        {
-            "traces": os.fspath(args.traces) if args.traces else None,
-            "manifest": os.fspath(args.manifest) if args.manifest else None,
-            "seed": args.seed,
-        },
-    )
+    _write_run(out, args)
     print(f"wrote {len(wrote)} plot artifacts to {out}")
     return EXIT_OK
 

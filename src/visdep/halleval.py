@@ -66,16 +66,6 @@ class HallucinationReport:
             "n_samples": self.n_samples,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "HallucinationReport":
-        return cls(
-            chair_s=d["chair_s"],
-            chair_i=d["chair_i"],
-            recall=d["recall"],
-            mean_len=d["mean_len"],
-            n_samples=d["n_samples"],
-        )
-
 
 def evaluate(
     responses: Sequence[Sequence[int]],

@@ -150,6 +150,17 @@ class CorpusConfig:
             raise ValueError("not enough groundable objects left after reserving bias partners")
 
 
+# The JSON types a scene record's lists may hold, checked where a corpus is
+# read: a boolean is not an integer, and a string is not a number.
+_RECORD_TYPES = {
+    "true_objects": ({int}, "an integer"),
+    "feature": ({int, float}, "a number"),
+    "caption": ({int}, "an integer"),
+    "caption_surfaces": ({str}, "a string"),
+    "hallucinated_positions": ({int}, "an integer"),
+}
+
+
 @dataclass(frozen=True)
 class SyntheticScene:
     scene_id: str
@@ -160,13 +171,11 @@ class SyntheticScene:
     hallucinated_positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "true_objects", tuple(int(o) for o in self.true_objects))
-        object.__setattr__(self, "feature", tuple(float(x) for x in self.feature))
-        object.__setattr__(self, "caption", tuple(int(t) for t in self.caption))
+        object.__setattr__(self, "true_objects", tuple(map(int, self.true_objects)))
+        object.__setattr__(self, "feature", tuple(map(float, self.feature)))
+        object.__setattr__(self, "caption", tuple(map(int, self.caption)))
         object.__setattr__(self, "caption_surfaces", tuple(self.caption_surfaces))
-        object.__setattr__(
-            self, "hallucinated_positions", tuple(int(i) for i in self.hallucinated_positions)
-        )
+        object.__setattr__(self, "hallucinated_positions", tuple(map(int, self.hallucinated_positions)))
         if len(self.caption) != len(self.caption_surfaces):
             raise ValueError(f"scene {self.scene_id!r}: caption/surface length mismatch")
         for pos in self.hallucinated_positions:
@@ -190,16 +199,23 @@ class SyntheticScene:
 
     @classmethod
     def from_record(cls, record) -> "SyntheticScene":
+        """The scene of a JSON record; its lists hold ``_RECORD_TYPES`` and finite features."""
         if not isinstance(record, dict):
             raise ValueError("scene record must be a JSON object")
         sid = record.get("scene_id")
         if not isinstance(sid, str) or sid == "":
             raise ValueError("scene_id must be a non-empty string")
-        lists = ("true_objects", "feature", "caption", "caption_surfaces", "hallucinated_positions")
-        for name in lists:
-            if not isinstance(record.get(name), list):
+        for name, (kinds, what) in _RECORD_TYPES.items():
+            values = record.get(name)
+            if not isinstance(values, list):
                 raise ValueError(f"scene {sid!r}: {name} must be a list")
-        return cls(scene_id=sid, **{name: record[name] for name in lists})
+            if not kinds.issuperset(map(type, values)):
+                bad = next(v for v in values if type(v) not in kinds)
+                raise ValueError(f"scene {sid!r}: {name} holds {bad!r}, not {what}")
+        if not all(map(math.isfinite, record["feature"])):
+            bad = next(v for v in record["feature"] if not math.isfinite(v))
+            raise ValueError(f"scene {sid!r}: feature holds {bad!r}, not a finite number")
+        return cls(scene_id=sid, **{name: record[name] for name in _RECORD_TYPES})
 
 
 def _sample_gap(rng: np.random.Generator) -> list[int]:
@@ -336,8 +352,9 @@ def write_corpus(scenes: list[SyntheticScene], path: str | os.PathLike) -> None:
 def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
     """Scenes of a JSON-lines corpus.
 
-    A malformed line, a repeated scene_id or a feature whose length differs
-    from the first scene's raises ValueError naming the file and the line.
+    A malformed line, a list entry of the wrong JSON type, a repeated
+    scene_id or a feature whose length differs from the first scene's
+    raises ValueError naming the file and the line.
     """
     where = os.fspath(path)
     scenes = []
@@ -352,8 +369,8 @@ def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
                 raise ValueError(f"{where}:{lineno}: invalid JSON: {exc.msg}") from exc
             try:
                 scene = SyntheticScene.from_record(record)
-            except (TypeError, ValueError) as exc:
-                # int() and float() raise TypeError on a null or nested list element
+            except (OverflowError, ValueError) as exc:
+                # an integer feature too large for a float overflows
                 raise ValueError(f"{where}:{lineno}: {exc}") from exc
             sid = scene.scene_id
             if sid in first_line:

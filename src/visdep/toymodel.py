@@ -38,8 +38,7 @@ D_HID = 64
 CONDITION_NORM = 2.0
 
 # Rows per teacher-forced block in ``teacher_forced_probs``: scoring a whole
-# corpus in one batch would hold every per-step array at corpus size.  It
-# also caps the rows of a stack of states that a scoring pass may keep.
+# corpus in one batch would hold every per-step array at corpus size.
 SCORE_BLOCK_ROWS = 512
 
 CKPT_FORMAT = "visdep-ckpt"
@@ -329,13 +328,12 @@ def _forward_batch(
 ) -> _ForwardCache:
     """Teacher-forced pass over a batch; targets exclude BOS.
 
-    The output layer does not feed the recurrence.  For training, and for
-    any batch whose stack of states has at most ``SCORE_BLOCK_ROWS`` rows,
-    it runs once on that stack, so a small batch pays its per-call cost
-    once instead of at every step.  A larger batch (a scoring block) must
-    come longest row first: step ``t`` then runs only the rows whose length
-    exceeds ``t``, a prefix of the block, and takes their output at that
-    step, so no state outlives its step.  It never runs fewer than two
+    The output layer does not feed the recurrence.  For training
+    (``keep_cache``) it runs once on the stack of states, so a small batch
+    pays its per-call cost once instead of at every step.  A scoring block
+    must come longest row first: step ``t`` then runs only the rows whose
+    length exceeds ``t``, a prefix of the block, and takes their output at
+    that step, so no state outlives its step.  It never runs fewer than two
     rows, since a lone row's matmuls are matrix-vector products that round
     differently.  In a batch of two or more rows a row's bits do not depend
     on the other rows, so every path gives the same bits.  In the scoring
@@ -348,7 +346,7 @@ def _forward_batch(
 
     gates = _gates(p)
     cond_x = _cond_embed(p, conditions)
-    if keep_cache or b * t_max <= SCORE_BLOCK_ROWS:
+    if keep_cache:
         # Only the recurrence runs step by step: the input projections of
         # every step are one stacked matmul, which makes each step's own BLAS
         # calls, and the cell turns them into the gates in place.
@@ -374,7 +372,6 @@ def _forward_batch(
             _, target_p[t : t + 1, :k], target_logp[t : t + 1, :k] = _output_layer(
                 p, h[None, :k], ids.T[t : t + 1, :k]
             )
-    if not keep_cache:
         xs = hs = hr = gz = probs = None
     return _ForwardCache(inputs, ids, lengths, mask, xs, hs, hr, gz, probs, target_p.T, target_logp.T)
 

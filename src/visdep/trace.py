@@ -94,8 +94,21 @@ class TokenTrace:
         _require(isinstance(record, dict), "trace record must be a JSON object")
         missing = {"sample_id", "tokens", "surfaces", "p_clean", "p_noisy"} - record.keys()
         _require(not missing, f"trace record missing keys: {sorted(missing)}")
+        sid = record["sample_id"]
+        # JSON enters here: a boolean is not an integer, and a string is not a number
+        for name, kinds, what in (
+            ("tokens", {int}, "an integer"),
+            ("surfaces", {str}, "a string"),
+            ("p_clean", {int, float}, "a number"),
+            ("p_noisy", {int, float}, "a number"),
+        ):
+            values = record[name]
+            _require(isinstance(values, list), f"trace {sid!r}: {name} must be a list")
+            if not kinds.issuperset(map(type, values)):
+                i = next(i for i, v in enumerate(values) if type(v) not in kinds)
+                raise TraceError(f"trace {sid!r}: {name}[{i}] = {values[i]!r} is not {what}")
         return cls(
-            sample_id=record["sample_id"],
+            sample_id=sid,
             tokens=record["tokens"],
             surfaces=record["surfaces"],
             p_clean=record["p_clean"],

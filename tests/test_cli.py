@@ -339,6 +339,19 @@ class TestExitCodes:
         assert code == 3
         assert "corpus.jsonl:21: duplicate scene_id 'scene-000000'" in capsys.readouterr().err
 
+    def test_boolean_object_id_is_a_data_error(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "data" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:20]
+        record = json.loads(lines[4])
+        record["true_objects"][0] = True
+        lines[4] = json.dumps(record)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli(
+            "eval", "--corpus", corpus, "--ckpt", pipeline / "mle" / "ckpt.json", "--out-dir", tmp_path / "eval",
+        )
+        assert code == 3
+        assert "corpus.jsonl:5: scene 'scene-000004': true_objects holds True, not an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stage", ["filter", "eval"])
     def test_checkpoint_for_another_feature_length_is_a_data_error(self, pipeline, tmp_path, monkeypatch, capsys, stage):
         import visdep.cli as cli
@@ -447,6 +460,20 @@ class TestSweep:
         assert "integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("values", [(0.5, 0.5), (0.25, 0.250000001)], ids=["repeated", "same-name"])
+    def test_rejects_values_that_share_a_sub_run_name(self, pipeline, tmp_path, monkeypatch, capsys, values):
+        """Both values would write one ``tau-<value:g>`` sub-run and two rows of one label."""
+        import visdep.cli as cli
+
+        monkeypatch.setattr(cli.synth, "read_corpus", lambda path: pytest.fail("read the corpus first"))
+        monkeypatch.setattr(cli, "train", lambda scenes, cfg: pytest.fail("trained on a repeated name"))
+        code = run_cli(
+            "sweep", "--corpus", pipeline / "data" / "corpus.jsonl", "--axis", "tau",
+            "--values", *values, "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert f"share a sub-run name: ['tau-{values[0]:g}', 'tau-{values[0]:g}']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_a_bad_value_before_any_training(self, pipeline, tmp_path, monkeypatch, capsys):
         import visdep.cli as cli
@@ -461,11 +488,56 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
 
+_SPLIT_KEYS = {"test_frac", "split_seed"}
+_TRAIN_KEYS = {"corpus", "loss", "tau", "start_frac", "eos_floor", "noise_step", "epochs", "batch_size", "lr"}
+# run.json's config keys: every flag a command parses, under its dest name, but --out-dir
+RUN_KEYS = {
+    "synth": {"seed", "scenes", "objects", "halluc_rate", "jitter"},
+    "train": {"seed", "manifest"} | _TRAIN_KEYS | _SPLIT_KEYS,
+    "analyze": {"seed", "traces"},
+    "filter": {"seed", "corpus", "ckpt", "strategy", "frac", "noise_step"} | _SPLIT_KEYS,
+    "eval": {"seed", "corpus", "ckpt", "noise_step", "max_len"} | _SPLIT_KEYS,
+    "sweep": {"seed", "axis", "values", "max_len"} | _TRAIN_KEYS | _SPLIT_KEYS,
+    "plot": {"seed", "traces", "manifest"},
+}
+
+
+@pytest.fixture(scope="module")
+def stage_runs(pipeline, tmp_path_factory):
+    """Output directory by name: the pipeline's synth, train and eval, plus
+    filter, train --manifest --no-eos-floor, analyze, sweep and plot run once each."""
+    root = tmp_path_factory.mktemp("stages")
+    corpus, ckpt = pipeline / "data" / "corpus.jsonl", pipeline / "mle" / "ckpt.json"
+    manifest, traces = root / "filter" / "manifest.json", pipeline / "eval" / "traces.jsonl"
+    small_train = ("--epochs", 1, "--batch-size", 16, "--lr", 0.01)
+    runs = {
+        "filter": ("filter", "--corpus", corpus, "--ckpt", ckpt, "--strategy", "lowest", "--frac", 0.25),
+        "noeos": ("train", "--corpus", corpus, "--manifest", manifest, "--no-eos-floor", *small_train),
+        "analyze": ("analyze", "--traces", traces),
+        "sweep": ("sweep", "--corpus", corpus, "--axis", "tau", "--values", 0.5, "--max-len", 8, *small_train),
+        "plot": ("plot", "--traces", traces, "--manifest", manifest),
+    }
+    for name, argv in runs.items():
+        assert run_cli(*argv, "--out-dir", root / name) == 0
+    return {**{name: pipeline / name for name in ("data", "mle", "eval")}, **{name: root / name for name in runs}}
+
+
 class TestRunRecords:
     @pytest.mark.parametrize(
-        "subdir,command", [("data", "synth"), ("mle", "train"), ("eval", "eval")]
+        "subdir,command",
+        [
+            ("data", "synth"), ("mle", "train"), ("eval", "eval"), ("filter", "filter"),
+            ("noeos", "train"), ("analyze", "analyze"), ("sweep", "sweep"), ("plot", "plot"),
+        ],
     )
-    def test_each_stage_records_its_command(self, pipeline, subdir, command):
-        run = json.loads((pipeline / subdir / "run.json").read_text())
+    def test_each_stage_records_its_command(self, stage_runs, subdir, command):
+        run = json.loads((stage_runs[subdir] / "run.json").read_text())
         assert run["command"] == command
-        assert "config" in run
+        assert set(run["config"]) == RUN_KEYS[command]
+
+    def test_no_eos_floor_is_recorded_as_eos_floor(self, stage_runs):
+        plain = json.loads((stage_runs["mle"] / "run.json").read_text())["config"]
+        negated = json.loads((stage_runs["noeos"] / "run.json").read_text())["config"]
+        assert plain["eos_floor"] is True and plain["manifest"] is None
+        assert negated["eos_floor"] is False
+        assert negated["manifest"] == str(stage_runs["filter"] / "manifest.json")

@@ -232,10 +232,22 @@ class TestDeterminism:
             (lambda r: {**r, "true_objects": [-1]}, r".*object id -1 outside \[0, 40\)"),
             (lambda r: {**r, "feature": r["feature"][:-1]}, "feature has 39 values, the first scene's has 40"),
             (lambda r: {**r, "feature": r["feature"] + [0.0]}, "feature has 41 values, the first scene's has 40"),
+            (lambda r: {**r, "true_objects": [0.7]}, ".*true_objects holds 0.7, not an integer"),
+            (lambda r: {**r, "true_objects": [True]}, ".*true_objects holds True, not an integer"),
+            (lambda r: {**r, "caption": ["3"] + r["caption"][1:]}, ".*caption holds '3', not an integer"),
+            (lambda r: {**r, "feature": ["0.5"] + r["feature"][1:]}, ".*feature holds '0.5', not a number"),
+            (lambda r: {**r, "feature": [False] + r["feature"][1:]}, ".*feature holds False, not a number"),
+            (lambda r: {**r, "feature": [float("nan")] + r["feature"][1:]}, ".*feature holds nan, not a finite number"),
+            (lambda r: {**r, "feature": [float("-inf")] + r["feature"][1:]}, ".*feature holds -inf, not a finite number"),
+            (lambda r: {**r, "feature": [10**400] + r["feature"][1:]}, "int too large"),
+            (lambda r: {**r, "caption_surfaces": [0] + r["caption_surfaces"][1:]}, ".*caption_surfaces holds 0, not a string"),
+            (lambda r: {**r, "hallucinated_positions": [1.9]}, ".*hallucinated_positions holds 1.9, not an integer"),
         ],
         ids=[
             "objects-int", "feature-null", "feature-null-element", "id-int", "no-caption", "not-an-object",
             "object-id-outside-feature", "negative-object-id", "short-feature", "long-feature",
+            "float-object-id", "boolean-object-id", "string-token", "string-feature", "boolean-feature",
+            "nan-feature", "infinite-feature", "huge-integer-feature", "integer-surface", "float-position",
         ],
     )
     def test_read_rejects_a_malformed_record_with_its_line(self, tmp_path, edit, message):

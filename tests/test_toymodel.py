@@ -304,8 +304,7 @@ class TestTeacherForcedProbs:
     def test_blocks_do_not_change_any_row(self, n):
         """Rows are scored in blocks of SCORE_BLOCK_ROWS; slices that
         straddle a block boundary give every row the same bits, and so do
-        a slice small enough to take the stacked output layer and a
-        one-row remainder."""
+        a slice of a few rows and a one-row remainder."""
         p = _full_size_params(3)
         scenes = generate_corpus(CorpusConfig(num_scenes=n, seed=9))
         conds = np.array([s.feature for s in scenes])

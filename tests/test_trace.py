@@ -215,6 +215,23 @@ class TestReadErrors:
         with pytest.raises(TraceError, match=":2.*p_clean"):
             read_traces(path)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"p_clean": ["0.5"]}, r"p_clean\[0\] = '0.5' is not a number"),
+            ({"p_noisy": [True]}, r"p_noisy\[0\] = True is not a number"),
+            ({"tokens": [1.0]}, r"tokens\[0\] = 1.0 is not an integer"),
+            ({"surfaces": [7]}, r"surfaces\[0\] = 7 is not a string"),
+            ({"tokens": 1}, "tokens must be a list"),
+        ],
+        ids=["string-probability", "boolean-probability", "float-token", "integer-surface", "scalar-tokens"],
+    )
+    def test_record_of_the_wrong_json_type_reports_line(self, tmp_path, edit, message):
+        record = {"sample_id": "a", "tokens": [1], "surfaces": ["x"], "p_clean": [0.5], "p_noisy": [0.5], **edit}
+        path = self._write(tmp_path, [self._header(), json.dumps(record)])
+        with pytest.raises(TraceError, match="bad.jsonl:2: trace 'a': " + message):
+            read_traces(path)
+
     def test_record_that_is_not_an_object_reports_line(self, tmp_path):
         path = self._write(tmp_path, [self._header(), "[1, 2]"])
         with pytest.raises(TraceError, match=":2: expected a JSON object"):
