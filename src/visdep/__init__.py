@@ -20,7 +20,6 @@ from .diffusion import NoiseSchedule, corrupt, make_schedule
 from .filtering import FilterManifest, FilterStrategy, apply_filter, score_corpus
 from .halleval import (
     HallucinationReport,
-    ObjectLexicon,
     class_object_counts,
     co_occurrence,
     evaluate,
@@ -56,7 +55,6 @@ __all__ = [
     "LossMode",
     "ModelParams",
     "NoiseSchedule",
-    "ObjectLexicon",
     "ReweightConfig",
     "SyntheticScene",
     "TokenClass",

@@ -26,7 +26,7 @@ from .filtering import (
     save_manifest,
     score_corpus,
 )
-from .halleval import ObjectLexicon, class_object_counts, co_occurrence, evaluate
+from .halleval import class_object_counts, co_occurrence, evaluate
 from .plots import score_histogram_svg, trace_bars_svg, write_text
 from .reweight import LossMode, ReweightConfig
 from .seeding import derive_seed
@@ -36,6 +36,7 @@ from .toymodel import (
     generate_batch,
     load_params,
     noised_dependence,
+    pad_targets,
     save_params,
     teacher_forced_probs,
     train,
@@ -113,13 +114,18 @@ def _read_split(args) -> tuple[list, list]:
 
 
 def _load_ckpt(args, scenes: list):
-    """``--ckpt``, rejected unless it takes the feature length of ``--corpus``."""
+    """``--ckpt``, rejected unless it takes the feature length of ``--corpus`` and has its vocabulary."""
     params = load_params(args.ckpt)
     n_feature = len(scenes[0].feature)
     if params.v_obj != n_feature:
         raise ValueError(
             f"{args.ckpt}: checkpoint takes {params.v_obj} features per scene, "
             f"but {args.corpus} has {n_feature}"
+        )
+    if params.vocab_size != synth.vocab_size(n_feature):
+        raise ValueError(
+            f"{args.ckpt}: checkpoint has {params.vocab_size} tokens, "
+            f"but {n_feature} objects take {synth.vocab_size(n_feature)}"
         )
     return params
 
@@ -312,12 +318,11 @@ def run_eval(params, test_scenes, noise_step: int, seed: int, max_len: int):
             )
         )
     tf = TraceFile(noise_step=noise_step, traces=tuple(traces), generator={"source": "toymodel-eval"})
-    d_rows = [row[: len(resp)] for row, resp in zip(d, responses)]
-    lexicon = ObjectLexicon.for_token_vocab(v_obj)
-    truths = [set(s.true_objects) for s in test_scenes]
-    report = evaluate(responses, truths, lexicon)
-    counts = class_object_counts(d_rows, responses, truths, lexicon)
-    hist = co_occurrence(d_rows, responses, truths, lexicon, window=3)
+    tokens, lengths, _ = pad_targets(targets)
+    truth = np.array([np.bincount(s.true_objects, minlength=v_obj) > 0 for s in test_scenes])
+    report = evaluate(tokens, lengths, truth)
+    counts = class_object_counts(d, tokens, lengths, truth)
+    hist = co_occurrence(d, tokens, lengths, truth, window=3)
     return tf, report, counts, hist
 
 

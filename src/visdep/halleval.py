@@ -1,42 +1,32 @@
 """Hallucination metrics and token-class attribution for generated captions.
 
-Responses are scored against ground-truth object sets: an object mention
-is hallucinated when the object is absent from the truth set.  Reported
-rates follow the usual object-hallucination conventions — the sentence
-rate is the share of responses containing any hallucinated object, the
-instance rate is hallucinated mentions over all object mentions — plus
-object recall and mean response length.
+Every function takes a padded batch: ``tokens`` (n, T), read only within
+each row's ``lengths`` (n,), and ``truth`` (n, v_obj), True where the
+object is in the scene.  A mention is a token ``OBJECT_BASE + id`` with
+``0 <= id < v_obj``; it is hallucinated when ``truth`` is False for its
+object.  Reported rates follow the usual object-hallucination conventions
+— the sentence rate is the share of responses containing any
+hallucinated object, the instance rate is hallucinated mentions over all
+object mentions — plus object recall and mean response length.
 
 The attribution helpers join mentions with the per-token dependence
-``d`` of each response: a mention takes the class of its token, and
-co-occurrence statistics record how far each hallucinated mention sits
-from the nearest token of every class.
+``d`` (n, T): a mention takes the class of its token, and co-occurrence
+statistics record how far each hallucinated mention sits from the
+nearest token of every class in its response.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dependence import CLASS_BY_CODE, TokenClass, classify_array
 from .synth import OBJECT_BASE
 
-
-class ObjectLexicon:
-    """Maps response token ids to object ids."""
-
-    def __init__(self, by_token: Mapping[int, int]):
-        self._by_token = dict(by_token)
-
-    @classmethod
-    def for_token_vocab(cls, vocab_objects: int) -> "ObjectLexicon":
-        return cls({OBJECT_BASE + i: i for i in range(vocab_objects)})
-
-    def mentions(self, tokens: Sequence[int]) -> list[tuple[int, int]]:
-        """(position, object_id) for every object mention, in order."""
-        return [(i, self._by_token[t]) for i, t in enumerate(tokens) if t in self._by_token]
+# The class code of each ``TokenClass``, in enum order: tallies indexed by
+# code are reordered with it so that artifacts list the classes in enum order.
+_CODES = [CLASS_BY_CODE.index(cls) for cls in TokenClass]
 
 
 @dataclass(frozen=True)
@@ -67,45 +57,47 @@ class HallucinationReport:
         }
 
 
-def evaluate(
-    responses: Sequence[Sequence[int]],
-    truths: Sequence[set[int] | frozenset[int] | Sequence[int]],
-    lexicon: ObjectLexicon,
-) -> HallucinationReport:
+def _mentions(tokens, lengths, truth) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, positions, object ids, grounded) of every mention, in row-major order."""
+    tokens, lengths, truth = np.asarray(tokens), np.asarray(lengths), np.asarray(truth, dtype=bool)
+    if tokens.ndim != 2 or lengths.shape != tokens.shape[:1] or truth.ndim != 2 or len(truth) != len(tokens):
+        raise ValueError(
+            f"tokens {tokens.shape}, lengths {lengths.shape} and truth {truth.shape} "
+            "are not (n, T), (n,) and (n, v_obj) arrays"
+        )
+    if len(tokens) == 0:
+        raise ValueError("cannot evaluate zero samples")
+    if np.any((lengths < 0) | (lengths > tokens.shape[1])):
+        raise ValueError(f"lengths must lie in [0, {tokens.shape[1]}]")
+    obj = tokens - OBJECT_BASE
+    inside = np.arange(tokens.shape[1]) < lengths[:, None]
+    rows, pos = np.nonzero(inside & (obj >= 0) & (obj < truth.shape[1]))
+    obj = obj[rows, pos]
+    return rows, pos, obj, truth[rows, obj]
+
+
+def _class_codes(d, tokens) -> np.ndarray:
+    """The class code of every token of ``d``, which must be shaped like ``tokens``."""
+    if np.shape(d) != np.shape(tokens):
+        raise ValueError(f"d {np.shape(d)} does not align with tokens {np.shape(tokens)}")
+    return classify_array(d)
+
+
+def evaluate(tokens, lengths, truth) -> HallucinationReport:
     """Corpus-level hallucination report.
 
-    Mention-level tallies count every occurrence; recall is aggregated
-    over all samples.  ``mean_len`` is the average token count of the
-    responses exactly as supplied.
+    Mention-level tallies count every occurrence; recall is pooled over
+    all samples.  ``mean_len`` is the mean of ``lengths``.
     """
-    if len(responses) != len(truths):
-        raise ValueError("responses and truths must be parallel")
-    n = len(responses)
-    if n == 0:
-        raise ValueError("cannot evaluate zero samples")
-    with_halluc = 0
-    halluc_mentions = 0
-    total_mentions = 0
-    recalled = 0
-    truth_total = 0
-    total_len = 0
-    for i, resp in enumerate(responses):
-        truth = frozenset(truths[i])
-        ms = lexicon.mentions(resp)
-        bad = sum(1 for _, obj in ms if obj not in truth)
-        halluc_mentions += bad
-        total_mentions += len(ms)
-        if bad:
-            with_halluc += 1
-        mentioned = frozenset(obj for _, obj in ms)
-        recalled += len(mentioned & truth)
-        truth_total += len(truth)
-        total_len += len(resp)
+    rows, _, obj, grounded = _mentions(tokens, lengths, truth)
+    n = len(lengths)
+    truth_total = int(np.count_nonzero(truth))
+    recalled = np.unique(rows[grounded] * np.shape(truth)[1] + obj[grounded]).size
     return HallucinationReport(
-        chair_s=with_halluc / n,
-        chair_i=(halluc_mentions / total_mentions) if total_mentions else 0.0,
+        chair_s=np.unique(rows[~grounded]).size / n,
+        chair_i=(int(np.count_nonzero(~grounded)) / rows.size) if rows.size else 0.0,
         recall=(recalled / truth_total) if truth_total else 0.0,
-        mean_len=total_len / n,
+        mean_len=int(np.sum(lengths)) / n,
         n_samples=n,
     )
 
@@ -117,43 +109,13 @@ class ClassObjectCounts:
     grounded: dict
     hallucinated: dict
 
-    @property
-    def total_grounded(self) -> int:
-        return sum(self.grounded.values())
 
-    @property
-    def total_hallucinated(self) -> int:
-        return sum(self.hallucinated.values())
-
-
-def _response_classes(d_rows: Sequence, responses: Sequence[Sequence[int]], truths: Sequence):
-    """Each response's token classes, one ``d`` array per response."""
-    if not (len(d_rows) == len(responses) == len(truths)):
-        raise ValueError("d arrays, responses and truths must be parallel")
-    for i, (d, resp) in enumerate(zip(d_rows, responses)):
-        if np.shape(d) != (len(resp),):
-            raise ValueError(f"d array {i} does not align with its response")
-        yield [CLASS_BY_CODE[code] for code in classify_array(d).tolist()]
-
-
-def class_object_counts(
-    d_rows: Sequence,
-    responses: Sequence[Sequence[int]],
-    truths: Sequence,
-    lexicon: ObjectLexicon,
-) -> ClassObjectCounts:
+def class_object_counts(d, tokens, lengths, truth) -> ClassObjectCounts:
     """Tally every object mention by truth status and the class of its token."""
-    grounded = {cls: 0 for cls in TokenClass}
-    halluc = {cls: 0 for cls in TokenClass}
-    for i, classes in enumerate(_response_classes(d_rows, responses, truths)):
-        truth = frozenset(truths[i])
-        for pos, obj in lexicon.mentions(responses[i]):
-            cls = classes[pos]
-            if obj in truth:
-                grounded[cls] += 1
-            else:
-                halluc[cls] += 1
-    return ClassObjectCounts(grounded=grounded, hallucinated=halluc)
+    rows, pos, _, grounded = _mentions(tokens, lengths, truth)
+    codes = _class_codes(d, tokens)[rows, pos]
+    good, bad = (np.bincount(codes[m], minlength=len(_CODES))[_CODES].tolist() for m in (grounded, ~grounded))
+    return ClassObjectCounts(grounded=dict(zip(TokenClass, good)), hallucinated=dict(zip(TokenClass, bad)))
 
 
 @dataclass(frozen=True)
@@ -181,48 +143,34 @@ class CoOccurrenceHistogram:
     window: int
     per_class: dict
 
-    def total_mentions(self) -> int:
-        any_stats = next(iter(self.per_class.values()))
-        return sum(any_stats.counts) + any_stats.beyond + any_stats.absent
 
-
-def co_occurrence(
-    d_rows: Sequence,
-    responses: Sequence[Sequence[int]],
-    truths: Sequence,
-    lexicon: ObjectLexicon,
-    window: int = 3,
-) -> CoOccurrenceHistogram:
+def co_occurrence(d, tokens, lengths, truth, window: int = 3) -> CoOccurrenceHistogram:
     """Distance from each hallucinated mention to the nearest token of each class.
 
-    Distances are symmetric token-index differences; a hallucinated token
-    that is itself of class C has distance 0 to C.
+    Distances are symmetric token-index differences within the mention's
+    response; a hallucinated token that is itself of class C has distance
+    0 to C.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    counts = {cls: [0] * (window + 1) for cls in TokenClass}
-    beyond = {cls: 0 for cls in TokenClass}
-    absent = {cls: 0 for cls in TokenClass}
-    for i, classes in enumerate(_response_classes(d_rows, responses, truths)):
-        truth = frozenset(truths[i])
-        class_positions = {cls: [] for cls in TokenClass}
-        for pos, cls in enumerate(classes):
-            class_positions[cls].append(pos)
-        for pos, obj in lexicon.mentions(responses[i]):
-            if obj in truth:
-                continue
-            for cls in TokenClass:
-                positions = class_positions[cls]
-                if not positions:
-                    absent[cls] += 1
-                    continue
-                dmin = min(abs(q - pos) for q in positions)
-                if dmin <= window:
-                    counts[cls][dmin] += 1
-                else:
-                    beyond[cls] += 1
+    rows, pos, _, grounded = _mentions(tokens, lengths, truth)
+    codes = _class_codes(d, tokens)
+    rows, pos = rows[~grounded], pos[~grounded]
+    t = np.arange(codes.shape[1])
+    # (classes, hallucinated mentions, T): the tokens of each class in each mention's response
+    of_class = (codes[rows] == np.array(_CODES)[:, None, None]) & (t < np.asarray(lengths)[rows, None])
+    present = of_class.any(axis=2)
+    nearest = np.where(of_class, np.abs(t - pos[:, None]), t.size).min(axis=2, initial=t.size)
+    within = present & (nearest <= window)
+    bucket = np.arange(len(_CODES))[:, None] * (window + 1) + nearest
+    counts = np.bincount(bucket[within], minlength=len(_CODES) * (window + 1)).reshape(-1, window + 1)
     per_class = {
-        cls: ClassDistanceStats(counts=tuple(counts[cls]), beyond=beyond[cls], absent=absent[cls])
-        for cls in TokenClass
+        cls: ClassDistanceStats(counts=tuple(c), beyond=b, absent=a)
+        for cls, c, b, a in zip(
+            TokenClass,
+            counts.tolist(),
+            np.count_nonzero(present & ~within, axis=1).tolist(),
+            np.count_nonzero(~present, axis=1).tolist(),
+        )
     }
     return CoOccurrenceHistogram(window=window, per_class=per_class)

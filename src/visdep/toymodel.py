@@ -262,7 +262,7 @@ def _cell_backward(p: ModelParams, dh_new: np.ndarray, h_prev: np.ndarray, g: np
     return dh_prev
 
 
-def _pad_targets(targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pad_targets(targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack variable-length targets into (B, T) ids, lengths and a mask."""
     lengths = np.array([len(t) for t in targets], dtype=np.int64)
     if np.any(lengths < 1):
@@ -340,7 +340,7 @@ def _forward_batch(
     path ``target_p`` and ``target_logp`` are 0 past each length.
     """
     b = conditions.shape[0]
-    ids, lengths, mask = _pad_targets(targets)
+    ids, lengths, mask = pad_targets(targets)
     t_max = ids.shape[1]
     inputs = np.concatenate([np.full((b, 1), synth.BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
 
@@ -785,9 +785,15 @@ def load_params(path: str | os.PathLike) -> ModelParams:
             raise ValueError(f"{where}: checkpoint block {name!r} is missing or not an object")
         if entry.get("shape") != list(shape):
             raise ValueError(f"{where}: block {name!r} has shape {entry.get('shape')}, expected {list(shape)}")
+        data = entry.get("data")
+        size = math.prod(shape)
+        # a JSON boolean loads as bool and a string as str, both of which numpy would cast
+        if not (isinstance(data, list) and len(data) == size and set(map(type, data)) <= {int, float}):
+            raise ValueError(f"{where}: block {name!r}: data must be a list of {size} JSON numbers")
         try:
-            blocks[name] = np.array(entry.get("data"), dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError) as exc:
-            # float() raises TypeError on an object element
+            blocks[name] = np.array(data, dtype=np.float64).reshape(shape)
+        except OverflowError as exc:  # a JSON integer past the float range
             raise ValueError(f"{where}: block {name!r}: {exc}") from exc
+        if not np.isfinite(blocks[name]).all():
+            raise ValueError(f"{where}: block {name!r} holds a number that is not finite")
     return ModelParams(**blocks)

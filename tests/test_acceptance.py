@@ -24,10 +24,10 @@ from visdep.dependence import (
     visual_dependence,
 )
 from visdep.filtering import FilterStrategy, apply_filter, save_manifest, score_corpus
-from visdep.halleval import ObjectLexicon, evaluate
+from visdep.halleval import evaluate
 from visdep.reweight import LossMode, ReweightConfig, normalize_weights
 from visdep.synth import CorpusConfig, generate_corpus, train_test_split, write_corpus
-from visdep.toymodel import TrainConfig, init_params, save_params, sequence_loss, train
+from visdep.toymodel import TrainConfig, init_params, pad_targets, save_params, sequence_loss, train
 from visdep.trace import write_traces
 
 # Evaluation protocol.  Corpus, epochs, temperature, gating point and
@@ -275,13 +275,16 @@ def test_c06_evaluation_matches_naive_recount():
     """1000 random responses re-scored with an independent tally."""
     rng = np.random.default_rng(CORPUS_SEED)
     v_obj = 40
-    lexicon = ObjectLexicon.for_token_vocab(v_obj)
     responses, truths = [], []
     for _ in range(1000):
         length = int(rng.integers(1, 30))
         responses.append([int(t) for t in rng.integers(0, synth.vocab_size(v_obj), length)])
         truths.append({int(o) for o in rng.choice(v_obj, size=int(rng.integers(0, 7)), replace=False)})
-    report = evaluate(responses, truths, lexicon)
+    tokens, lengths, _ = pad_targets(responses)
+    truth = np.zeros((len(truths), v_obj), dtype=bool)
+    for i, objs in enumerate(truths):
+        truth[i, list(objs)] = True
+    report = evaluate(tokens, lengths, truth)
 
     with_bad = bad_mentions = mentions = recalled = truth_total = total_len = 0
     for resp, truth in zip(responses, truths):

@@ -9,8 +9,8 @@ import visdep.toymodel as toymodel
 from visdep.cli import main
 from visdep.diffusion import DEFAULT_NOISE_STEP
 from visdep.filtering import load_manifest
-from visdep.synth import read_corpus
-from visdep.toymodel import load_params
+from visdep.synth import read_corpus, vocab_size
+from visdep.toymodel import init_params, load_params, save_params
 from visdep.trace import TokenTrace, TraceFile, read_traces, write_traces
 
 
@@ -149,7 +149,7 @@ class TestEval:
             )
             == 0
         )
-        for name in ("traces.jsonl", "report.json", "cooccurrence.csv"):
+        for name in ("traces.jsonl", "report.json", "class_counts.csv", "cooccurrence.csv"):
             assert (tmp_path / name).read_bytes() == (
                 pipeline / "eval" / name
             ).read_bytes()
@@ -352,22 +352,36 @@ class TestExitCodes:
         assert code == 3
         assert "corpus.jsonl:5: scene 'scene-000004': true_objects holds True, not an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage", ["filter", "eval"])
-    def test_checkpoint_for_another_feature_length_is_a_data_error(self, pipeline, tmp_path, monkeypatch, capsys, stage):
+    @pytest.mark.parametrize(
+        "stage,mismatch",
+        [
+            pytest.param("filter", "features", id="filter"),
+            pytest.param("eval", "features", id="eval"),
+            pytest.param("filter", "vocabulary", id="filter-vocabulary"),
+            pytest.param("eval", "vocabulary", id="eval-vocabulary"),
+        ],
+    )
+    def test_checkpoint_for_another_feature_length_is_a_data_error(
+        self, pipeline, tmp_path, monkeypatch, capsys, stage, mismatch
+    ):
         import visdep.cli as cli
 
-        assert run_cli("synth", "--scenes", 40, "--objects", 50, "--out-dir", tmp_path / "data") == 0
+        if mismatch == "features":
+            assert run_cli("synth", "--scenes", 40, "--objects", 50, "--out-dir", tmp_path / "data") == 0
+            corpus, ckpt = tmp_path / "data" / "corpus.jsonl", pipeline / "mle" / "ckpt.json"
+            expected = ["ckpt.json: checkpoint takes 40 features per scene", "corpus.jsonl has 50"]
+        else:
+            corpus, ckpt = pipeline / "data" / "corpus.jsonl", tmp_path / "ckpt.json"
+            save_params(init_params(30, 40, seed=0), ckpt)
+            expected = [f"ckpt.json: checkpoint has 30 tokens, but 40 objects take {vocab_size(40)}"]
         monkeypatch.setattr(cli, "score_corpus", lambda *a, **k: pytest.fail("scored with a mismatched checkpoint"))
         monkeypatch.setattr(cli, "run_eval", lambda *a, **k: pytest.fail("evaluated with a mismatched checkpoint"))
         extra = ["--strategy", "lowest", "--frac", 0.1] if stage == "filter" else []
-        code = run_cli(
-            stage, "--corpus", tmp_path / "data" / "corpus.jsonl", "--ckpt", pipeline / "mle" / "ckpt.json",
-            *extra, "--out-dir", tmp_path / "out",
-        )
+        code = run_cli(stage, "--corpus", corpus, "--ckpt", ckpt, *extra, "--out-dir", tmp_path / "out")
         assert code == 3
         err = capsys.readouterr().err
-        assert "ckpt.json: checkpoint takes 40 features per scene" in err
-        assert "corpus.jsonl has 50" in err
+        for line in expected:
+            assert line in err
 
     def test_empty_trace_file(self, tmp_path, capsys):
         empty = tmp_path / "traces.jsonl"

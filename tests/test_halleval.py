@@ -9,27 +9,48 @@ from visdep.halleval import (
     ClassObjectCounts,
     CoOccurrenceHistogram,
     HallucinationReport,
-    ObjectLexicon,
     class_object_counts,
     co_occurrence,
     evaluate,
 )
 from visdep.synth import OBJECT_BASE, object_token
 
-LEX = ObjectLexicon.for_token_vocab(40)
+V_OBJ = 40
 
 
-def profile_for(d_values):
-    """The per-token ``d`` array of one response."""
-    return np.asarray(d_values, dtype=np.float64)
+def padded(rows, fill=0, dtype=np.int64):
+    """Variable-length rows stacked into an (n, T) array, ``fill`` past each length."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=dtype)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def batch(responses, truths, fill=0):
+    """(tokens, lengths, truth) of a padded batch, as ``evaluate`` takes it."""
+    truth = np.zeros((len(truths), V_OBJ), dtype=bool)
+    for i, objs in enumerate(truths):
+        truth[i, list(objs)] = True
+    return padded(responses, fill), np.array([len(r) for r in responses], dtype=np.int64), truth
+
+
+def d_batch(d_rows, fill=0.0):
+    """The per-token ``d`` of each response, padded like ``batch``."""
+    return padded(d_rows, fill, np.float64)
+
+
+def mentions(resp):
+    """(position, object id) of every object mention, in order."""
+    return [(pos, t - OBJECT_BASE) for pos, t in enumerate(resp) if OBJECT_BASE <= t < OBJECT_BASE + V_OBJ]
+
+
+def landed(stats):
+    """Every hallucinated mention a class's stats account for."""
+    return sum(stats.counts) + stats.beyond + stats.absent
 
 
 def naive_report(responses, truths):
     """Independent recount of every metric with plain loops."""
-
-    def mentioned_objects(resp):
-        return [t - OBJECT_BASE for t in resp if OBJECT_BASE <= t < OBJECT_BASE + 40]
-
     n = len(responses)
     bad_responses = 0
     bad_mentions = 0
@@ -39,7 +60,7 @@ def naive_report(responses, truths):
     total_len = 0
     for resp, truth in zip(responses, truths):
         truth = set(truth)
-        ms = mentioned_objects(resp)
+        ms = [obj for _, obj in mentions(resp)]
         bad = sum(1 for o in ms if o not in truth)
         bad_mentions += bad
         total_mentions += len(ms)
@@ -57,12 +78,6 @@ def naive_report(responses, truths):
     }
 
 
-class TestObjectLexicon:
-    def test_token_lexicon_finds_mentions_in_order(self):
-        tokens = [0, object_token(3), 5, object_token(9), 1]
-        assert LEX.mentions(tokens) == [(1, 3), (3, 9)]
-
-
 class TestEvaluate:
     def test_one_bad_response_out_of_two(self):
         responses = [
@@ -70,7 +85,7 @@ class TestEvaluate:
             [0, object_token(8), 1],
         ]
         truths = [{3}, {5}]
-        report = evaluate(responses, truths, LEX)
+        report = evaluate(*batch(responses, truths))
         assert report.chair_s == 0.5
         assert report.chair_i == 0.5
         assert report.n_samples == 2
@@ -81,7 +96,7 @@ class TestEvaluate:
             [0, object_token(5), 1],
         ]
         truths = [{3, 7}, {5}]
-        report = evaluate(responses, truths, LEX)
+        report = evaluate(*batch(responses, truths))
         assert report.chair_s == 0.0
         assert report.chair_i == 0.0
         assert report.recall == 1.0
@@ -95,28 +110,69 @@ class TestEvaluate:
             [object_token(2)],
         ]
         truths = [{0}, {2, 3, 4}]
-        report = evaluate(responses, truths, LEX)
+        report = evaluate(*batch(responses, truths))
         assert report.recall == pytest.approx(2 / 4)
 
     def test_repeated_hallucinated_mention_counts_every_time(self):
         responses = [[object_token(9), 4, object_token(9), object_token(1)]]
-        report = evaluate(responses, [{1}], LEX)
+        report = evaluate(*batch(responses, [{1}]))
         assert report.chair_i == pytest.approx(2 / 3)
         assert report.chair_s == 1.0
 
     def test_no_mentions_at_all(self):
-        report = evaluate([[0, 4, 1]], [{3}], LEX)
+        report = evaluate(*batch([[0, 4, 1]], [{3}]))
         assert report.chair_i == 0.0
         assert report.chair_s == 0.0
         assert report.recall == 0.0
 
+    def test_token_past_the_object_vocabulary_is_no_mention(self):
+        report = evaluate(*batch([[object_token(V_OBJ), object_token(V_OBJ - 1)]], [set()]))
+        assert report.chair_i == 1.0
+        assert report == evaluate(*batch([[0, object_token(V_OBJ - 1)]], [set()]))
+
+    def test_padding_holds_no_mention(self):
+        """Object ids past each length, hallucinated or grounded, count for nothing."""
+        responses = [[object_token(3)], [0, 4, 1], [object_token(7), 2]]
+        truths = [{3}, {5}, {7}]
+        clean = evaluate(*batch(responses, truths))
+        for fill in (object_token(3), object_token(5), object_token(30)):
+            assert evaluate(*batch(responses, truths, fill=fill)) == clean
+        assert clean.chair_s == 0.0 and clean.recall == pytest.approx(2 / 3)
+
+    def test_rows_of_length_one(self):
+        responses = [[object_token(1)], [object_token(2)], [4], [object_token(9)]]
+        truths = [{1}, {3}, {4}, {9, 10}]
+        report = evaluate(*batch(responses, truths, fill=object_token(2)))
+        assert report.chair_s == 0.25
+        assert report.chair_i == pytest.approx(1 / 3)
+        assert report.recall == pytest.approx(2 / 5)
+        assert report.mean_len == 1.0
+
     def test_zero_samples_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate([], [], LEX)
+        with pytest.raises(ValueError, match="zero samples"):
+            evaluate(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, V_OBJ), dtype=bool))
 
     def test_length_mismatch_rejected(self):
+        tokens, lengths, _ = batch([[1]], [{1}])
         with pytest.raises(ValueError):
-            evaluate([[1]], [{1}, {2}], LEX)
+            evaluate(tokens, lengths, batch([[1], [2]], [{1}, {2}])[2])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda tokens, lengths, truth: (tokens, lengths, truth[:1]),
+            lambda tokens, lengths, truth: (tokens, lengths[:1], truth),
+            lambda tokens, lengths, truth: (tokens[0], lengths, truth),
+            lambda tokens, lengths, truth: (tokens, lengths, truth[0]),
+            lambda tokens, lengths, truth: (tokens, lengths + 1, truth),
+            lambda tokens, lengths, truth: (tokens, lengths - 2, truth),
+        ],
+        ids=["truth-rows", "lengths-rows", "tokens-1d", "truth-1d", "length-past-width", "negative-length"],
+    )
+    def test_misshapen_batch_rejected(self, edit):
+        args = batch([[object_token(1), 4], [1]], [{1}, {2}])
+        with pytest.raises(ValueError):
+            evaluate(*edit(*args))
 
     def test_matches_naive_recount_on_randomized_responses(self):
         """Fifty random responses, recounted independently."""
@@ -131,7 +187,7 @@ class TestEvaluate:
             ]
             responses.append(resp)
             truths.append(truth)
-        report = evaluate(responses, truths, LEX)
+        report = evaluate(*batch(responses, truths))
         expected = naive_report(responses, truths)
         for field, value in expected.items():
             assert getattr(report, field) == pytest.approx(value, rel=1e-12), field
@@ -140,10 +196,10 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         responses = [[object_token(int(o)) for o in rng.choice(10, size=3, replace=False)] for _ in range(20)]
         truths = [set(range(10)) for _ in range(20)]
-        base = evaluate(responses, truths, LEX)
+        base = evaluate(*batch(responses, truths))
         worse = [list(r) for r in responses]
         worse[4].append(object_token(30))
-        bumped = evaluate(worse, truths, LEX)
+        bumped = evaluate(*batch(worse, truths))
         assert bumped.chair_s >= base.chair_s
         assert bumped.chair_i >= base.chair_i
 
@@ -170,24 +226,27 @@ class TestSpanClass:
     def test_single_token_span(self):
         """A mention takes the class of its own token."""
         resp = [object_token(1), object_token(2), object_token(3)]
-        counts = class_object_counts([profile_for([0.9, 0.0, -0.9])], [resp], [{1, 2, 3}], LEX)
+        counts = class_object_counts(d_batch([[0.9, 0.0, -0.9]]), *batch([resp], [{1, 2, 3}]))
         assert counts.grounded == {cls: 1 for cls in TokenClass}
 
 
 class TestClassObjectCounts:
     def test_hand_built_tally(self):
         resp = [object_token(3), 5, object_token(8)]
-        profile = profile_for([0.9, 0.0, -0.9])
-        counts = class_object_counts([profile], [resp], [{3}], LEX)
+        counts = class_object_counts(d_batch([[0.9, 0.0, -0.9]]), *batch([resp], [{3}]))
         assert counts.grounded[TokenClass.IMAGE_POSITIVE] == 1
         assert counts.hallucinated[TokenClass.IMAGE_NEGATIVE] == 1
-        assert counts.total_grounded == 1
-        assert counts.total_hallucinated == 1
+        assert sum(counts.grounded.values()) == 1
+        assert sum(counts.hallucinated.values()) == 1
+
+    def test_lists_the_classes_in_enum_order(self):
+        counts = class_object_counts(d_batch([[0.9]]), *batch([[object_token(3)]], [{3}]))
+        assert list(counts.grounded) == list(counts.hallucinated) == list(TokenClass)
 
     def test_conserves_evaluate_totals(self):
         """Class tallies partition exactly the mentions evaluate() counts."""
         rng = np.random.default_rng(42)
-        responses, truths, profiles = [], [], []
+        responses, truths, d_rows = [], [], []
         for i in range(30):
             length = int(rng.integers(2, 15))
             resp = [
@@ -197,8 +256,8 @@ class TestClassObjectCounts:
             truth = set(int(o) for o in rng.choice(40, size=4, replace=False))
             responses.append(resp)
             truths.append(truth)
-            profiles.append(profile_for(rng.uniform(-1, 1, length)))
-        counts = class_object_counts(profiles, responses, truths, LEX)
+            d_rows.append(rng.uniform(-1, 1, length))
+        counts = class_object_counts(d_batch(d_rows), *batch(responses, truths))
         all_mentions = sum(
             1 for r in responses for t in r if OBJECT_BASE <= t < OBJECT_BASE + 40
         )
@@ -208,21 +267,24 @@ class TestClassObjectCounts:
             for t in r
             if OBJECT_BASE <= t < OBJECT_BASE + 40 and (t - OBJECT_BASE) not in tr
         )
-        assert counts.total_grounded + counts.total_hallucinated == all_mentions
-        assert counts.total_hallucinated == bad_mentions
+        assert sum(counts.grounded.values()) + sum(counts.hallucinated.values()) == all_mentions
+        assert sum(counts.hallucinated.values()) == bad_mentions
 
     def test_misaligned_profile_rejected(self):
-        profile = profile_for([0.5, 0.5])
-        with pytest.raises(ValueError):
-            class_object_counts([profile], [[object_token(1)]], [{1}], LEX)
+        with pytest.raises(ValueError, match="does not align"):
+            class_object_counts(d_batch([[0.5, 0.5]]), *batch([[object_token(1)]], [{1}]))
+
+    def test_zero_samples_rejected(self):
+        empty = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, V_OBJ), dtype=bool)
+        with pytest.raises(ValueError, match="zero samples"):
+            class_object_counts(np.zeros((0, 2)), *empty)
 
 
 class TestCoOccurrence:
     def test_distances_to_each_class(self):
         """A hallucinated mention measures its gap to every class."""
         resp = [object_token(3), 10, 11, object_token(9)]
-        profile = profile_for([0.9, 0.0, 0.0, -0.9])
-        hist = co_occurrence([profile], [resp], [{3}], LEX, window=3)
+        hist = co_occurrence(d_batch([[0.9, 0.0, 0.0, -0.9]]), *batch([resp], [{3}]), window=3)
         inv = hist.per_class[TokenClass.IMAGE_INVARIANT]
         pos = hist.per_class[TokenClass.IMAGE_POSITIVE]
         neg = hist.per_class[TokenClass.IMAGE_NEGATIVE]
@@ -231,42 +293,45 @@ class TestCoOccurrence:
         assert neg.counts[0] == 1      # the mention itself is anti-visual
 
     def test_self_distance_is_zero(self):
-        resp = [object_token(5)]
-        profile = profile_for([-0.9])
-        hist = co_occurrence([profile], [resp], [set()], LEX, window=2)
+        hist = co_occurrence(d_batch([[-0.9]]), *batch([[object_token(5)]], [set()]), window=2)
         assert hist.per_class[TokenClass.IMAGE_NEGATIVE].counts[0] == 1
 
     def test_absent_class_is_tracked_separately(self):
         """With no positive token anywhere, the mention lands in absent
         and the within-window fraction for that class stays undefined."""
         resp = [object_token(5), 10]
-        profile = profile_for([-0.9, 0.0])
-        hist = co_occurrence([profile], [resp], [set()], LEX, window=3)
+        hist = co_occurrence(d_batch([[-0.9, 0.0]]), *batch([resp], [set()]), window=3)
         pos = hist.per_class[TokenClass.IMAGE_POSITIVE]
         assert pos.absent == 1
         assert sum(pos.counts) == 0
         assert pos.fraction_within is None
 
+    def test_another_responses_tokens_are_not_near(self):
+        """The nearest token of a class is looked for in the mention's own
+        response only, never in another row or past the row's length."""
+        responses = [[object_token(5), 10], [10, 11, 12]]
+        d = d_batch([[-0.9, 0.0], [0.9, 0.9, 0.9]], fill=0.9)
+        hist = co_occurrence(d, *batch(responses, [set(), set()], fill=object_token(3)), window=3)
+        assert hist.per_class[TokenClass.IMAGE_POSITIVE].absent == 1
+        assert hist.per_class[TokenClass.IMAGE_INVARIANT].counts[1] == 1
+
     def test_beyond_window_mentions_counted(self):
         resp = [object_token(0)] + [10] * 6 + [object_token(9)]
         d = [0.9] + [0.0] * 6 + [-0.9]
-        profile = profile_for(d)
-        hist = co_occurrence([profile], [resp], [{0}], LEX, window=3)
+        hist = co_occurrence(d_batch([d]), *batch([resp], [{0}]), window=3)
         pos = hist.per_class[TokenClass.IMAGE_POSITIVE]
         assert pos.beyond == 1
         assert pos.fraction_within == 0.0
 
     def test_grounded_mentions_are_ignored(self):
-        resp = [object_token(3)]
-        profile = profile_for([0.9])
-        hist = co_occurrence([profile], [resp], [{3}], LEX, window=3)
-        assert hist.total_mentions() == 0
+        hist = co_occurrence(d_batch([[0.9]]), *batch([[object_token(3)]], [{3}]), window=3)
+        assert all(landed(stats) == 0 for stats in hist.per_class.values())
 
     def test_every_mention_lands_somewhere(self):
         """counts + beyond + absent adds up to the hallucinated mentions,
         for every class."""
         rng = np.random.default_rng(42)
-        responses, truths, profiles = [], [], []
+        responses, truths, d_rows = [], [], []
         for i in range(25):
             length = int(rng.integers(1, 20))
             resp = [
@@ -275,8 +340,8 @@ class TestCoOccurrence:
             ]
             responses.append(resp)
             truths.append(set(int(o) for o in rng.choice(40, size=3, replace=False)))
-            profiles.append(profile_for(rng.uniform(-1, 1, length)))
-        hist = co_occurrence(profiles, responses, truths, LEX, window=3)
+            d_rows.append(rng.uniform(-1, 1, length))
+        hist = co_occurrence(d_batch(d_rows), *batch(responses, truths), window=3)
         halluc = sum(
             1
             for r, tr in zip(responses, truths)
@@ -284,18 +349,20 @@ class TestCoOccurrence:
             if OBJECT_BASE <= t < OBJECT_BASE + 40 and (t - OBJECT_BASE) not in tr
         )
         for cls in TokenClass:
-            stats = hist.per_class[cls]
-            assert sum(stats.counts) + stats.beyond + stats.absent == halluc
-        assert hist.total_mentions() == halluc
+            assert landed(hist.per_class[cls]) == halluc
 
     def test_rejects_negative_window(self):
-        with pytest.raises(ValueError):
-            co_occurrence([], [], [], LEX, window=-1)
+        with pytest.raises(ValueError, match="window"):
+            co_occurrence(d_batch([[0.5]]), *batch([[object_token(1)]], [set()]), window=-1)
 
     def test_rejects_misaligned_profile(self):
-        profile = profile_for([0.5])
-        with pytest.raises(ValueError):
-            co_occurrence([profile], [[1, 2]], [set()], LEX)
+        with pytest.raises(ValueError, match="does not align"):
+            co_occurrence(d_batch([[0.5]]), *batch([[1, 2]], [set()]))
+
+    def test_zero_samples_rejected(self):
+        empty = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, V_OBJ), dtype=bool)
+        with pytest.raises(ValueError, match="zero samples"):
+            co_occurrence(np.zeros((0, 2)), *empty)
 
     def test_fraction_within_arithmetic(self):
         stats = ClassDistanceStats(counts=(1, 2, 0, 1), beyond=2, absent=5)
@@ -309,25 +376,25 @@ def _ref_profile(d):
     return [classify(float(v)) for v in d]
 
 
-def _ref_class_object_counts(d_rows, responses, truths, lexicon):
-    """Test-local copy of the per-profile tally: one mention, one token's class."""
+def _ref_class_object_counts(d_rows, responses, truths):
+    """Test-local per-response tally: one mention, one token's class."""
     grounded = {cls: 0 for cls in TokenClass}
     halluc = {cls: 0 for cls in TokenClass}
     for d, resp, truth in zip(d_rows, responses, truths):
         classes = _ref_profile(d)
-        for pos, obj in lexicon.mentions(resp):
+        for pos, obj in mentions(resp):
             (grounded if obj in truth else halluc)[classes[pos]] += 1
     return ClassObjectCounts(grounded=grounded, hallucinated=halluc)
 
 
-def _ref_co_occurrence(d_rows, responses, truths, lexicon, window):
-    """Test-local copy of the per-profile histogram, nearest token by brute force."""
+def _ref_co_occurrence(d_rows, responses, truths, window):
+    """Test-local per-response histogram, nearest token by brute force."""
     counts = {cls: [0] * (window + 1) for cls in TokenClass}
     beyond = {cls: 0 for cls in TokenClass}
     absent = {cls: 0 for cls in TokenClass}
     for d, resp, truth in zip(d_rows, responses, truths):
         classes = _ref_profile(d)
-        for pos, obj in lexicon.mentions(resp):
+        for pos, obj in mentions(resp):
             if obj in truth:
                 continue
             for cls in TokenClass:
@@ -345,9 +412,15 @@ def _ref_co_occurrence(d_rows, responses, truths, lexicon, window):
     return CoOccurrenceHistogram(window=window, per_class=per_class)
 
 
+# (token, d) written past each length: nothing, a grounded-looking object of
+# the positive class, and an out-of-truth object of the negative class.
+PADDING = [(0, 0.0), (object_token(0), 0.9), (object_token(39), -0.9)]
+
+
 class TestArrayAttributionMatchesProfiles:
-    """``class_object_counts`` and ``co_occurrence`` on d arrays give what the
-    per-profile versions gave, thresholds and their neighbours included."""
+    """``class_object_counts`` and ``co_occurrence`` on padded arrays give
+    what per-response loops give, thresholds and their neighbours included,
+    whatever the padding past each length holds."""
 
     @pytest.fixture(scope="class")
     def sample(self):
@@ -355,8 +428,8 @@ class TestArrayAttributionMatchesProfiles:
         edges = [POSITIVE_THRESHOLD, NEGATIVE_THRESHOLD]
         edges += [float(np.nextafter(e, to)) for e in (POSITIVE_THRESHOLD, NEGATIVE_THRESHOLD) for to in (-1, 1)]
         responses, truths, d_rows = [], [], []
-        for _ in range(300):
-            length = int(rng.integers(1, 25))
+        for i in range(300):
+            length = 1 if i % 10 == 0 else int(rng.integers(1, 25))
             responses.append(
                 [int(object_token(rng.integers(0, 40))) if rng.random() < 0.4 else int(rng.integers(0, 13))
                  for _ in range(length)]
@@ -370,12 +443,21 @@ class TestArrayAttributionMatchesProfiles:
 
     def test_class_object_counts(self, sample):
         d_rows, responses, truths = sample
-        got = class_object_counts(d_rows, responses, truths, LEX)
-        assert got == _ref_class_object_counts(d_rows, responses, truths, LEX)
-        assert got.total_grounded > 50 and got.total_hallucinated > 50
+        got = class_object_counts(d_batch(d_rows), *batch(responses, truths))
+        assert got == _ref_class_object_counts(d_rows, responses, truths)
+        assert sum(got.grounded.values()) > 50 and sum(got.hallucinated.values()) > 50
 
-    @pytest.mark.parametrize("window", [0, 3, 8])
+    @pytest.mark.parametrize("window", [0, 1, 3, 8])
     def test_co_occurrence(self, sample, window):
         d_rows, responses, truths = sample
-        got = co_occurrence(d_rows, responses, truths, LEX, window=window)
-        assert got == _ref_co_occurrence(d_rows, responses, truths, LEX, window)
+        got = co_occurrence(d_batch(d_rows), *batch(responses, truths), window=window)
+        assert got == _ref_co_occurrence(d_rows, responses, truths, window)
+
+    @pytest.mark.parametrize("token_fill,d_fill", PADDING, ids=["zeros", "grounded-positive", "hallucinated-negative"])
+    def test_padding_counts_for_nothing(self, sample, token_fill, d_fill):
+        d_rows, responses, truths = sample
+        d, args = d_batch(d_rows, d_fill), batch(responses, truths, token_fill)
+        assert evaluate(*args).to_dict() == pytest.approx(naive_report(responses, truths), rel=1e-12)
+        assert class_object_counts(d, *args) == _ref_class_object_counts(d_rows, responses, truths)
+        for window in (0, 3):
+            assert co_occurrence(d, *args, window=window) == _ref_co_occurrence(d_rows, responses, truths, window)

@@ -340,7 +340,7 @@ def _ref_teacher_forced_probs(p, conditions, targets):
     out = []
     for start, stop in zip(starts, starts[1:] + [n]):
         block = targets[start:stop]
-        ids, _, _ = toymodel._pad_targets(block)
+        ids, _, _ = toymodel.pad_targets(block)
         b, t_max = ids.shape
         inputs = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
         h = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions[start:stop]))
@@ -1033,8 +1033,17 @@ class TestCheckpoint:
             (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "shape": [9]}}}, "shape"),
             (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [0.0] * 9}}}, "b_z"),
             (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [{}] * 8}}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": ["0.5"] * 8}}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [True] * 8}}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [float("nan")] * 8}}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [float("inf")] * 8}}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": 0.5}}}, "b_z"),
+            (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [10**400] * 8}}}, "b_z"),
         ],
-        ids=["blocks-null", "list", "dim-null", "block-null", "shape-vs-header", "data-size", "data-objects"],
+        ids=[
+            "blocks-null", "list", "dim-null", "block-null", "shape-vs-header", "data-size", "data-objects",
+            "data-string", "data-bool", "data-nan", "data-inf", "data-scalar", "data-huge-int",
+        ],
     )
     def test_rejects_a_malformed_checkpoint_naming_the_file(self, tmp_path, edit, message):
         import json
