@@ -36,18 +36,18 @@ from .toymodel import (
     generate_batch,
     load_params,
     noised_dependence,
-    pad_targets,
     save_params,
-    teacher_forced_probs,
     train,
     write_train_log,
 )
-from .trace import TokenTrace, TraceError, TraceFile, read_traces, write_traces
+from .trace import TraceArrays, TraceError, read_traces, write_traces
 
-# ``run_eval`` corrupts through ``noised_dependence``, but ``bench/tracer.py``
-# hooks ``corrupt`` by name in this module to count calls; it stays
-# importable here until its hook list changes.
+# ``run_eval`` corrupts and scores through ``noised_dependence`` and builds no
+# TokenTrace, but ``bench/tracer.py`` hooks these three by name in this module
+# to count calls; they stay importable here until its hook list changes.
 from .diffusion import corrupt  # noqa: F401
+from .toymodel import teacher_forced_probs  # noqa: F401
+from .trace import TokenTrace  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,19 +104,19 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_split(args) -> tuple[list, list]:
+def _read_split(args) -> tuple[synth.Corpus, synth.Corpus]:
     """The (train, test) halves of ``--corpus`` under ``--test-frac`` and ``--split-seed``.
 
     Every stage that reads a corpus splits it here, so they all hold out the same scenes.
     """
-    scenes = synth.read_corpus(args.corpus)
-    return synth.train_test_split(scenes, args.test_frac, args.split_seed)
+    corpus = synth.read_corpus(args.corpus)
+    return synth.train_test_split(corpus, args.test_frac, args.split_seed)
 
 
-def _load_ckpt(args, scenes: list):
+def _load_ckpt(args, corpus: synth.Corpus):
     """``--ckpt``, rejected unless it takes the feature length of ``--corpus`` and has its vocabulary."""
     params = load_params(args.ckpt)
-    n_feature = len(scenes[0].feature)
+    n_feature = corpus.features.shape[1]
     if params.v_obj != n_feature:
         raise ValueError(
             f"{args.ckpt}: checkpoint takes {params.v_obj} features per scene, "
@@ -240,21 +240,21 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    train_scenes, _ = _read_split(args)
+    corpus, _ = _read_split(args)
     if args.manifest:
         manifest = load_manifest(args.manifest)
-        if set(manifest.kept) | set(manifest.removed) != {s.scene_id for s in train_scenes}:
+        if set(manifest.kept) | set(manifest.removed) != set(corpus.scene_ids):
             raise ValueError(
                 f"{args.manifest}: scored scenes are not this training split "
                 f"(--test-frac {args.test_frac}, --split-seed {args.split_seed})"
             )
         kept = set(manifest.kept)
-        train_scenes = [s for s in train_scenes if s.scene_id in kept]
-    params, log = train(train_scenes, _train_config(args))
+        corpus = corpus.take(np.array([sid in kept for sid in corpus.scene_ids], dtype=bool))
+    params, log = train(corpus, _train_config(args))
     save_params(params, out / CKPT_FILE)
     write_train_log(log, out / TRAINLOG_FILE)
     _write_run(out, args)
-    print(f"wrote {out / CKPT_FILE} ({len(train_scenes)} training scenes, {len(log)} steps)")
+    print(f"wrote {out / CKPT_FILE} ({len(corpus)} training scenes, {len(log)} steps)")
     return EXIT_OK
 
 
@@ -282,9 +282,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_filter(args) -> int:
     out = _out_dir(args)
-    train_scenes, _ = _read_split(args)
-    params = _load_ckpt(args, train_scenes)
-    scores = score_corpus(train_scenes, params, noise_step=args.noise_step, seed=args.seed)
+    corpus, _ = _read_split(args)
+    params = _load_ckpt(args, corpus)
+    scores = score_corpus(corpus, params, noise_step=args.noise_step, seed=args.seed)
     manifest = apply_filter(scores, FilterStrategy(args.strategy), args.frac, seed=args.seed)
     save_manifest(manifest, out / MANIFEST_FILE)
     _write_run(out, args)
@@ -292,38 +292,32 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def run_eval(params, test_scenes, noise_step: int, seed: int, max_len: int):
-    """Decode test scenes, trace them against a noised condition, and score.
+def run_eval(params, corpus: synth.Corpus, noise_step: int, seed: int, max_len: int):
+    """Decode the corpus's scenes, trace them against a noised condition, and score.
 
-    Returns (trace_file, report, counts, histogram).
+    The clean probabilities are the decode's own; only the noised pass is
+    teacher-forced.  Returns (traces, report, counts, histogram).
     """
-    v_obj = params.v_obj
-    features = np.array([s.feature for s in test_scenes])
-    generated = generate_batch(params, features, max_len=max_len)
-    responses = [g[1:] for g in generated]  # drop BOS; probabilities exist from there on
-    targets = [list(r) for r in responses]
-    p_clean = teacher_forced_probs(params, features, targets)
-    seeds = [derive_seed(seed, "evalnoise", s.scene_id) for s in test_scenes]
-    p_noisy, d = noised_dependence(params, features, targets, p_clean, seeds, noise_step)
-    traces = []
-    for s, resp, clean, noisy in zip(test_scenes, responses, p_clean, p_noisy):
-        traces.append(
-            TokenTrace(
-                sample_id=s.scene_id,
-                tokens=resp,
-                surfaces=synth.surfaces_for(resp, v_obj),
-                p_clean=clean[: len(resp)],
-                p_noisy=noisy[: len(resp)],
-                eos_index=len(resp) - 1 if resp[-1] == synth.EOS_ID else None,
-            )
-        )
-    tf = TraceFile(noise_step=noise_step, traces=tuple(traces), generator={"source": "toymodel-eval"})
-    tokens, lengths, _ = pad_targets(targets)
-    truth = np.array([np.bincount(s.true_objects, minlength=v_obj) > 0 for s in test_scenes])
-    report = evaluate(tokens, lengths, truth)
-    counts = class_object_counts(d, tokens, lengths, truth)
-    hist = co_occurrence(d, tokens, lengths, truth, window=3)
-    return tf, report, counts, hist
+    tokens, lengths, p_clean = generate_batch(params, corpus.features, max_len=max_len)
+    targets = [row[:n] for row, n in zip(tokens, lengths.tolist())]
+    seeds = [derive_seed(seed, "evalnoise", sid) for sid in corpus.scene_ids]
+    p_noisy, d = noised_dependence(params, corpus.features, targets, p_clean, seeds, noise_step)
+    surfaces = np.array(synth.surfaces_for(range(params.vocab_size), params.v_obj), dtype=object)
+    traces = TraceArrays(
+        noise_step=noise_step,
+        sample_ids=corpus.scene_ids,
+        tokens=tokens,
+        lengths=lengths,
+        surfaces=surfaces[tokens],
+        p_clean=p_clean,
+        p_noisy=p_noisy,
+        ends_at_eos=tokens[np.arange(len(lengths)), lengths - 1] == synth.EOS_ID,
+        generator={"source": "toymodel-eval"},
+    )
+    report = evaluate(tokens, lengths, corpus.truth)
+    counts = class_object_counts(d, tokens, lengths, corpus.truth)
+    hist = co_occurrence(d, tokens, lengths, corpus.truth, window=3)
+    return traces, report, counts, hist
 
 
 def _write_eval_artifacts(out: Path, tf, report, counts, hist) -> None:
@@ -348,9 +342,9 @@ def _write_eval_artifacts(out: Path, tf, report, counts, hist) -> None:
 
 def cmd_eval(args) -> int:
     out = _out_dir(args)
-    _, test_scenes = _read_split(args)
-    params = _load_ckpt(args, test_scenes)
-    tf, report, counts, hist = run_eval(params, test_scenes, args.noise_step, args.seed, args.max_len)
+    _, corpus = _read_split(args)
+    params = _load_ckpt(args, corpus)
+    tf, report, counts, hist = run_eval(params, corpus, args.noise_step, args.seed, args.max_len)
     _write_eval_artifacts(out, tf, report, counts, hist)
     _write_run(out, args)
     print(
@@ -375,14 +369,14 @@ def cmd_sweep(args) -> int:
         setattr(sub_args, args.axis.replace("-", "_"), int(value) if args.axis == "noise-step" else value)
         configs.append(_train_config(sub_args))
     out = _out_dir(args)
-    train_scenes, test_scenes = _read_split(args)
+    train_corpus, test_corpus = _read_split(args)
     rows = ["value,chair_s,chair_i,recall,mean_len"]
     for value, name, cfg in zip(args.values, names, configs):
-        params, _ = train(train_scenes, cfg)
+        params, _ = train(train_corpus, cfg)
         sub_out = out / name
         sub_out.mkdir(parents=True, exist_ok=True)
         save_params(params, sub_out / CKPT_FILE)
-        tf, report, counts, hist = run_eval(params, test_scenes, cfg.noise_step, args.seed, args.max_len)
+        tf, report, counts, hist = run_eval(params, test_corpus, cfg.noise_step, args.seed, args.max_len)
         _write_eval_artifacts(sub_out, tf, report, counts, hist)
         rows.append(
             f"{value:g},{report.chair_s!r},{report.chair_i!r},{report.recall!r},{report.mean_len!r}"

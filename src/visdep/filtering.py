@@ -18,6 +18,7 @@ import numpy as np
 
 from .diffusion import DEFAULT_NOISE_STEP
 from .seeding import derive_seed, rng_for
+from .synth import Corpus
 from .toymodel import ModelParams, noised_dependence, teacher_forced_probs
 
 # Scoring works on arrays and corrupts through ``noised_dependence``, but
@@ -111,7 +112,7 @@ def load_manifest(path: str | os.PathLike) -> FilterManifest:
 
 
 def score_corpus(
-    scenes: list,
+    corpus: Corpus,
     params: ModelParams,
     noise_step: int = DEFAULT_NOISE_STEP,
     seed: int = 42,
@@ -122,14 +123,13 @@ def score_corpus(
     scene_id)``, so scores are stable across runs and batch sizes.  Each
     caption's ``d`` values are summed left to right.
     """
-    if not scenes:
+    if not len(corpus):
         raise ValueError("cannot score an empty corpus")
-    features = np.array([s.feature for s in scenes])
-    targets = [list(s.caption[1:]) for s in scenes]
-    p_clean = teacher_forced_probs(params, features, targets)
-    seeds = [derive_seed(seed, "filternoise", s.scene_id) for s in scenes]
-    _, d = noised_dependence(params, features, targets, p_clean, seeds, noise_step)
-    return {s.scene_id: float(sum(row[: len(t)].tolist())) for s, t, row in zip(scenes, targets, d)}
+    targets = corpus.targets()
+    p_clean = teacher_forced_probs(params, corpus.features, targets)
+    seeds = [derive_seed(seed, "filternoise", sid) for sid in corpus.scene_ids]
+    _, d = noised_dependence(params, corpus.features, targets, p_clean, seeds, noise_step)
+    return {sid: float(sum(row[: len(t)].tolist())) for sid, t, row in zip(corpus.scene_ids, targets, d)}
 
 
 def apply_filter(

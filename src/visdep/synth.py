@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -197,25 +198,44 @@ class SyntheticScene:
             "hallucinated_positions": list(self.hallucinated_positions),
         }
 
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Scenes as arrays, row ``i`` one scene, in corpus order.
+
+    ``captions`` holds each caption, BOS through EOS, zero-padded to the
+    longest; ``truth`` marks each scene's true objects and ``inserted`` the
+    caption positions of its hallucinated mentions.
+    """
+
+    scene_ids: np.ndarray  # (n,) str, object dtype
+    features: np.ndarray   # (n, v_obj) float64
+    captions: np.ndarray   # (n, L) int64, zero past each length
+    lengths: np.ndarray    # (n,) caption lengths
+    truth: np.ndarray      # (n, v_obj) bool
+    inserted: np.ndarray   # (n, L) bool
+
+    def __len__(self) -> int:
+        return len(self.scene_ids)
+
+    def take(self, idx) -> "Corpus":
+        """The rows at ``idx``, an index array or a boolean mask, in its order."""
+        return Corpus(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def targets(self) -> list[np.ndarray]:
+        """Each caption after BOS, cut to its length: the tokens a model predicts."""
+        return [row[1:n] for row, n in zip(self.captions, self.lengths.tolist())]
+
     @classmethod
-    def from_record(cls, record) -> "SyntheticScene":
-        """The scene of a JSON record; its lists hold ``_RECORD_TYPES`` and finite features."""
-        if not isinstance(record, dict):
-            raise ValueError("scene record must be a JSON object")
-        sid = record.get("scene_id")
-        if not isinstance(sid, str) or sid == "":
-            raise ValueError("scene_id must be a non-empty string")
-        for name, (kinds, what) in _RECORD_TYPES.items():
-            values = record.get(name)
-            if not isinstance(values, list):
-                raise ValueError(f"scene {sid!r}: {name} must be a list")
-            if not kinds.issuperset(map(type, values)):
-                bad = next(v for v in values if type(v) not in kinds)
-                raise ValueError(f"scene {sid!r}: {name} holds {bad!r}, not {what}")
-        if not all(map(math.isfinite, record["feature"])):
-            bad = next(v for v in record["feature"] if not math.isfinite(v))
-            raise ValueError(f"scene {sid!r}: feature holds {bad!r}, not a finite number")
-        return cls(scene_id=sid, **{name: record[name] for name in _RECORD_TYPES})
+    def from_scenes(cls, scenes: list[SyntheticScene]) -> "Corpus":
+        """The arrays of in-memory scenes, such as ``generate_corpus`` returns."""
+        return _corpus(
+            [s.scene_id for s in scenes],
+            [s.feature for s in scenes],
+            [s.caption for s in scenes],
+            [s.true_objects for s in scenes],
+            [s.hallucinated_positions for s in scenes],
+        )
 
 
 def _sample_gap(rng: np.random.Generator) -> list[int]:
@@ -296,47 +316,21 @@ def generate_corpus(cfg: CorpusConfig) -> list[SyntheticScene]:
     return [_make_scene(cfg, i) for i in range(cfg.num_scenes)]
 
 
-def expected_hallucination_fraction(cfg: CorpusConfig) -> float:
-    """Analytic expected share of hallucinated mentions among all mentions.
+def train_test_split(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
+    """Partition ``corpus`` into (train, test), both in corpus order.
 
-    Object sets are uniform k-subsets of the groundable objects, so a
-    given trigger is present with probability k/n; its pair then fires
-    independently with probability p * rate.  Averaging over k uniform on
-    {3..6} gives the expected insertions per scene, and each insertion
-    adds exactly one mention.
+    Which rows are held out is deterministic in ``(len(corpus),
+    test_fraction, seed)``.
     """
-    groundable = set(groundable_objects(cfg))
-    ks = list(range(MIN_OBJECTS, MAX_OBJECTS + 1))
-    mean_k = sum(ks) / len(ks)
-    p_present = mean_k / len(groundable)
-    expected_ins = sum(
-        p * cfg.hallucination_rate * p_present
-        for a, _, p in cfg.bias_pairs
-        if a in groundable
-    )
-    return expected_ins / (mean_k + expected_ins)
-
-
-def train_test_split(
-    scenes: list[SyntheticScene],
-    test_fraction: float,
-    seed: int,
-) -> tuple[list[SyntheticScene], list[SyntheticScene]]:
-    """Partition ``scenes`` into (train, test), both in corpus order.
-
-    The halves hold the input scene objects themselves; which positions
-    are held out is deterministic in ``(len(scenes), test_fraction, seed)``.
-    """
-    n = len(scenes)
+    n = len(corpus)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n_test = int(round(test_fraction * n))
     if n_test < 1 or n_test >= n:
         raise ValueError(f"degenerate split: {n_test} test scenes out of {n}")
-    test_idx = set(rng_for(seed, "split").permutation(n)[:n_test].tolist())
-    train = [s for i, s in enumerate(scenes) if i not in test_idx]
-    test = [s for i, s in enumerate(scenes) if i in test_idx]
-    return train, test
+    held_out = np.zeros(n, dtype=bool)
+    held_out[rng_for(seed, "split").permutation(n)[:n_test]] = True
+    return corpus.take(~held_out), corpus.take(held_out)
 
 
 def _dumps(obj: dict) -> str:
@@ -349,16 +343,79 @@ def write_corpus(scenes: list[SyntheticScene], path: str | os.PathLike) -> None:
             fh.write(_dumps(s.to_record()) + "\n")
 
 
-def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
-    """Scenes of a JSON-lines corpus.
+def _check_record(record) -> str:
+    """The scene_id of a JSON scene record, after every check a scene gets.
 
-    A malformed line, a list entry of the wrong JSON type, a repeated
+    The record's lists must hold ``_RECORD_TYPES`` and finite features; the
+    caption must have one surface per token and tokens in the vocabulary of
+    the feature length; hallucinated positions must lie in the caption and
+    object ids in the feature.
+    """
+    if not isinstance(record, dict):
+        raise ValueError("scene record must be a JSON object")
+    sid = record.get("scene_id")
+    if not isinstance(sid, str) or sid == "":
+        raise ValueError("scene_id must be a non-empty string")
+    for name, (kinds, what) in _RECORD_TYPES.items():
+        values = record.get(name)
+        if not isinstance(values, list):
+            raise ValueError(f"scene {sid!r}: {name} must be a list")
+        if not kinds.issuperset(map(type, values)):
+            bad = next(v for v in values if type(v) not in kinds)
+            raise ValueError(f"scene {sid!r}: {name} holds {bad!r}, not {what}")
+    feature, caption = record["feature"], record["caption"]
+    if not all(map(math.isfinite, feature)):  # an integer past the float range raises OverflowError
+        bad = next(v for v in feature if not math.isfinite(v))
+        raise ValueError(f"scene {sid!r}: feature holds {bad!r}, not a finite number")
+    if len(caption) != len(record["caption_surfaces"]):
+        raise ValueError(f"scene {sid!r}: caption/surface length mismatch")
+    for pos in record["hallucinated_positions"]:
+        if not 0 <= pos < len(caption):
+            raise ValueError(f"scene {sid!r}: hallucinated position {pos} out of range")
+    for obj in record["true_objects"]:
+        if not 0 <= obj < len(feature):
+            raise ValueError(f"scene {sid!r}: object id {obj} outside [0, {len(feature)}), the feature length")
+    vocab = vocab_size(len(feature))
+    if caption and (min(caption) < 0 or max(caption) >= vocab):
+        bad = next(t for t in caption if not 0 <= t < vocab)
+        raise ValueError(f"scene {sid!r}: caption token {bad} outside [0, {vocab})")
+    return sid
+
+
+def _corpus(ids: list, features: list, captions: list, objects: list, positions: list) -> Corpus:
+    """The arrays of checked scene lists, one entry per scene."""
+    n, v_obj = len(ids), len(features[0]) if features else 0
+    lengths = np.fromiter(map(len, captions), dtype=np.int64, count=n)
+    padded = np.zeros((n, int(lengths.max(initial=0))), dtype=np.int64)
+    within = np.arange(padded.shape[1]) < lengths[:, None]
+    padded[within] = np.fromiter(chain.from_iterable(captions), dtype=np.int64, count=int(lengths.sum()))
+
+    def mask(lists: list, width: int) -> np.ndarray:
+        out = np.zeros((n, width), dtype=bool)
+        rows = np.repeat(np.arange(n), [len(x) for x in lists])
+        out[rows, np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(rows))] = True
+        return out
+
+    return Corpus(
+        scene_ids=np.array(ids, dtype=object),
+        features=np.array(features, dtype=np.float64).reshape(n, v_obj),
+        captions=padded,
+        lengths=lengths,
+        truth=mask(objects, v_obj),
+        inserted=mask(positions, padded.shape[1]),
+    )
+
+
+def read_corpus(path: str | os.PathLike) -> Corpus:
+    """The scenes of a JSON-lines corpus, as arrays.
+
+    A malformed line, a record that fails a scene's checks, a repeated
     scene_id or a feature whose length differs from the first scene's
     raises ValueError naming the file and the line.
     """
     where = os.fspath(path)
-    scenes = []
     first_line: dict[str, int] = {}
+    features, captions, objects, positions = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip() == "":
@@ -368,18 +425,20 @@ def read_corpus(path: str | os.PathLike) -> list[SyntheticScene]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{where}:{lineno}: invalid JSON: {exc.msg}") from exc
             try:
-                scene = SyntheticScene.from_record(record)
+                sid = _check_record(record)
             except (OverflowError, ValueError) as exc:
-                # an integer feature too large for a float overflows
                 raise ValueError(f"{where}:{lineno}: {exc}") from exc
-            sid = scene.scene_id
             if sid in first_line:
                 raise ValueError(f"{where}:{lineno}: duplicate scene_id {sid!r} (first on line {first_line[sid]})")
-            if scenes and len(scene.feature) != len(scenes[0].feature):
+            feature = record["feature"]
+            if features and len(feature) != len(features[0]):
                 raise ValueError(
-                    f"{where}:{lineno}: feature has {len(scene.feature)} values, "
-                    f"the first scene's has {len(scenes[0].feature)}"
+                    f"{where}:{lineno}: feature has {len(feature)} values, "
+                    f"the first scene's has {len(features[0])}"
                 )
             first_line[sid] = lineno
-            scenes.append(scene)
-    return scenes
+            features.append(feature)
+            captions.append(record["caption"])
+            objects.append(record["true_objects"])
+            positions.append(record["hallucinated_positions"])
+    return _corpus(list(first_line), features, captions, objects, positions)

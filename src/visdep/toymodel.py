@@ -310,6 +310,11 @@ def _output_layer(p: ModelParams, hs: np.ndarray, ids: np.ndarray):
     """
     logits = hs @ p.w_out
     logits += p.b_out
+    return _softmax_at(logits, ids)
+
+
+def _softmax_at(logits: np.ndarray, ids: np.ndarray):
+    """``_output_layer`` from the (t, B, vocab) logits on, which it overwrites."""
     logits -= logits.max(axis=2, keepdims=True)
     pick = ids[:, :, None]
     target_logits = np.take_along_axis(logits, pick, axis=2)[:, :, 0]
@@ -425,8 +430,12 @@ def _loss_and_grads(
     dxs = da[:, 2] @ p.w_xc.T
     dxs += da[:, 1] @ p.w_xr.T
     dxs += da[:, 0] @ p.w_xz.T
-    # One scatter-add, its rows in the order of one add per step, last step first.
-    np.add.at(g.emb, fwd.inputs.T[::-1].ravel(), dxs[:0:-1].reshape(-1, p.d_emb))
+    # One scatter-add, its rows in the order of one add per step, last step first:
+    # bincount sums each entry from 0.0 in input order, as np.add.at would.
+    slots = fwd.inputs.T[::-1].reshape(-1, 1) * p.d_emb + np.arange(p.d_emb)
+    g.emb[...] = np.bincount(
+        slots.ravel(), weights=dxs[:0:-1].ravel(), minlength=g.emb.size
+    ).reshape(g.emb.shape)
     g.cond += _normalized_conditions(conditions).T @ (dxs[0] * (1.0 - xs[0] * xs[0]))
     return loss, g
 
@@ -521,12 +530,20 @@ def noised_dependence(
     return p_noisy, dependence_array(p_clean, p_noisy)
 
 
-def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) -> list[tuple[int, ...]]:
-    """Greedy decode for a batch of conditions, BOS through EOS or max_len.
+def generate_batch(
+    p: ModelParams, conditions: np.ndarray, max_len: int = 40
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy decode for a batch of conditions: after BOS, up to EOS or ``max_len`` tokens in all.
 
-    Each step runs only the rows that have not yet emitted EOS, and never
-    fewer than two while the batch has two: a row that is done stays in as
-    padding, since a lone row's matmuls round differently.
+    Returns ``(tokens, lengths, probs)``: the (n, T) emitted tokens, how
+    many each row emitted, and the (n, T) probability the model gave each
+    emitted token, both arrays zero past each length.  Each probability is
+    computed as ``_output_layer`` computes it, so it has the bits
+    ``teacher_forced_probs`` gives the decoded tokens; the token is the
+    argmax of the unshifted logits.  Each step runs only the rows that have
+    not yet emitted EOS, and never fewer than two while the batch has two:
+    a row that is done stays in as padding, since a lone row's matmuls
+    round differently.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
@@ -534,15 +551,20 @@ def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) ->
     b = conditions.shape[0]
     gates = _gates(p)
     h = _cell_forward(gates, np.zeros((b, p.d_hid)), _cond_embed(p, conditions))
-    tokens = np.full((b, max_len), synth.BOS_ID, dtype=np.int64)
-    lengths = np.full(b, max_len)
+    tokens = np.zeros((b, max_len - 1), dtype=np.int64)
+    probs = np.zeros((b, max_len - 1))
+    lengths = np.full(b, max_len - 1)
     rows = np.arange(b)  # batch row -> input row
     live = np.ones(b, dtype=bool)
-    current = tokens[:, 0]
-    for step in range(1, max_len):
+    current = np.full(b, synth.BOS_ID, dtype=np.int64)
+    for step in range(max_len - 1):
         h = _cell_forward(gates, h, p.emb[current])
-        current = (h @ p.w_out + p.b_out).argmax(axis=1)
-        tokens[rows, step] = current  # a padding row writes past its length, which is cut off
+        logits = h[None] @ p.w_out
+        logits += p.b_out
+        current = logits[0].argmax(axis=1)
+        _, step_p, _ = _softmax_at(logits, current[None])
+        # a padding row writes past its length, which is cleared below
+        tokens[rows, step], probs[rows, step] = current, step_p[0]
         ended = live & (current == synth.EOS_ID)
         if not ended.any():
             continue
@@ -554,12 +576,18 @@ def generate_batch(p: ModelParams, conditions: np.ndarray, max_len: int = 40) ->
         if keep.sum() == 1 and keep.size > 1:
             keep[np.flatnonzero(~keep)[0]] = True
         h, rows, live, current = h[keep], rows[keep], live[keep], current[keep]
-    return [tuple(tokens[i, :n].tolist()) for i, n in enumerate(lengths.tolist())]
+    width = int(lengths.max(initial=0))
+    past = np.arange(width) >= lengths[:, None]
+    tokens, probs = tokens[:, :width], probs[:, :width]
+    tokens[past] = 0
+    probs[past] = 0.0
+    return tokens, lengths, probs
 
 
 def generate(p: ModelParams, condition, max_len: int = 40) -> tuple[int, ...]:
-    """Greedy decode for a single condition vector."""
-    return generate_batch(p, np.asarray(condition, dtype=np.float64)[None, :], max_len)[0]
+    """Greedy decode for a single condition vector, BOS included."""
+    tokens, lengths, _ = generate_batch(p, np.asarray(condition, dtype=np.float64)[None, :], max_len)
+    return (synth.BOS_ID, *tokens[0, : lengths[0]].tolist())
 
 
 @dataclass(frozen=True)
@@ -652,8 +680,8 @@ def _class_means(weights: np.ndarray, d: np.ndarray, mask: np.ndarray) -> dict[T
     return means
 
 
-def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRecord]]:
-    """Train on synthetic scenes; deterministic in ``(scenes, cfg)``.
+def train(corpus: synth.Corpus, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRecord]]:
+    """Train on a corpus's captions; deterministic in ``(corpus, cfg)``.
 
     Every batch runs a clean teacher-forced pass.  Once
     ``reweighting_active`` holds (never in vanilla mode, otherwise from
@@ -674,15 +702,15 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
     reads the trajectory: the steps, the losses and the log are those of
     the plain run, and a one-step run returns its only iterate.
     """
-    if not scenes:
+    if not len(corpus):
         raise ValueError("cannot train on an empty corpus")
-    v_obj = len(scenes[0].feature)
+    v_obj = corpus.features.shape[1]
     vocab = synth.vocab_size(v_obj)
     params = init_params(vocab, v_obj, seed=derive_seed(cfg.seed, "init"), d_emb=cfg.d_emb, d_hid=cfg.d_hid)
     opt = _Adam(params, cfg.learning_rate)
 
-    n = len(scenes)
-    all_features = np.array([s.feature for s in scenes])
+    n = len(corpus)
+    all_targets = corpus.targets()
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     average_from = total_steps // 2
@@ -694,14 +722,13 @@ def train(scenes: list, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogRec
         order = rng_for(cfg.seed, "shuffle", epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = [scenes[int(i)] for i in idx]
-            features = all_features[idx]
-            targets = [list(s.caption[1:]) for s in batch]
+            features = corpus.features[idx]
+            targets = [all_targets[i] for i in idx]
 
             if reweighting_active(cfg.reweight, global_step / total_steps):
-                seeds = [derive_seed(cfg.seed, "noise", global_step, s.scene_id) for s in batch]
+                seeds = [derive_seed(cfg.seed, "noise", global_step, sid) for sid in corpus.scene_ids[idx]]
                 noisy = _noised_conditions(features, seeds, cfg.noise_step)
-                b = len(batch)
+                b = len(idx)
                 if b > 1:  # in a batch of two or more rows, no row's bits depend on the others
                     both = _forward_batch(params, np.concatenate([features, noisy]), targets * 2)
                     fwd, p_noisy = both.head(b), both.target_p[b:]

@@ -20,6 +20,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 FORMAT_NAME = "visdep-trace"
 FORMAT_VERSION = 1
 
@@ -137,20 +139,84 @@ class TraceFile:
     def __len__(self) -> int:
         return len(self.traces)
 
+    def records(self):
+        return (tr.to_record() for tr in self.traces)
+
+
+@dataclass(frozen=True, eq=False)
+class TraceArrays:
+    """Traces as padded arrays, row ``i`` one trace: what ``write_traces`` writes
+    without a TokenTrace per row.
+
+    Construction checks every row's ids, tokens and probabilities as
+    TokenTrace and TraceFile check them, once over the arrays; entries past
+    each row's length are ignored.
+    """
+
+    noise_step: int
+    sample_ids: np.ndarray   # (n,) str
+    tokens: np.ndarray       # (n, T) int
+    lengths: np.ndarray      # (n,) in [1, T]
+    surfaces: np.ndarray     # (n, T) str
+    p_clean: np.ndarray      # (n, T)
+    p_noisy: np.ndarray      # (n, T)
+    ends_at_eos: np.ndarray  # (n,) bool: the last token is EOS, recorded as ``eos_index``
+    generator: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for sid in self.sample_ids:
+            _require(isinstance(sid, str) and sid != "", "sample_id must be a non-empty string")
+            _require(sid not in seen, f"duplicate sample_id {sid!r}")
+            seen.add(sid)
+        width = self.tokens.shape[1]
+        _require(np.all((self.lengths >= 1) & (self.lengths <= width)), "every trace needs a token")
+        within = np.arange(width) < self.lengths[:, None]
+        for name, ok, what in (
+            ("tokens", self.tokens >= 0, "is not a non-negative integer"),
+            ("p_clean", (self.p_clean >= 0.0) & (self.p_clean <= 1.0), "outside [0, 1]"),
+            ("p_noisy", (self.p_noisy >= 0.0) & (self.p_noisy <= 1.0), "outside [0, 1]"),
+        ):
+            bad = within & ~ok
+            if bad.any():
+                i, t = np.argwhere(bad)[0]
+                value = getattr(self, name)[i, t].item()
+                raise TraceError(f"trace {self.sample_ids[i]!r}: {name}[{t}] = {value!r} {what}")
+
+    def records(self):
+        rows = zip(
+            self.sample_ids,
+            self.lengths.tolist(),
+            self.tokens.tolist(),
+            self.surfaces.tolist(),
+            self.p_clean.tolist(),
+            self.p_noisy.tolist(),
+            self.ends_at_eos.tolist(),
+        )
+        for sid, n, tokens, surfaces, clean, noisy, eos in rows:
+            yield {
+                "sample_id": sid,
+                "tokens": tokens[:n],
+                "surfaces": surfaces[:n],
+                "p_clean": clean[:n],
+                "p_noisy": noisy[:n],
+                "eos_index": n - 1 if eos else None,
+            }
+
 
 def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def write_traces(trace_file: TraceFile, path: str | os.PathLike) -> None:
-    """Serialize to JSON-lines; identical inputs produce identical bytes."""
+def write_traces(trace_file: TraceFile | TraceArrays, path: str | os.PathLike) -> None:
+    """Serialize to JSON-lines; identical traces produce identical bytes in either form."""
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "noise_step": trace_file.noise_step}
     if trace_file.generator:
         header["generator"] = trace_file.generator
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dumps(header) + "\n")
-        for tr in trace_file.traces:
-            fh.write(_dumps(tr.to_record()) + "\n")
+        for record in trace_file.records():
+            fh.write(_dumps(record) + "\n")
 
 
 def read_traces(path: str | os.PathLike) -> TraceFile:

@@ -26,7 +26,7 @@ from visdep.dependence import (
 from visdep.filtering import FilterStrategy, apply_filter, save_manifest, score_corpus
 from visdep.halleval import evaluate
 from visdep.reweight import LossMode, ReweightConfig, normalize_weights
-from visdep.synth import CorpusConfig, generate_corpus, train_test_split, write_corpus
+from visdep.synth import Corpus, CorpusConfig, generate_corpus, train_test_split, write_corpus
 from visdep.toymodel import TrainConfig, init_params, pad_targets, save_params, sequence_loss, train
 from visdep.trace import write_traces
 
@@ -74,7 +74,7 @@ def _protocol_config(mode: LossMode, seed: int = TRAIN_SEED) -> TrainConfig:
 @pytest.fixture(scope="session")
 def protocol_corpus():
     scenes = generate_corpus(CorpusConfig(num_scenes=CORPUS_SIZE, seed=CORPUS_SEED))
-    return train_test_split(scenes, TEST_FRACTION, seed=CORPUS_SEED)
+    return train_test_split(Corpus.from_scenes(scenes), TEST_FRACTION, seed=CORPUS_SEED)
 
 
 def _train_and_eval(protocol_corpus, mode: LossMode) -> Bundle:
@@ -100,9 +100,9 @@ def wpos_bundle(protocol_corpus):
     return _train_and_eval(protocol_corpus, LossMode.EMPHASIZE_POSITIVE)
 
 
-def _insertion_share(scenes) -> float:
+def _insertion_share(corpus: Corpus) -> float:
     """Share of captions that carry at least one labelled hallucinated insertion."""
-    return sum(bool(s.hallucinated_positions) for s in scenes) / len(scenes)
+    return float(corpus.inserted.any(axis=1).mean())
 
 
 @pytest.fixture(scope="session")
@@ -122,9 +122,9 @@ def filter_runs(protocol_corpus, mle_bundle):
         arms = {"mle": base_report}
         for strategy in (FilterStrategy.REMOVE_HIGHEST, FilterStrategy.REMOVE_LOWEST):
             manifest = apply_filter(scores, strategy, FILTER_FRACTION, seed=EVAL_SEED)
-            kept = set(manifest.kept)
-            subset = [s for s in train_scenes if s.scene_id in kept]
-            removed = [s for s in train_scenes if s.scene_id not in kept]
+            kept_ids = set(manifest.kept)
+            kept = np.array([sid in kept_ids for sid in train_scenes.scene_ids])
+            subset, removed = train_scenes.take(kept), train_scenes.take(~kept)
             params, _ = train(subset, _protocol_config(LossMode.VANILLA, seed))
             _, report, _, _ = run_eval(params, test_scenes, NOISE_STEP, EVAL_SEED, MAX_LEN)
             arms[strategy] = FilterArm(report, _insertion_share(removed))
@@ -251,7 +251,7 @@ def test_c04_analytic_gradients_match_finite_differences():
 
 def test_c05_gated_reweighting_is_bit_identical_before_activation():
     """start_fraction=1.0 never activates, so the run must equal vanilla."""
-    scenes = generate_corpus(CorpusConfig(num_scenes=200, seed=CORPUS_SEED))
+    scenes = Corpus.from_scenes(generate_corpus(CorpusConfig(num_scenes=200, seed=CORPUS_SEED)))
     base = dict(epochs=1, batch_size=16, learning_rate=0.01, seed=5, noise_step=NOISE_STEP)
     vanilla, v_log = train(
         scenes, TrainConfig(reweight=ReweightConfig(mode=LossMode.VANILLA), **base)
@@ -394,11 +394,12 @@ def test_c11_artifacts_are_byte_identical_on_rerun(tmp_path):
     for run in ("a", "b"):
         scenes = generate_corpus(cfg)
         write_corpus(scenes, tmp_path / f"corpus-{run}.jsonl")
-        params, _ = train(scenes, train_cfg)
+        corpus = Corpus.from_scenes(scenes)
+        params, _ = train(corpus, train_cfg)
         save_params(params, tmp_path / f"ckpt-{run}.json")
-        tf, _, _, _ = run_eval(params, scenes[:40], NOISE_STEP, EVAL_SEED, MAX_LEN)
+        tf, _, _, _ = run_eval(params, corpus.take(np.arange(40)), NOISE_STEP, EVAL_SEED, MAX_LEN)
         write_traces(tf, tmp_path / f"traces-{run}.jsonl")
-        scores = score_corpus(scenes, params, noise_step=NOISE_STEP, seed=EVAL_SEED)
+        scores = score_corpus(corpus, params, noise_step=NOISE_STEP, seed=EVAL_SEED)
         manifest = apply_filter(scores, FilterStrategy.REMOVE_HIGHEST, 0.1, seed=EVAL_SEED)
         save_manifest(manifest, tmp_path / f"manifest-{run}.json")
         outputs.append(

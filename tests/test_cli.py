@@ -155,6 +155,35 @@ class TestEval:
             ).read_bytes()
 
 
+class TestTeacherForcedPasses:
+    """``eval`` takes its clean probabilities from the decode, so its one
+    teacher-forced pass is the noised one; ``filter`` runs a clean and a
+    noised pass over the training half."""
+
+    @pytest.mark.parametrize("stage,rows", [("eval", [16]), ("filter", [64, 64])])
+    def test_counts_the_passes(self, pipeline, tmp_path, monkeypatch, stage, rows):
+        import visdep.cli as cli
+        import visdep.filtering as filtering
+
+        real, calls = toymodel.teacher_forced_probs, []
+
+        def counting(params, conditions, targets):
+            calls.append(len(targets))
+            return real(params, conditions, targets)
+
+        for module in (toymodel, filtering, cli):
+            monkeypatch.setattr(module, "teacher_forced_probs", counting)
+        extra = ["--strategy", "lowest", "--frac", 0.25] if stage == "filter" else []
+        code = run_cli(
+            stage, "--corpus", pipeline / "data" / "corpus.jsonl", "--ckpt", pipeline / "mle" / "ckpt.json",
+            *extra, "--seed", 7, "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert calls == rows
+        if stage == "eval":
+            assert (tmp_path / "traces.jsonl").read_bytes() == (pipeline / "eval" / "traces.jsonl").read_bytes()
+
+
 class TestSplitSeed:
     """Every stage splits with --split-seed, whatever its --seed."""
 
@@ -165,9 +194,9 @@ class TestSplitSeed:
         trained_on = []
         real_train = cli.train
 
-        def recording_train(scenes, cfg):
-            trained_on.extend(s.scene_id for s in scenes)
-            return real_train(scenes, cfg)
+        def recording_train(corpus, cfg):
+            trained_on.extend(corpus.scene_ids)
+            return real_train(corpus, cfg)
 
         monkeypatch.setattr(cli, "train", recording_train)
         assert (

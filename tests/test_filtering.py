@@ -19,7 +19,7 @@ from visdep.filtering import (
     score_corpus,
 )
 from visdep.seeding import derive_seed
-from visdep.synth import CorpusConfig, generate_corpus
+from visdep.synth import Corpus, CorpusConfig, generate_corpus
 from visdep.toymodel import TrainConfig, init_params, teacher_forced_probs, train
 from visdep.trace import TokenTrace
 
@@ -31,7 +31,7 @@ def scored_setup():
     v_obj = len(scenes[0].feature)
     fresh = init_params(synth.vocab_size(v_obj), v_obj, seed=0)
     trained, _ = train(
-        scenes, TrainConfig(epochs=2, batch_size=16, learning_rate=0.015, seed=42)
+        Corpus.from_scenes(scenes), TrainConfig(epochs=2, batch_size=16, learning_rate=0.015, seed=42)
     )
     return scenes, fresh, trained
 
@@ -188,7 +188,7 @@ class TestScoreCorpus:
         """With no corruption both passes see the same vector, so every
         per-token difference — and hence every sum — is exactly zero."""
         scenes, fresh, _ = scored_setup
-        scores = score_corpus(scenes[:10], fresh, noise_step=0)
+        scores = score_corpus(Corpus.from_scenes(scenes[:10]), fresh, noise_step=0)
         assert set(scores) == {s.scene_id for s in scenes[:10]}
         assert all(v == 0.0 for v in scores.values())
 
@@ -198,7 +198,7 @@ class TestScoreCorpus:
         scenes, _, trained = scored_setup
         subset = scenes[:12]
         noise_step, seed = 900, 42
-        scores = score_corpus(subset, trained, noise_step=noise_step, seed=seed)
+        scores = score_corpus(Corpus.from_scenes(subset), trained, noise_step=noise_step, seed=seed)
         schedule = make_schedule()
         for scene in subset:
             target = scene.caption[1:]
@@ -230,7 +230,7 @@ class TestScoreCorpus:
         _, _, trained = scored_setup
         scenes = generate_corpus(CorpusConfig(num_scenes=300, seed=5))
         noise_step, seed = 900, 3
-        scores = score_corpus(scenes, trained, noise_step=noise_step, seed=seed)
+        scores = score_corpus(Corpus.from_scenes(scenes), trained, noise_step=noise_step, seed=seed)
         schedule = make_schedule()
         targets = [list(s.caption[1:]) for s in scenes]
         clean = teacher_forced_probs(trained, np.array([s.feature for s in scenes]), targets)
@@ -271,24 +271,24 @@ class TestScoreCorpus:
         # the noised pass runs inside toymodel.noised_dependence
         monkeypatch.setattr(toymodel, "teacher_forced_probs", corrupted)
         with pytest.raises(ValueError, match="outside"):
-            score_corpus(scenes[:10], fresh)
+            score_corpus(Corpus.from_scenes(scenes[:10]), fresh)
         assert calls == [10]
 
     def test_deterministic(self, scored_setup):
         scenes, _, trained = scored_setup
-        a = score_corpus(scenes[:20], trained)
-        b = score_corpus(scenes[:20], trained)
+        a = score_corpus(Corpus.from_scenes(scenes[:20]), trained)
+        b = score_corpus(Corpus.from_scenes(scenes[:20]), trained)
         assert a == b
 
     def test_trained_model_scores_skew_positive(self, scored_setup):
         """A model that has learned the image-caption link loses more
         probability than it gains when the image is noised away."""
         scenes, _, trained = scored_setup
-        values = np.array(list(score_corpus(scenes, trained).values()))
+        values = np.array(list(score_corpus(Corpus.from_scenes(scenes), trained).values()))
         assert np.mean(values > 0.0) > 0.5
         assert values.mean() > 0.0
 
     def test_rejects_empty_corpus(self, scored_setup):
         _, fresh, _ = scored_setup
         with pytest.raises(ValueError):
-            score_corpus([], fresh)
+            score_corpus(Corpus.from_scenes([]), fresh)

@@ -13,10 +13,10 @@ from visdep.synth import (
     MAX_OBJECTS,
     MIN_OBJECTS,
     OBJECT_BASE,
+    Corpus,
     CorpusConfig,
     SyntheticScene,
     build_caption,
-    expected_hallucination_fraction,
     generate_corpus,
     groundable_objects,
     object_token,
@@ -33,6 +33,44 @@ from visdep.seeding import rng_for
 
 def small_corpus(n=300, **overrides):
     return generate_corpus(CorpusConfig(num_scenes=n, seed=42, **overrides))
+
+
+def expected_hallucination_fraction(cfg: CorpusConfig) -> float:
+    """Analytic expected share of hallucinated mentions among all mentions.
+
+    Object sets are uniform k-subsets of the groundable objects, so a
+    given trigger is present with probability k/n; its pair then fires
+    independently with probability p * rate.  Averaging over k uniform on
+    {3..6} gives the expected insertions per scene, and each insertion
+    adds exactly one mention.
+    """
+    groundable = set(groundable_objects(cfg))
+    ks = list(range(MIN_OBJECTS, MAX_OBJECTS + 1))
+    mean_k = sum(ks) / len(ks)
+    p_present = mean_k / len(groundable)
+    expected_ins = sum(
+        p * cfg.hallucination_rate * p_present
+        for a, _, p in cfg.bias_pairs
+        if a in groundable
+    )
+    return expected_ins / (mean_k + expected_ins)
+
+
+def assert_corpus_matches(corpus: Corpus, scenes: list) -> None:
+    """``corpus`` holds exactly ``scenes``, row for row, as arrays."""
+    assert len(corpus) == len(scenes)
+    assert corpus.scene_ids.tolist() == [s.scene_id for s in scenes]
+    assert all(type(sid) is str for sid in corpus.scene_ids)
+    assert corpus.features.dtype == np.float64
+    assert corpus.features.tolist() == [list(s.feature) for s in scenes]
+    assert corpus.lengths.tolist() == [len(s.caption) for s in scenes]
+    assert corpus.captions.shape[1] >= max(len(s.caption) for s in scenes)
+    for i, s in enumerate(scenes):
+        n = len(s.caption)
+        assert corpus.captions[i, :n].tolist() == list(s.caption) and not corpus.captions[i, n:].any()
+        assert np.flatnonzero(corpus.truth[i]).tolist() == sorted(set(s.true_objects))
+        assert np.flatnonzero(corpus.inserted[i]).tolist() == sorted(set(s.hallucinated_positions))
+        assert corpus.targets()[i].tolist() == list(s.caption[1:])
 
 
 class TestTokenMapping:
@@ -211,7 +249,12 @@ class TestDeterminism:
         scenes = small_corpus(40)
         path = tmp_path / "corpus.jsonl"
         write_corpus(scenes, path)
-        assert read_corpus(path) == scenes
+        corpus = read_corpus(path)
+        assert_corpus_matches(corpus, scenes)
+        built = Corpus.from_scenes(scenes)
+        assert_corpus_matches(built, scenes)
+        for a, b in zip(vars(corpus).values(), vars(built).values()):
+            assert a.dtype == b.dtype and a.shape == b.shape
 
     def test_read_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -222,12 +265,12 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda r: {**r, "true_objects": 5}, ""),
-            (lambda r: {**r, "feature": None}, ""),
-            (lambda r: {**r, "feature": [None] * len(r["feature"])}, ""),
-            (lambda r: {**r, "scene_id": 5}, ""),
-            (lambda r: {k: v for k, v in r.items() if k != "caption"}, ""),
-            (lambda r: [1, 2], ""),
+            (lambda r: {**r, "true_objects": 5}, "scene 'scene-000001': true_objects must be a list"),
+            (lambda r: {**r, "feature": None}, "scene 'scene-000001': feature must be a list"),
+            (lambda r: {**r, "feature": [None] * len(r["feature"])}, ".*feature holds None, not a number"),
+            (lambda r: {**r, "scene_id": 5}, "scene_id must be a non-empty string"),
+            (lambda r: {k: v for k, v in r.items() if k != "caption"}, ".*caption must be a list"),
+            (lambda r: [1, 2], "scene record must be a JSON object"),
             (lambda r: {**r, "true_objects": [99]}, r".*object id 99 outside \[0, 40\)"),
             (lambda r: {**r, "true_objects": [-1]}, r".*object id -1 outside \[0, 40\)"),
             (lambda r: {**r, "feature": r["feature"][:-1]}, "feature has 39 values, the first scene's has 40"),
@@ -242,12 +285,20 @@ class TestDeterminism:
             (lambda r: {**r, "feature": [10**400] + r["feature"][1:]}, "int too large"),
             (lambda r: {**r, "caption_surfaces": [0] + r["caption_surfaces"][1:]}, ".*caption_surfaces holds 0, not a string"),
             (lambda r: {**r, "hallucinated_positions": [1.9]}, ".*hallucinated_positions holds 1.9, not an integer"),
+            (lambda r: {**r, "scene_id": ""}, "scene_id must be a non-empty string"),
+            (lambda r: {**r, "caption_surfaces": r["caption_surfaces"][:-1]}, ".*caption/surface length mismatch"),
+            (lambda r: {**r, "hallucinated_positions": [len(r["caption"])]}, ".*hallucinated position \\d+ out of range"),
+            (lambda r: {**r, "caption": r["caption"][:-1] + [53]}, r".*caption token 53 outside \[0, 53\)"),
+            (lambda r: {**r, "caption": [-1] + r["caption"][1:]}, r".*caption token -1 outside \[0, 53\)"),
+            (lambda r: {**r, "caption": [10**30] + r["caption"][1:]}, r".*caption token 10{30} outside \[0, 53\)"),
         ],
         ids=[
             "objects-int", "feature-null", "feature-null-element", "id-int", "no-caption", "not-an-object",
             "object-id-outside-feature", "negative-object-id", "short-feature", "long-feature",
             "float-object-id", "boolean-object-id", "string-token", "string-feature", "boolean-feature",
             "nan-feature", "infinite-feature", "huge-integer-feature", "integer-surface", "float-position",
+            "empty-id", "surface-count", "position-past-caption", "token-past-vocabulary", "negative-token",
+            "huge-token",
         ],
     )
     def test_read_rejects_a_malformed_record_with_its_line(self, tmp_path, edit, message):
@@ -270,46 +321,55 @@ class TestDeterminism:
 class TestTrainTestSplit:
     def test_split_sizes_and_disjointness(self):
         scenes = small_corpus(100)
-        train, test = train_test_split(scenes, 0.2, seed=42)
+        train, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
         assert len(train) == 80
         assert len(test) == 20
-        train_ids = {s.scene_id for s in train}
-        test_ids = {s.scene_id for s in test}
+        train_ids = set(train.scene_ids)
+        test_ids = set(test.scene_ids)
         assert train_ids.isdisjoint(test_ids)
         assert train_ids | test_ids == {s.scene_id for s in scenes}
 
     def test_same_seed_same_split(self):
-        scenes = small_corpus(100)
-        assert train_test_split(scenes, 0.2, 7) == train_test_split(scenes, 0.2, 7)
+        corpus = Corpus.from_scenes(small_corpus(100))
+        a, b = train_test_split(corpus, 0.2, 7), train_test_split(corpus, 0.2, 7)
+        for half_a, half_b in zip(a, b):
+            assert half_a.scene_ids.tolist() == half_b.scene_ids.tolist()
 
     def test_halves_are_the_input_scenes_in_corpus_order(self):
         scenes = small_corpus(100)
-        train, test = train_test_split(scenes, 0.2, seed=42)
-        held_out = {s.scene_id for s in test}
+        train, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
+        held_out = set(test.scene_ids)
         for half, expected in (
             (train, [s for s in scenes if s.scene_id not in held_out]),
             (test, [s for s in scenes if s.scene_id in held_out]),
         ):
-            assert len(half) == len(expected)
-            assert all(a is b for a, b in zip(half, expected))
+            assert_corpus_matches(half, expected)
 
     def test_test_scenes_keep_objects_and_features(self):
         scenes = small_corpus(100)
-        _, test = train_test_split(scenes, 0.2, seed=42)
+        _, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
         by_id = {s.scene_id: s for s in scenes}
-        for scene in test:
-            original = by_id[scene.scene_id]
-            assert scene.true_objects == original.true_objects
-            assert scene.feature == original.feature
+        for sid, truth, feature in zip(test.scene_ids, test.truth, test.features):
+            original = by_id[sid]
+            assert np.flatnonzero(truth).tolist() == list(original.true_objects)
+            assert tuple(feature.tolist()) == original.feature
+
+    def test_held_out_rows_are_the_seeded_permutation(self):
+        """The parent's split of a scene list, kept by index: the first
+        round(0.2 n) entries of the seeded permutation are held out."""
+        scenes = small_corpus(100)
+        _, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
+        held_out = sorted(rng_for(42, "split").permutation(100)[:20].tolist())
+        assert test.scene_ids.tolist() == [scenes[i].scene_id for i in held_out]
 
     def test_rejects_degenerate_fractions(self):
-        scenes = small_corpus(10)
+        corpus = Corpus.from_scenes(small_corpus(10))
         with pytest.raises(ValueError):
-            train_test_split(scenes, 0.0, seed=42)
+            train_test_split(corpus, 0.0, seed=42)
         with pytest.raises(ValueError):
-            train_test_split(scenes, 1.0, seed=42)
+            train_test_split(corpus, 1.0, seed=42)
         with pytest.raises(ValueError):
-            train_test_split(scenes, 0.01, seed=42)
+            train_test_split(corpus, 0.01, seed=42)
 
 
 class TestBuildCaption:

@@ -12,7 +12,7 @@ from visdep.dependence import CLASS_BY_CODE, classify_array, dependence_array, p
 from visdep.diffusion import make_schedule, corrupt
 from visdep.reweight import LossMode, ReweightConfig, training_weights
 from visdep.seeding import derive_seed, rng_for
-from visdep.synth import BOS_ID, EOS_ID, CorpusConfig, generate_corpus, object_token, token_object
+from visdep.synth import BOS_ID, EOS_ID, Corpus, CorpusConfig, generate_corpus, object_token, token_object
 from visdep.toymodel import (
     SCORE_BLOCK_ROWS,
     ModelParams,
@@ -55,7 +55,7 @@ def small_condition(seed=0):
 
 @pytest.fixture(scope="module")
 def tiny_corpus():
-    return generate_corpus(CorpusConfig(num_scenes=160, seed=42))
+    return Corpus.from_scenes(generate_corpus(CorpusConfig(num_scenes=160, seed=42)))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def trained_run():
     """A model trained long enough to caption scenes it was shown."""
     scenes = generate_corpus(CorpusConfig(num_scenes=1000, seed=42))
     cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.015, seed=42)
-    return scenes, train(scenes, cfg)
+    return scenes, train(Corpus.from_scenes(scenes), cfg)
 
 
 class TestForward:
@@ -503,7 +503,7 @@ class TestGenerate:
         p = small_params(3)
         rng = np.random.default_rng(42)
         conds = rng.normal(0.0, 1.0, (5, V_OBJ_SMALL))
-        batch = generate_batch(p, conds, max_len=20)
+        batch = _sequences(*generate_batch(p, conds, max_len=20)[:2])
         singles = [generate(p, conds[i], max_len=20) for i in range(5)]
         assert batch == singles
 
@@ -515,6 +515,11 @@ class TestGenerate:
         p = small_params()
         for max_len in (2, 5, 9):
             assert len(generate(p, small_condition(), max_len=max_len)) <= max_len
+
+
+def _sequences(tokens, lengths):
+    """Each decoded row as a tuple, BOS through its last emitted token."""
+    return [(BOS_ID, *row[:n]) for row, n in zip(tokens.tolist(), lengths.tolist())]
 
 
 def _ref_generate_batch(p, conditions, max_len):
@@ -577,14 +582,51 @@ class TestLiveRowDecodeMatchesReference:
             return h_new
 
         monkeypatch.setattr(toymodel, "_cell_forward", recording)
-        got = generate_batch(p, conds, max_len=max_len)
-        assert got == want
+        tokens, lengths, probs = generate_batch(p, conds, max_len=max_len)
+        assert _sequences(tokens, lengths) == want
+        past = np.arange(tokens.shape[1]) >= lengths[:, None]
+        assert tokens.shape == probs.shape and not tokens[past].any() and not probs[past].any()
         assert len(states) == len(ref_states)
         for step in range(1, len(states)):
             live = [i for i, seq in enumerate(want) if len(seq) > step]
             assert len(states[step]) == (min(b, 2) if len(live) < 2 else len(live))
             for i in live:
                 assert any(np.array_equal(row, ref_states[step][i]) for row in states[step]), (step, i)
+
+
+class TestDecodeProbabilities:
+    """The decode keeps each emitted token's probability; it must have the
+    bits that a teacher-forced pass over the decoded responses gives."""
+
+    @staticmethod
+    def _check(p, conds, max_len):
+        tokens, lengths, probs = generate_batch(p, conds, max_len=max_len)
+        targets = [row[:n] for row, n in zip(tokens, lengths.tolist())]
+        np.testing.assert_array_equal(probs, teacher_forced_probs(p, conds, targets))
+        assert probs.shape == (len(conds), lengths.max())
+        return lengths
+
+    @pytest.mark.parametrize("max_len", [30, 40])
+    @pytest.mark.parametrize("run", ["mle_run", "wneg_run", "trained_run"])
+    def test_trained_checkpoints(self, request, tiny_corpus, run, max_len):
+        result = request.getfixturevalue(run)
+        params = (result[1] if run == "trained_run" else result)[0]
+        self._check(params, tiny_corpus.features[:64], max_len)
+
+    @pytest.mark.parametrize("max_len", [30, 40])
+    def test_rows_cut_at_max_len_and_a_row_that_outlives_the_rest(self, max_len):
+        p, conds = _spread_decoder()
+        lengths = self._check(p, conds, max_len)
+        assert lengths[0] == max_len - 1 and (lengths == max_len - 1).sum() > 1  # cut rows
+        assert lengths.min() == 1
+        # row 0 with the two shortest: it decodes on with one finished row as padding
+        lengths = self._check(p, conds[[0, *np.argsort(lengths, kind="stable")[:2]]], max_len)
+        assert lengths[0] == max_len - 1 > 2 * lengths[1:].max()
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_small_batches(self, b):
+        p, conds = _spread_decoder()
+        self._check(p, conds[:b], 40)
 
 
 class TestTrainMechanics:
@@ -675,7 +717,7 @@ class TestTrainMechanics:
         monkeypatch.setattr(toymodel, "_loss_and_grads", loss_and_next_step)
         scenes = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
         gated = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5)
-        _, log = train(scenes, TrainConfig(epochs=2, batch_size=8, seed=11, reweight=gated))
+        _, log = train(Corpus.from_scenes(scenes), TrainConfig(epochs=2, batch_size=8, seed=11, reweight=gated))
         assert len(log) == 6
         assert calls["corrupt"] == [3] * 8 + [4] * 8 + [5] * 8
         assert calls["_forward_batch"] == [(0, 8), (1, 8), (2, 8), (3, 16), (4, 16), (5, 16)]
@@ -684,7 +726,7 @@ class TestTrainMechanics:
         for rows in calls.values():
             rows.clear()
         step[0] = 0
-        train(scenes, TrainConfig(epochs=2, batch_size=8, seed=11))
+        train(Corpus.from_scenes(scenes), TrainConfig(epochs=2, batch_size=8, seed=11))
         assert calls == {"corrupt": [], "teacher_forced_probs": [], "_forward_batch": [(i, 8) for i in range(6)]}
 
     def test_batch_weights_match_the_trace_path(self):
@@ -747,7 +789,7 @@ class TestTrainMechanics:
             seed=11,
             reweight=ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.0),
         )
-        trained_params, log = train(scenes, cfg)
+        trained_params, log = train(Corpus.from_scenes(scenes), cfg)
         assert len(log) == 1
 
         v_obj = len(scenes[0].feature)
@@ -806,7 +848,7 @@ class TestTrainMechanics:
             seed=11,
             reweight=ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5),
         )
-        averaged, log = train(scenes, cfg)
+        averaged, log = train(Corpus.from_scenes(scenes), cfg)
         n_steps = 2 * -(-len(scenes) // batch_size)
         assert len(log) == n_steps
 
@@ -870,16 +912,16 @@ class TestTrainMechanics:
         scenes = generate_corpus(CorpusConfig(num_scenes=32, seed=1))
         cfg = TrainConfig(epochs=1, batch_size=16, seed=1)
         with pytest.raises(TrainingDiverged, match="step 0"):
-            train(scenes, cfg)
+            train(Corpus.from_scenes(scenes), cfg)
 
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
-            train([], TrainConfig())
+            train(Corpus.from_scenes([]), TrainConfig())
 
     def test_rejects_out_of_schedule_noise_step(self):
         scenes = generate_corpus(CorpusConfig(num_scenes=4, seed=1))
         with pytest.raises(ValueError):
-            train(scenes, TrainConfig(noise_step=1001))
+            train(Corpus.from_scenes(scenes), TrainConfig(noise_step=1001))
 
 
 class _RefAdam:

@@ -12,6 +12,7 @@ from visdep.trace import (
     FORMAT_NAME,
     FORMAT_VERSION,
     TokenTrace,
+    TraceArrays,
     TraceError,
     TraceFile,
     read_traces,
@@ -101,6 +102,70 @@ class TestTraceFileValidation:
     def test_len_counts_traces(self):
         tf = TraceFile(noise_step=0, traces=(make_trace("a"), make_trace("b")))
         assert len(tf) == 2
+
+
+def make_arrays(n=6, width=9, seed=3, **overrides):
+    """Random padded traces; past each length every array holds junk, which must be ignored."""
+    rng = np.random.default_rng(seed)
+    fields = dict(
+        noise_step=700,
+        sample_ids=np.array([f"s{i}" for i in range(n)], dtype=object),
+        tokens=rng.integers(0, 60, size=(n, width)),
+        lengths=rng.integers(1, width + 1, size=n),
+        surfaces=np.array([[f"w{j}\u00e9" for j in range(width)]] * n, dtype=object),
+        p_clean=rng.uniform(0, 1, size=(n, width)),
+        p_noisy=rng.uniform(0, 1, size=(n, width)),
+        ends_at_eos=rng.random(n) < 0.5,
+        generator={"source": "test"},
+    )
+    fields["lengths"][0] = width
+    past = np.arange(width) >= fields["lengths"][:, None]
+    fields["tokens"][past] = -5
+    fields["p_clean"][past] = np.nan
+    fields["p_noisy"][past] = 7.0
+    return {**fields, **overrides}
+
+
+class TestTraceArrays:
+    def test_writes_the_bytes_of_the_equal_trace_file(self, tmp_path):
+        arrays = make_arrays()
+        rows = []
+        for i, n in enumerate(arrays["lengths"].tolist()):
+            rows.append(
+                TokenTrace(
+                    sample_id=arrays["sample_ids"][i],
+                    tokens=arrays["tokens"][i, :n].tolist(),
+                    surfaces=arrays["surfaces"][i, :n].tolist(),
+                    p_clean=arrays["p_clean"][i, :n].tolist(),
+                    p_noisy=arrays["p_noisy"][i, :n].tolist(),
+                    eos_index=n - 1 if arrays["ends_at_eos"][i] else None,
+                )
+            )
+        tf = TraceFile(noise_step=700, traces=rows, generator={"source": "test"})
+        write_traces(tf, tmp_path / "file.jsonl")
+        write_traces(TraceArrays(**arrays), tmp_path / "arrays.jsonl")
+        assert (tmp_path / "arrays.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
+        assert read_traces(tmp_path / "arrays.jsonl").traces == tf.traces
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda a: a["p_clean"].__setitem__((2, 0), 1.5), "trace 's2': p_clean\\[0\\] = 1.5 outside \\[0, 1\\]"),
+            (lambda a: a["p_noisy"].__setitem__((0, 8), np.nan), "trace 's0': p_noisy\\[8\\] = nan outside"),
+            (lambda a: a["p_clean"].__setitem__((4, 0), -0.25), "trace 's4': p_clean\\[0\\] = -0.25 outside"),
+            (lambda a: a["tokens"].__setitem__((1, 0), -1), "trace 's1': tokens\\[0\\] = -1 is not a non-negative"),
+            (lambda a: a["sample_ids"].__setitem__(3, "s1"), "duplicate sample_id 's1'"),
+            (lambda a: a["sample_ids"].__setitem__(3, ""), "sample_id must be a non-empty string"),
+            (lambda a: a["lengths"].__setitem__(3, 0), "every trace needs a token"),
+        ],
+        ids=["p-clean-high", "p-noisy-nan", "p-clean-negative", "negative-token", "duplicate-id", "empty-id",
+             "no-token"],
+    )
+    def test_rejects_what_a_token_trace_rejects(self, edit, message):
+        arrays = make_arrays()
+        edit(arrays)
+        with pytest.raises(TraceError, match=message):
+            TraceArrays(**arrays)
 
 
 class TestRoundTrip:
