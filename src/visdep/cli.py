@@ -215,10 +215,10 @@ def cmd_synth(args) -> int:
         sigma_jitter=args.jitter,
         seed=args.seed,
     )
-    scenes = synth.generate_corpus(cfg)
-    synth.write_corpus(scenes, out / CORPUS_FILE)
+    corpus = synth.generate_corpus(cfg)
+    synth.write_corpus(corpus, out / CORPUS_FILE)
     _write_run(out, args)
-    print(f"wrote {out / CORPUS_FILE} ({len(scenes)} scenes)")
+    print(f"wrote {out / CORPUS_FILE} ({len(corpus)} scenes)")
     return EXIT_OK
 
 

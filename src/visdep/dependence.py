@@ -10,8 +10,6 @@ one::
 close to -1 it became more likely once the input was destroyed, and
 around 0 the input made no difference.  Tokens are bucketed into three
 classes with fixed boundaries at +/-0.25.
-
-The array functions are the implementation; the scalar ones wrap them.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ def dependence_array(p_clean, p_noisy) -> np.ndarray:
     if pc.shape != pn.shape:
         raise ValueError("p_clean and p_noisy must have the same shape")
     m = np.maximum(pc, pn)
-    # One check covers both arrays (a NaN survives minimum and maximum), which
-    # keeps the scalar wrapper cheap; on failure, name the offending array.
+    # One check covers both arrays (a NaN survives minimum and maximum); on
+    # failure, name the offending array.
     inside = (np.minimum(pc, pn) >= 0.0) & (m <= 1.0)
     if np.count_nonzero(inside) != inside.size:
         check_range(pc, 0.0, 1.0, "p_clean")
@@ -63,21 +61,11 @@ def dependence_array(p_clean, p_noisy) -> np.ndarray:
     return np.divide(pc - pn, m, out=np.zeros(m.shape), where=m > 0.0)
 
 
-def visual_dependence(p_clean: float, p_noisy: float) -> float:
-    """``dependence_array`` for one probability pair."""
-    return float(dependence_array(p_clean, p_noisy))
-
-
 def classify_array(d) -> np.ndarray:
     """Class codes (indices into ``CLASS_BY_CODE``); boundaries go to the upper class."""
     d = np.asarray(d, dtype=np.float64)
     check_range(d, -1.0, 1.0, "dependence values")
     return (d >= NEGATIVE_THRESHOLD).astype(np.int8) + (d >= POSITIVE_THRESHOLD)
-
-
-def classify(d: float) -> TokenClass:
-    """``classify_array`` for one dependence value."""
-    return CLASS_BY_CODE[int(classify_array(d))]
 
 
 def profile_trace(trace: TokenTrace) -> np.ndarray:

@@ -56,30 +56,13 @@ def raw_weights(d_values, mode: LossMode) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def raw_weight(d: float, mode: LossMode) -> float:
-    """``raw_weights`` for one dependence value."""
-    return float(raw_weights(d, mode))
-
-
-def normalize_weights(raw, tau: float) -> np.ndarray:
-    """Temperature softmax rescaled so the weights sum to the length.
-
-    The max is subtracted before exponentiation, so any finite raw
-    weights are safe.  With ``tau == 0`` (or all-equal raw weights) every
-    weight comes out exactly 1.0.
-    """
-    r = np.asarray(raw, dtype=np.float64)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("raw weights must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("raw weights must be finite")
-    if not math.isfinite(tau) or tau < 0.0:
-        raise ValueError(f"tau must be a finite non-negative real, got {tau}")
-    return _softmax_rows(r[None, :], np.array([r.size]), tau)[0]
-
-
 def _softmax_rows(raw: np.ndarray, lengths: np.ndarray, tau: float) -> np.ndarray:
-    """``normalize_weights`` on each padded (B, T) row over its own length; zero past it."""
+    """Temperature softmax of each padded (B, T) row over its own length, zero past it.
+
+    Each row is rescaled to sum to its length.  The max is subtracted
+    before exponentiation, so any finite raw weights are safe.  With
+    ``tau == 0`` (or all-equal raw weights) every weight comes out exactly 1.0.
+    """
     valid = np.arange(raw.shape[1])[None, :] < lengths[:, None]
     scaled = np.where(valid, tau * raw, -np.inf)
     exps = np.exp(scaled - scaled.max(axis=1, keepdims=True))

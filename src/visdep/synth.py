@@ -87,11 +87,6 @@ def object_token(obj: int) -> int:
     return OBJECT_BASE + obj
 
 
-def token_object(token: int) -> int | None:
-    """Object id for an object token, None for function tokens."""
-    return token - OBJECT_BASE if token >= OBJECT_BASE else None
-
-
 def surface(token: int, vocab_objects: int) -> str:
     if token == BOS_ID:
         return BOS_SURFACE
@@ -162,43 +157,6 @@ _RECORD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class SyntheticScene:
-    scene_id: str
-    true_objects: tuple[int, ...]
-    feature: tuple[float, ...]
-    caption: tuple[int, ...]
-    caption_surfaces: tuple[str, ...]
-    hallucinated_positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "true_objects", tuple(map(int, self.true_objects)))
-        object.__setattr__(self, "feature", tuple(map(float, self.feature)))
-        object.__setattr__(self, "caption", tuple(map(int, self.caption)))
-        object.__setattr__(self, "caption_surfaces", tuple(self.caption_surfaces))
-        object.__setattr__(self, "hallucinated_positions", tuple(map(int, self.hallucinated_positions)))
-        if len(self.caption) != len(self.caption_surfaces):
-            raise ValueError(f"scene {self.scene_id!r}: caption/surface length mismatch")
-        for pos in self.hallucinated_positions:
-            if not 0 <= pos < len(self.caption):
-                raise ValueError(f"scene {self.scene_id!r}: hallucinated position {pos} out of range")
-        for obj in self.true_objects:
-            if not 0 <= obj < len(self.feature):
-                raise ValueError(
-                    f"scene {self.scene_id!r}: object id {obj} outside [0, {len(self.feature)}), the feature length"
-                )
-
-    def to_record(self) -> dict:
-        return {
-            "scene_id": self.scene_id,
-            "true_objects": list(self.true_objects),
-            "feature": list(self.feature),
-            "caption": list(self.caption),
-            "caption_surfaces": list(self.caption_surfaces),
-            "hallucinated_positions": list(self.hallucinated_positions),
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Scenes as arrays, row ``i`` one scene, in corpus order.
@@ -225,17 +183,6 @@ class Corpus:
     def targets(self) -> list[np.ndarray]:
         """Each caption after BOS, cut to its length: the tokens a model predicts."""
         return [row[1:n] for row, n in zip(self.captions, self.lengths.tolist())]
-
-    @classmethod
-    def from_scenes(cls, scenes: list[SyntheticScene]) -> "Corpus":
-        """The arrays of in-memory scenes, such as ``generate_corpus`` returns."""
-        return _corpus(
-            [s.scene_id for s in scenes],
-            [s.feature for s in scenes],
-            [s.caption for s in scenes],
-            [s.true_objects for s in scenes],
-            [s.hallucinated_positions for s in scenes],
-        )
 
 
 def _sample_gap(rng: np.random.Generator) -> list[int]:
@@ -293,27 +240,23 @@ def groundable_objects(cfg: CorpusConfig) -> tuple[int, ...]:
     return tuple(o for o in range(cfg.vocab_objects) if o not in partners)
 
 
-def _make_scene(cfg: CorpusConfig, index: int) -> SyntheticScene:
-    rng = rng_for(cfg.seed, "scene", index)
-    k = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
-    objs = np.sort(rng.choice(groundable_objects(cfg), size=k, replace=False))
-    feature = np.zeros(cfg.vocab_objects)
-    feature[objs] = 1.0
-    feature = feature + rng.normal(0.0, cfg.sigma_jitter, cfg.vocab_objects)
-    caption, halluc = build_caption(rng, objs, cfg.bias_pairs, cfg.hallucination_rate)
-    return SyntheticScene(
-        scene_id=f"scene-{index:06d}",
-        true_objects=tuple(int(o) for o in objs),
-        feature=tuple(float(x) for x in feature),
-        caption=caption,
-        caption_surfaces=surfaces_for(caption, cfg.vocab_objects),
-        hallucinated_positions=halluc,
-    )
-
-
-def generate_corpus(cfg: CorpusConfig) -> list[SyntheticScene]:
+def generate_corpus(cfg: CorpusConfig) -> Corpus:
     """Generate ``cfg.num_scenes`` scenes; fully determined by ``cfg.seed``."""
-    return [_make_scene(cfg, i) for i in range(cfg.num_scenes)]
+    groundable = groundable_objects(cfg)
+    features, captions, objects, positions = [], [], [], []
+    for index in range(cfg.num_scenes):
+        rng = rng_for(cfg.seed, "scene", index)
+        k = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
+        objs = np.sort(rng.choice(groundable, size=k, replace=False))
+        feature = np.zeros(cfg.vocab_objects)
+        feature[objs] = 1.0
+        features.append(feature + rng.normal(0.0, cfg.sigma_jitter, cfg.vocab_objects))
+        caption, halluc = build_caption(rng, objs, cfg.bias_pairs, cfg.hallucination_rate)
+        captions.append(caption)
+        objects.append(objs)
+        positions.append(halluc)
+    ids = [f"scene-{index:06d}" for index in range(cfg.num_scenes)]
+    return _corpus(ids, features, captions, objects, positions)
 
 
 def train_test_split(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -337,19 +280,34 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def write_corpus(scenes: list[SyntheticScene], path: str | os.PathLike) -> None:
+def write_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
+    """One JSON scene record per row of ``corpus``, the format ``read_corpus`` reads."""
+    v_obj = corpus.features.shape[1]
+    words = surfaces_for(range(vocab_size(v_obj)), v_obj)
+    rows = zip(
+        corpus.scene_ids, corpus.features.tolist(), corpus.captions.tolist(), corpus.lengths.tolist(),
+        corpus.truth, corpus.inserted,
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in scenes:
-            fh.write(_dumps(s.to_record()) + "\n")
+        for sid, feature, caption, n, truth, inserted in rows:
+            record = {
+                "scene_id": sid,
+                "true_objects": np.flatnonzero(truth).tolist(),
+                "feature": feature,
+                "caption": caption[:n],
+                "caption_surfaces": [words[t] for t in caption[:n]],
+                "hallucinated_positions": np.flatnonzero(inserted).tolist(),
+            }
+            fh.write(_dumps(record) + "\n")
 
 
 def _check_record(record) -> str:
     """The scene_id of a JSON scene record, after every check a scene gets.
 
     The record's lists must hold ``_RECORD_TYPES`` and finite features; the
-    caption must have one surface per token and tokens in the vocabulary of
-    the feature length; hallucinated positions must lie in the caption and
-    object ids in the feature.
+    caption must have one surface per token, tokens in the vocabulary of
+    the feature length, and BOS followed by at least one token; hallucinated
+    positions must lie in the caption and object ids in the feature.
     """
     if not isinstance(record, dict):
         raise ValueError("scene record must be a JSON object")
@@ -379,11 +337,15 @@ def _check_record(record) -> str:
     if caption and (min(caption) < 0 or max(caption) >= vocab):
         bad = next(t for t in caption if not 0 <= t < vocab)
         raise ValueError(f"scene {sid!r}: caption token {bad} outside [0, {vocab})")
+    if caption[:1] != [BOS_ID]:
+        raise ValueError(f"scene {sid!r}: caption does not start with BOS ({BOS_ID})")
+    if len(caption) < 2:
+        raise ValueError(f"scene {sid!r}: caption holds no token after BOS")
     return sid
 
 
 def _corpus(ids: list, features: list, captions: list, objects: list, positions: list) -> Corpus:
-    """The arrays of checked scene lists, one entry per scene."""
+    """The arrays of per-scene lists, one entry per scene, as checked or generated."""
     n, v_obj = len(ids), len(features[0]) if features else 0
     lengths = np.fromiter(map(len, captions), dtype=np.int64, count=n)
     padded = np.zeros((n, int(lengths.max(initial=0))), dtype=np.int64)

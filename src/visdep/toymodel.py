@@ -440,45 +440,6 @@ def _loss_and_grads(
     return loss, g
 
 
-def forward(p: ModelParams, condition, prefix) -> np.ndarray:
-    """Next-token distribution after consuming ``prefix`` (starting at BOS)."""
-    condition = np.asarray(condition, dtype=np.float64)
-    if condition.shape != (p.v_obj,):
-        raise ValueError(f"condition must have shape ({p.v_obj},), got {condition.shape}")
-    prefix = list(prefix)
-    if not prefix or prefix[0] != synth.BOS_ID:
-        raise ValueError("prefix must begin with BOS")
-    if any(not 0 <= t < p.vocab_size for t in prefix):
-        raise ValueError("prefix contains out-of-vocabulary token ids")
-    gates = _gates(p)
-    h = _cell_forward(gates, np.zeros((1, p.d_hid)), _cond_embed(p, condition[None, :]))
-    for t in prefix:
-        h = _cell_forward(gates, h, p.emb[[t]])
-    logits = (h @ p.w_out + p.b_out)[0]
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
-
-
-def sequence_loss(p: ModelParams, condition, target, weights) -> tuple[float, ModelParams]:
-    """Weighted teacher-forced loss of one sequence plus its gradients.
-
-    ``target`` excludes BOS; ``weights`` is parallel to it and is treated
-    as a constant with respect to differentiation.
-    """
-    condition = np.asarray(condition, dtype=np.float64)
-    target = [int(t) for t in target]
-    w = np.asarray(weights, dtype=np.float64)
-    if len(target) == 0:
-        raise ValueError("target must contain at least one token")
-    if w.shape != (len(target),):
-        raise ValueError(f"weights must have shape ({len(target)},), got {w.shape}")
-    if any(not 0 <= t < p.vocab_size for t in target):
-        raise ValueError("target contains out-of-vocabulary token ids")
-    fwd = _forward_batch(p, condition[None, :], [target])
-    return _loss_and_grads(p, condition[None, :], fwd, w[None, :])
-
-
 def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) -> np.ndarray:
     """(n, T) probability of each target token, rows in input order, zero past each length.
 
@@ -582,12 +543,6 @@ def generate_batch(
     tokens[past] = 0
     probs[past] = 0.0
     return tokens, lengths, probs
-
-
-def generate(p: ModelParams, condition, max_len: int = 40) -> tuple[int, ...]:
-    """Greedy decode for a single condition vector, BOS included."""
-    tokens, lengths, _ = generate_batch(p, np.asarray(condition, dtype=np.float64)[None, :], max_len)
-    return (synth.BOS_ID, *tokens[0, : lengths[0]].tolist())
 
 
 @dataclass(frozen=True)

@@ -16,18 +16,26 @@ import pytest
 from visdep import synth
 from visdep.cli import run_eval
 from visdep.dependence import (
+    CLASS_BY_CODE,
     NEGATIVE_THRESHOLD,
     POSITIVE_THRESHOLD,
     TokenClass,
-    classify,
+    classify_array,
     dependence_array,
-    visual_dependence,
 )
 from visdep.filtering import FilterStrategy, apply_filter, save_manifest, score_corpus
 from visdep.halleval import evaluate
-from visdep.reweight import LossMode, ReweightConfig, normalize_weights
+from visdep.reweight import LossMode, ReweightConfig, training_weights
 from visdep.synth import Corpus, CorpusConfig, generate_corpus, train_test_split, write_corpus
-from visdep.toymodel import TrainConfig, init_params, pad_targets, save_params, sequence_loss, train
+from visdep.toymodel import (
+    TrainConfig,
+    _forward_batch,
+    _loss_and_grads,
+    init_params,
+    pad_targets,
+    save_params,
+    train,
+)
 from visdep.trace import write_traces
 
 # Evaluation protocol.  Corpus, epochs, temperature, gating point and
@@ -73,8 +81,8 @@ def _protocol_config(mode: LossMode, seed: int = TRAIN_SEED) -> TrainConfig:
 
 @pytest.fixture(scope="session")
 def protocol_corpus():
-    scenes = generate_corpus(CorpusConfig(num_scenes=CORPUS_SIZE, seed=CORPUS_SEED))
-    return train_test_split(Corpus.from_scenes(scenes), TEST_FRACTION, seed=CORPUS_SEED)
+    corpus = generate_corpus(CorpusConfig(num_scenes=CORPUS_SIZE, seed=CORPUS_SEED))
+    return train_test_split(corpus, TEST_FRACTION, seed=CORPUS_SEED)
 
 
 def _train_and_eval(protocol_corpus, mode: LossMode) -> Bundle:
@@ -144,8 +152,8 @@ def test_c01_token_dependence_oracle():
     denom = np.maximum(p, q)
     expected = np.divide(p - q, denom, out=np.zeros(n), where=denom > 0.0)
 
-    forward = np.array([visual_dependence(a, b) for a, b in zip(p, q)])
-    backward = np.array([visual_dependence(b, a) for a, b in zip(p, q)])
+    forward = np.array([dependence_array(a, b) for a, b in zip(p, q)])
+    backward = np.array([dependence_array(b, a) for a, b in zip(p, q)])
     err = float(np.max(np.abs(forward - expected)))
     anti = float(np.max(np.abs(forward + backward)))
     vec_err = float(np.max(np.abs(dependence_array(p, q) - expected)))
@@ -171,8 +179,16 @@ def test_c02_class_boundaries():
         (-1.0, TokenClass.IMAGE_NEGATIVE),
         (0.0, TokenClass.IMAGE_INVARIANT),
     ]
-    bad = [(d, classify(d).value, cls.value) for d, cls in cases if classify(d) is not cls]
+    got = [CLASS_BY_CODE[c] for c in classify_array([d for d, _ in cases]).tolist()]
+    bad = [(d, g.value, cls.value) for (d, cls), g in zip(cases, got) if g is not cls]
     _verdict("C2", not bad, f"boundary cases checked={len(cases)} mismatches={bad}")
+
+
+def _normalized(raw: np.ndarray, tau: float) -> np.ndarray:
+    """One row of ``raw`` weights through ``training_weights``: an
+    emphasize-negative step on ``d = -raw``, without the EOS floor."""
+    cfg = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, tau=tau, eos_floor=False)
+    return training_weights(-raw[None], np.array([raw.size]), cfg)[0]
 
 
 def test_c03_weight_normalization():
@@ -184,7 +200,7 @@ def test_c03_weight_normalization():
         n = int(rng.integers(1, 2049))
         tau = float(rng.uniform(0.0, 4.0))
         raw = rng.uniform(0.0, 1.0, n)
-        wv = normalize_weights(raw, tau)
+        wv = _normalized(raw, tau)
         worst_rel = max(worst_rel, abs(float(wv.sum()) - n) / n)
         if n > 1 and order_ok:
             order_ok = bool(
@@ -194,7 +210,7 @@ def test_c03_weight_normalization():
                 )
             )
     tau_zero_ok = all(
-        bool(np.all(normalize_weights(rng.uniform(0, 1, n), 0.0) == 1.0))
+        bool(np.all(_normalized(rng.uniform(0, 1, n), 0.0) == 1.0))
         for n in (1, 2, 17, 2048)
     )
     ok = worst_rel <= 1e-9 and tau_zero_ok and order_ok
@@ -221,7 +237,13 @@ def test_c04_analytic_gradients_match_finite_differences():
         condition = rng.uniform(0.0, 1.0, v_obj)
         target = [int(t) for t in rng.integers(0, params.vocab_size, 5)]
         weights = rng.uniform(0.2, 2.0, 5)
-        _, grads = sequence_loss(params, condition, target, weights)
+
+        def loss_and_grads():
+            """The weighted loss and gradients of the one sequence, as a one-row batch."""
+            c = condition[None, :]
+            return _loss_and_grads(params, c, _forward_batch(params, c, [target]), weights[None, :])
+
+        _, grads = loss_and_grads()
         n_blocks = len(params.blocks())
         for name, block in params.blocks().items():
             flat = block.ravel()
@@ -230,9 +252,9 @@ def test_c04_analytic_gradients_match_finite_differences():
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + eps
-                up, _ = sequence_loss(params, condition, target, weights)
+                up, _ = loss_and_grads()
                 flat[k] = orig - eps
-                down, _ = sequence_loss(params, condition, target, weights)
+                down, _ = loss_and_grads()
                 flat[k] = orig
                 fd[k] = (up - down) / (2.0 * eps)
             dev = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3)
@@ -251,7 +273,7 @@ def test_c04_analytic_gradients_match_finite_differences():
 
 def test_c05_gated_reweighting_is_bit_identical_before_activation():
     """start_fraction=1.0 never activates, so the run must equal vanilla."""
-    scenes = Corpus.from_scenes(generate_corpus(CorpusConfig(num_scenes=200, seed=CORPUS_SEED)))
+    scenes = generate_corpus(CorpusConfig(num_scenes=200, seed=CORPUS_SEED))
     base = dict(epochs=1, batch_size=16, learning_rate=0.01, seed=5, noise_step=NOISE_STEP)
     vanilla, v_log = train(
         scenes, TrainConfig(reweight=ReweightConfig(mode=LossMode.VANILLA), **base)
@@ -288,8 +310,7 @@ def test_c06_evaluation_matches_naive_recount():
 
     with_bad = bad_mentions = mentions = recalled = truth_total = total_len = 0
     for resp, truth in zip(responses, truths):
-        objs = [synth.token_object(t) for t in resp]
-        objs = [o for o in objs if o is not None]
+        objs = [t - synth.OBJECT_BASE for t in resp if t >= synth.OBJECT_BASE]
         bad = sum(1 for o in objs if o not in truth)
         mentions += len(objs)
         bad_mentions += bad
@@ -392,9 +413,8 @@ def test_c11_artifacts_are_byte_identical_on_rerun(tmp_path):
     train_cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.01, seed=5)
     outputs = []
     for run in ("a", "b"):
-        scenes = generate_corpus(cfg)
-        write_corpus(scenes, tmp_path / f"corpus-{run}.jsonl")
-        corpus = Corpus.from_scenes(scenes)
+        corpus = generate_corpus(cfg)
+        write_corpus(corpus, tmp_path / f"corpus-{run}.jsonl")
         params, _ = train(corpus, train_cfg)
         save_params(params, tmp_path / f"ckpt-{run}.json")
         tf, _, _, _ = run_eval(params, corpus.take(np.arange(40)), NOISE_STEP, EVAL_SEED, MAX_LEN)

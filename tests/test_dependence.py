@@ -10,44 +10,53 @@ from visdep.dependence import (
     POSITIVE_THRESHOLD,
     CLASS_BY_CODE,
     TokenClass,
-    classify,
     classify_array,
     dependence_array,
     profile_trace,
-    visual_dependence,
 )
 from visdep.trace import TokenTrace
+
+
+def pointwise_d(p: float, q: float) -> float:
+    """The definition of ``d`` for one probability pair, in Python floats."""
+    m = max(p, q)
+    return (p - q) / m if m > 0.0 else 0.0
+
+
+def class_of(d) -> TokenClass:
+    """The class of one dependence value, through ``classify_array``."""
+    return CLASS_BY_CODE[classify_array(d)]
 
 
 class TestVisualDependence:
     """Pointwise score d = (p_clean - p_noisy) / max(p_clean, p_noisy)."""
 
     def test_clean_dominates(self):
-        assert visual_dependence(0.8, 0.4) == pytest.approx(0.5, abs=1e-15)
+        assert dependence_array(0.8, 0.4) == pytest.approx(0.5, abs=1e-15)
 
     def test_equal_probabilities_give_zero(self):
-        assert visual_dependence(0.3, 0.3) == 0.0
+        assert dependence_array(0.3, 0.3) == 0.0
 
     def test_noisy_dominates(self):
-        assert visual_dependence(0.0, 0.7) == -1.0
+        assert dependence_array(0.0, 0.7) == -1.0
 
     def test_both_zero_is_defined_as_zero(self):
-        assert visual_dependence(0.0, 0.0) == 0.0
+        assert dependence_array(0.0, 0.0) == 0.0
 
     def test_extremes(self):
-        assert visual_dependence(1.0, 0.0) == 1.0
-        assert visual_dependence(0.0, 1.0) == -1.0
-        assert visual_dependence(1.0, 1.0) == 0.0
+        assert dependence_array(1.0, 0.0) == 1.0
+        assert dependence_array(0.0, 1.0) == -1.0
+        assert dependence_array(1.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf")])
     def test_rejects_out_of_range_clean(self, bad):
         with pytest.raises(ValueError):
-            visual_dependence(bad, 0.5)
+            dependence_array(bad, 0.5)
 
     @pytest.mark.parametrize("bad", [-1e-9, 2.0, float("nan")])
     def test_rejects_out_of_range_noisy(self, bad):
         with pytest.raises(ValueError):
-            visual_dependence(0.5, bad)
+            dependence_array(0.5, bad)
 
     @given(
         p=st.floats(0.0, 1.0, allow_nan=False),
@@ -55,14 +64,14 @@ class TestVisualDependence:
     )
     def test_antisymmetry(self, p, q):
         """Swapping the two probabilities negates the score."""
-        assert visual_dependence(p, q) == -visual_dependence(q, p)
+        assert dependence_array(p, q) == -dependence_array(q, p)
 
     @given(
         p=st.floats(0.0, 1.0, allow_nan=False),
         q=st.floats(0.0, 1.0, allow_nan=False),
     )
     def test_range(self, p, q):
-        d = visual_dependence(p, q)
+        d = dependence_array(p, q)
         assert -1.0 <= d <= 1.0
 
     @given(
@@ -78,8 +87,8 @@ class TestVisualDependence:
         float rounding in the two multiplications).
         """
         scale = k / max(p, q)
-        d_scaled = visual_dependence(p * scale, q * scale)
-        assert d_scaled == pytest.approx(visual_dependence(p, q), abs=1e-12)
+        d_scaled = dependence_array(p * scale, q * scale)
+        assert d_scaled == pytest.approx(dependence_array(p, q), abs=1e-12)
 
 
 class TestDependenceArray:
@@ -87,7 +96,7 @@ class TestDependenceArray:
         rng = np.random.default_rng(42)
         p = rng.uniform(0.0, 1.0, size=500)
         q = rng.uniform(0.0, 1.0, size=500)
-        expected = np.array([visual_dependence(a, b) for a, b in zip(p, q)])
+        expected = np.array([pointwise_d(a, b) for a, b in zip(p.tolist(), q.tolist())])
         np.testing.assert_allclose(dependence_array(p, q), expected, rtol=0, atol=0)
 
     def test_zero_over_zero_entries(self):
@@ -107,34 +116,34 @@ class TestClassify:
     """Thresholds at +/-0.25; both boundaries are pinned explicitly."""
 
     def test_positive_boundary_is_positive(self):
-        assert classify(POSITIVE_THRESHOLD) is TokenClass.IMAGE_POSITIVE
+        assert class_of(POSITIVE_THRESHOLD) is TokenClass.IMAGE_POSITIVE
 
     def test_negative_boundary_is_invariant(self):
-        assert classify(NEGATIVE_THRESHOLD) is TokenClass.IMAGE_INVARIANT
+        assert class_of(NEGATIVE_THRESHOLD) is TokenClass.IMAGE_INVARIANT
 
     def test_zero_is_invariant(self):
-        assert classify(0.0) is TokenClass.IMAGE_INVARIANT
+        assert class_of(0.0) is TokenClass.IMAGE_INVARIANT
 
     def test_just_inside_band(self):
-        assert classify(0.2499999) is TokenClass.IMAGE_INVARIANT
-        assert classify(-0.2499999) is TokenClass.IMAGE_INVARIANT
+        assert class_of(0.2499999) is TokenClass.IMAGE_INVARIANT
+        assert class_of(-0.2499999) is TokenClass.IMAGE_INVARIANT
 
     def test_just_outside_band(self):
-        assert classify(0.2500001) is TokenClass.IMAGE_POSITIVE
-        assert classify(-0.2500001) is TokenClass.IMAGE_NEGATIVE
+        assert class_of(0.2500001) is TokenClass.IMAGE_POSITIVE
+        assert class_of(-0.2500001) is TokenClass.IMAGE_NEGATIVE
 
     def test_extremes(self):
-        assert classify(1.0) is TokenClass.IMAGE_POSITIVE
-        assert classify(-1.0) is TokenClass.IMAGE_NEGATIVE
+        assert class_of(1.0) is TokenClass.IMAGE_POSITIVE
+        assert class_of(-1.0) is TokenClass.IMAGE_NEGATIVE
 
     @pytest.mark.parametrize("bad", [-1.001, 1.001, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            classify(bad)
+            class_of(bad)
 
     @given(d=st.floats(-1.0, 1.0, allow_nan=False))
     def test_total_and_consistent(self, d):
-        c = classify(d)
+        c = class_of(d)
         if d >= POSITIVE_THRESHOLD:
             assert c is TokenClass.IMAGE_POSITIVE
         elif d < NEGATIVE_THRESHOLD:
@@ -145,14 +154,21 @@ class TestClassify:
 
 class TestClassifyArray:
     def test_matches_scalar_classify(self):
-        """10^5 random values, both thresholds and their float neighbours."""
+        """10^5 random values, both thresholds and their float neighbours,
+        against the thresholds applied to one value at a time."""
         rng = np.random.default_rng(3)
         edges = [POSITIVE_THRESHOLD, NEGATIVE_THRESHOLD, -1.0, 0.0, 1.0]
         near = [float(np.nextafter(e, to)) for e in edges[:2] for to in (-1.0, 1.0)]
         d = np.concatenate([rng.uniform(-1.0, 1.0, 100_000), edges, near])
         codes = classify_array(d)
         assert codes.shape == d.shape
-        assert [CLASS_BY_CODE[c] for c in codes.tolist()] == [classify(v) for v in d.tolist()]
+        expected = [
+            TokenClass.IMAGE_POSITIVE if v >= POSITIVE_THRESHOLD
+            else TokenClass.IMAGE_NEGATIVE if v < NEGATIVE_THRESHOLD
+            else TokenClass.IMAGE_INVARIANT
+            for v in d.tolist()
+        ]
+        assert [CLASS_BY_CODE[c] for c in codes.tolist()] == expected
 
     def test_keeps_the_shape_of_padded_rows(self):
         d = np.array([[0.9, -0.9, 0.0], [0.25, -0.25, 0.0]])
@@ -230,5 +246,5 @@ def test_profile_matches_pointwise_scores(data):
     d = profile_trace(trace)
     codes = classify_array(d)
     for i, (p, q) in enumerate(data):
-        assert d[i] == visual_dependence(p, q)
-        assert CLASS_BY_CODE[codes[i]] is classify(d[i])
+        assert d[i] == pointwise_d(p, q)
+        assert CLASS_BY_CODE[codes[i]] is class_of(d[i])

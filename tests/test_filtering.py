@@ -19,7 +19,7 @@ from visdep.filtering import (
     score_corpus,
 )
 from visdep.seeding import derive_seed
-from visdep.synth import Corpus, CorpusConfig, generate_corpus
+from visdep.synth import CorpusConfig, generate_corpus
 from visdep.toymodel import TrainConfig, init_params, teacher_forced_probs, train
 from visdep.trace import TokenTrace
 
@@ -27,13 +27,11 @@ from visdep.trace import TokenTrace
 @pytest.fixture(scope="module")
 def scored_setup():
     """A small corpus scored with an untrained and a briefly trained model."""
-    scenes = generate_corpus(CorpusConfig(num_scenes=120, seed=42))
-    v_obj = len(scenes[0].feature)
+    corpus = generate_corpus(CorpusConfig(num_scenes=120, seed=42))
+    v_obj = corpus.features.shape[1]
     fresh = init_params(synth.vocab_size(v_obj), v_obj, seed=0)
-    trained, _ = train(
-        Corpus.from_scenes(scenes), TrainConfig(epochs=2, batch_size=16, learning_rate=0.015, seed=42)
-    )
-    return scenes, fresh, trained
+    trained, _ = train(corpus, TrainConfig(epochs=2, batch_size=16, learning_rate=0.015, seed=42))
+    return corpus, fresh, trained
 
 
 class TestApplyFilter:
@@ -187,78 +185,70 @@ class TestScoreCorpus:
     def test_zero_noise_step_gives_zero_scores(self, scored_setup):
         """With no corruption both passes see the same vector, so every
         per-token difference — and hence every sum — is exactly zero."""
-        scenes, fresh, _ = scored_setup
-        scores = score_corpus(Corpus.from_scenes(scenes[:10]), fresh, noise_step=0)
-        assert set(scores) == {s.scene_id for s in scenes[:10]}
+        corpus, fresh, _ = scored_setup
+        scores = score_corpus(corpus.take(np.arange(10)), fresh, noise_step=0)
+        assert set(scores) == set(corpus.scene_ids[:10])
         assert all(v == 0.0 for v in scores.values())
 
     def test_matches_independent_trace_recomputation(self, scored_setup):
         """Σd recomputed one caption at a time through the public trace
         path, with the same noise draws, reproduces every score."""
-        scenes, _, trained = scored_setup
-        subset = scenes[:12]
+        corpus, _, trained = scored_setup
+        subset = corpus.take(np.arange(12))
         noise_step, seed = 900, 42
-        scores = score_corpus(Corpus.from_scenes(subset), trained, noise_step=noise_step, seed=seed)
+        scores = score_corpus(subset, trained, noise_step=noise_step, seed=seed)
         schedule = make_schedule()
-        for scene in subset:
-            target = scene.caption[1:]
-            clean = teacher_forced_probs(
-                trained, np.array(scene.feature)[None, :], [list(target)]
-            )[0]
-            noisy_vec = corrupt(
-                np.array(scene.feature),
-                noise_step,
-                schedule,
-                derive_seed(seed, "filternoise", scene.scene_id),
-            )
-            noisy = teacher_forced_probs(trained, noisy_vec[None, :], [list(target)])[0]
+        for sid, feature, target in zip(subset.scene_ids, subset.features, subset.targets()):
+            target = target.tolist()
+            clean = teacher_forced_probs(trained, feature[None, :], [target])[0]
+            noisy_vec = corrupt(feature, noise_step, schedule, derive_seed(seed, "filternoise", sid))
+            noisy = teacher_forced_probs(trained, noisy_vec[None, :], [target])[0]
             trace = TokenTrace(
-                sample_id=scene.scene_id,
+                sample_id=sid,
                 tokens=target,
-                surfaces=synth.surfaces_for(target, len(scene.feature)),
+                surfaces=synth.surfaces_for(target, len(feature)),
                 p_clean=tuple(float(x) for x in clean),
                 p_noisy=tuple(float(x) for x in noisy),
                 eos_index=len(target) - 1,
             )
             expected = sum(profile_trace(trace).tolist())
-            assert scores[scene.scene_id] == pytest.approx(expected, rel=1e-12)
+            assert scores[sid] == pytest.approx(expected, rel=1e-12)
 
     def test_equals_the_trace_path_bit_for_bit(self, scored_setup):
         """Σd on arrays gives every caption exactly the left-to-right sum of
         its TokenTrace -> profile_trace d values, with the probabilities of
         the same batched passes."""
         _, _, trained = scored_setup
-        scenes = generate_corpus(CorpusConfig(num_scenes=300, seed=5))
+        corpus = generate_corpus(CorpusConfig(num_scenes=300, seed=5))
         noise_step, seed = 900, 3
-        scores = score_corpus(Corpus.from_scenes(scenes), trained, noise_step=noise_step, seed=seed)
+        scores = score_corpus(corpus, trained, noise_step=noise_step, seed=seed)
         schedule = make_schedule()
-        targets = [list(s.caption[1:]) for s in scenes]
-        clean = teacher_forced_probs(trained, np.array([s.feature for s in scenes]), targets)
+        targets = [t.tolist() for t in corpus.targets()]
+        clean = teacher_forced_probs(trained, corpus.features, targets)
         noisy_features = np.stack(
             [
-                corrupt(np.array(s.feature), noise_step, schedule, derive_seed(seed, "filternoise", s.scene_id))
-                for s in scenes
+                corrupt(feature, noise_step, schedule, derive_seed(seed, "filternoise", sid))
+                for feature, sid in zip(corpus.features, corpus.scene_ids)
             ]
         )
         noisy = teacher_forced_probs(trained, noisy_features, targets)
-        assert list(scores) == [s.scene_id for s in scenes]
-        for i, scene in enumerate(scenes):
-            target = scene.caption[1:]
+        assert list(scores) == corpus.scene_ids.tolist()
+        for i, (sid, target) in enumerate(zip(corpus.scene_ids, targets)):
             trace = TokenTrace(
-                sample_id=scene.scene_id,
+                sample_id=sid,
                 tokens=target,
-                surfaces=synth.surfaces_for(target, len(scene.feature)),
+                surfaces=synth.surfaces_for(target, corpus.features.shape[1]),
                 p_clean=clean[i, : len(target)].tolist(),
                 p_noisy=noisy[i, : len(target)].tolist(),
                 eos_index=len(target) - 1,
             )
             expected = sum(profile_trace(trace).tolist())
-            assert scores[scene.scene_id] == expected, scene.scene_id
-            assert type(scores[scene.scene_id]) is float
+            assert scores[sid] == expected, sid
+            assert type(scores[sid]) is float
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
     def test_rejects_probabilities_outside_the_unit_interval(self, scored_setup, monkeypatch, bad):
-        scenes, fresh, _ = scored_setup
+        corpus, fresh, _ = scored_setup
         real = teacher_forced_probs
         calls = []
 
@@ -271,24 +261,24 @@ class TestScoreCorpus:
         # the noised pass runs inside toymodel.noised_dependence
         monkeypatch.setattr(toymodel, "teacher_forced_probs", corrupted)
         with pytest.raises(ValueError, match="outside"):
-            score_corpus(Corpus.from_scenes(scenes[:10]), fresh)
+            score_corpus(corpus.take(np.arange(10)), fresh)
         assert calls == [10]
 
     def test_deterministic(self, scored_setup):
-        scenes, _, trained = scored_setup
-        a = score_corpus(Corpus.from_scenes(scenes[:20]), trained)
-        b = score_corpus(Corpus.from_scenes(scenes[:20]), trained)
+        corpus, _, trained = scored_setup
+        a = score_corpus(corpus.take(np.arange(20)), trained)
+        b = score_corpus(corpus.take(np.arange(20)), trained)
         assert a == b
 
     def test_trained_model_scores_skew_positive(self, scored_setup):
         """A model that has learned the image-caption link loses more
         probability than it gains when the image is noised away."""
-        scenes, _, trained = scored_setup
-        values = np.array(list(score_corpus(Corpus.from_scenes(scenes), trained).values()))
+        corpus, _, trained = scored_setup
+        values = np.array(list(score_corpus(corpus, trained).values()))
         assert np.mean(values > 0.0) > 0.5
         assert values.mean() > 0.0
 
     def test_rejects_empty_corpus(self, scored_setup):
         _, fresh, _ = scored_setup
         with pytest.raises(ValueError):
-            score_corpus(Corpus.from_scenes([]), fresh)
+            score_corpus(generate_corpus(CorpusConfig(num_scenes=0)), fresh)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from visdep.dependence import NEGATIVE_THRESHOLD, POSITIVE_THRESHOLD, TokenClass, classify
+from visdep.dependence import NEGATIVE_THRESHOLD, POSITIVE_THRESHOLD, TokenClass
 from visdep.halleval import (
     ClassDistanceStats,
     ClassObjectCounts,
@@ -372,8 +372,13 @@ class TestCoOccurrence:
 
 
 def _ref_profile(d):
-    """The classes of one response, token by token, through scalar ``classify``."""
-    return [classify(float(v)) for v in d]
+    """The classes of one response, token by token, from the thresholds."""
+    return [
+        TokenClass.IMAGE_POSITIVE if v >= POSITIVE_THRESHOLD
+        else TokenClass.IMAGE_NEGATIVE if v < NEGATIVE_THRESHOLD
+        else TokenClass.IMAGE_INVARIANT
+        for v in map(float, d)
+    ]
 
 
 def _ref_class_object_counts(d_rows, responses, truths):

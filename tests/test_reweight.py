@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from visdep.reweight import (
     LossMode,
     ReweightConfig,
-    normalize_weights,
-    raw_weight,
+    _softmax_rows,
     raw_weights,
     reweighting_active,
     training_weights,
@@ -24,31 +23,37 @@ def row_weights(values, cfg):
     return training_weights(d[None, :], np.array([d.size]), cfg)[0]
 
 
+def softmax_row(raw, tau):
+    """``_softmax_rows`` of one sequence's raw weights, as a batch of one row."""
+    r = np.asarray(raw, dtype=np.float64)
+    return _softmax_rows(r[None, :], np.array([r.size]), tau)[0]
+
+
 class TestRawWeight:
     def test_emphasize_negative_keeps_negative_side(self):
-        assert raw_weight(-0.5, LossMode.EMPHASIZE_NEGATIVE) == 0.5
-        assert raw_weight(0.3, LossMode.EMPHASIZE_NEGATIVE) == 0.0
-        assert raw_weight(0.0, LossMode.EMPHASIZE_NEGATIVE) == 0.0
+        assert raw_weights(-0.5, LossMode.EMPHASIZE_NEGATIVE) == 0.5
+        assert raw_weights(0.3, LossMode.EMPHASIZE_NEGATIVE) == 0.0
+        assert raw_weights(0.0, LossMode.EMPHASIZE_NEGATIVE) == 0.0
 
     def test_emphasize_positive_keeps_positive_side(self):
-        assert raw_weight(0.3, LossMode.EMPHASIZE_POSITIVE) == 0.3
-        assert raw_weight(-0.5, LossMode.EMPHASIZE_POSITIVE) == 0.0
-        assert raw_weight(0.0, LossMode.EMPHASIZE_POSITIVE) == 0.0
+        assert raw_weights(0.3, LossMode.EMPHASIZE_POSITIVE) == 0.3
+        assert raw_weights(-0.5, LossMode.EMPHASIZE_POSITIVE) == 0.0
+        assert raw_weights(0.0, LossMode.EMPHASIZE_POSITIVE) == 0.0
 
     def test_vanilla_is_identically_zero(self):
         for d in (-1.0, -0.3, 0.0, 0.3, 1.0):
-            assert raw_weight(d, LossMode.VANILLA) == 0.0
+            assert raw_weights(d, LossMode.VANILLA) == 0.0
 
     @pytest.mark.parametrize("bad", [-1.5, 1.5, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            raw_weight(bad, LossMode.EMPHASIZE_NEGATIVE)
+            raw_weights(bad, LossMode.EMPHASIZE_NEGATIVE)
 
     @given(d=st.floats(-1.0, 1.0, allow_nan=False))
     def test_modes_partition_the_axis(self, d):
         """The two emphasis modes never both fire on the same token."""
-        neg = raw_weight(d, LossMode.EMPHASIZE_NEGATIVE)
-        pos = raw_weight(d, LossMode.EMPHASIZE_POSITIVE)
+        neg = raw_weights(d, LossMode.EMPHASIZE_NEGATIVE)
+        pos = raw_weights(d, LossMode.EMPHASIZE_POSITIVE)
         assert neg >= 0.0 and pos >= 0.0
         assert neg == 0.0 or pos == 0.0
         assert neg + pos == abs(d)
@@ -56,12 +61,16 @@ class TestRawWeight:
 
 class TestRawWeights:
     def test_matches_scalar(self):
+        """Each entry is the definition applied to one value."""
         rng = np.random.default_rng(42)
         d = rng.uniform(-1, 1, 100)
-        for mode in LossMode:
-            vec = raw_weights(d, mode)
-            expected = [raw_weight(v, mode) for v in d]
-            np.testing.assert_array_equal(vec, expected)
+        by_mode = {
+            LossMode.EMPHASIZE_NEGATIVE: lambda v: -v if v <= 0.0 else 0.0,
+            LossMode.EMPHASIZE_POSITIVE: lambda v: v if v > 0.0 else 0.0,
+            LossMode.VANILLA: lambda v: 0.0,
+        }
+        for mode, weight in by_mode.items():
+            np.testing.assert_array_equal(raw_weights(d, mode), [weight(v) for v in d.tolist()])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -70,17 +79,17 @@ class TestRawWeights:
 
 class TestNormalizeWeights:
     def test_all_equal_raw_gives_exact_ones(self):
-        wv = normalize_weights(np.full(17, 0.37), tau=1.3)
+        wv = softmax_row(np.full(17, 0.37), tau=1.3)
         assert np.all(wv == 1.0)
 
     def test_zero_temperature_gives_exact_ones(self):
         rng = np.random.default_rng(42)
-        wv = normalize_weights(rng.uniform(0, 1, 33), tau=0.0)
+        wv = softmax_row(rng.uniform(0, 1, 33), tau=0.0)
         assert np.all(wv == 1.0)
 
     def test_two_token_closed_form(self):
         """raw (1, 0) at tau 0.5 gives (2e^0.5, 2) / (e^0.5 + 1)."""
-        wv = normalize_weights(np.array([1.0, 0.0]), tau=0.5)
+        wv = softmax_row(np.array([1.0, 0.0]), tau=0.5)
         denom = math.exp(0.5) + 1.0
         np.testing.assert_allclose(
             wv, [2.0 * math.exp(0.5) / denom, 2.0 / denom], rtol=1e-12
@@ -91,38 +100,30 @@ class TestNormalizeWeights:
         rng = np.random.default_rng(42)
         for n in (1, 2, 7, 100, 2048):
             raw = rng.uniform(0, 1, n)
-            wv = normalize_weights(raw, tau=rng.uniform(0, 4))
+            wv = softmax_row(raw, tau=rng.uniform(0, 4))
             assert wv.sum() == pytest.approx(n, rel=1e-9)
 
     def test_monotone_in_raw_weight(self):
         """Raising one raw weight raises its share of the total."""
         base = np.array([0.2, 0.4, 0.6])
         lifted = np.array([0.2, 0.7, 0.6])
-        w0 = normalize_weights(base, tau=2.0)
-        w1 = normalize_weights(lifted, tau=2.0)
+        w0 = softmax_row(base, tau=2.0)
+        w1 = softmax_row(lifted, tau=2.0)
         assert w1[1] > w0[1]
 
     def test_order_preserving(self):
         rng = np.random.default_rng(42)
         raw = rng.uniform(0, 1, 50)
-        w = normalize_weights(raw, tau=1.5)
+        w = softmax_row(raw, tau=1.5)
         order_raw = np.argsort(raw, kind="stable")
         order_w = np.argsort(w, kind="stable")
         np.testing.assert_array_equal(order_raw, order_w)
 
     def test_large_raw_values_are_stable(self):
         """Max-subtraction keeps the softmax finite for extreme inputs."""
-        wv = normalize_weights(np.array([0.0, 1.0]), tau=500.0)
+        wv = softmax_row(np.array([0.0, 1.0]), tau=500.0)
         assert np.all(np.isfinite(wv))
         assert wv.sum() == pytest.approx(2.0, rel=1e-9)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            normalize_weights(np.array([]), tau=1.0)
-
-    def test_rejects_negative_tau(self):
-        with pytest.raises(ValueError):
-            normalize_weights(np.array([0.5]), tau=-0.1)
 
     @settings(max_examples=100)
     @given(
@@ -130,7 +131,7 @@ class TestNormalizeWeights:
         tau=st.floats(0.0, 4.0, allow_nan=False),
     )
     def test_sum_and_positivity_properties(self, raw, tau):
-        wv = normalize_weights(np.array(raw), tau=tau)
+        wv = softmax_row(np.array(raw), tau=tau)
         assert wv.sum() == pytest.approx(len(raw), rel=1e-9)
         assert np.all(wv > 0.0)
 
@@ -229,7 +230,7 @@ class TestWeightRows:
     def test_rows_match_training_weights_bit_for_bit(self, cfg):
         """Padded rows of every length up to 40, with exact zeros of both
         signs, give each row the bits of the one-sequence path:
-        ``normalize_weights`` of its raw weights, then the EOS floor."""
+        the softmax of its raw weights alone, then the EOS floor."""
         rng = np.random.default_rng(7)
         lengths = np.array([1, 2, 7, 8, 9, 16, 17, 23, 40] + list(rng.integers(1, 41, 200)))
         d = np.zeros((len(lengths), 40))
@@ -237,7 +238,7 @@ class TestWeightRows:
             d[i, :n] = rng.choice([-1.0, -0.3, -0.0, 0.0, 0.25, 1.0], n) * rng.uniform(0.0, 1.0, n)
         weights = training_weights(d, lengths, cfg)
         for i, n in enumerate(lengths):
-            expected = normalize_weights(raw_weights(d[i, :n], cfg.mode), cfg.tau)
+            expected = softmax_row(raw_weights(d[i, :n], cfg.mode), cfg.tau)
             if cfg.eos_floor:
                 expected[-1] = max(expected[-1], 1.0)
             np.testing.assert_array_equal(weights[i, :n], expected)

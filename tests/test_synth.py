@@ -1,6 +1,8 @@
 """Tests for the synthetic scene/caption corpus generator."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from visdep.synth import (
     OBJECT_BASE,
     Corpus,
     CorpusConfig,
-    SyntheticScene,
     build_caption,
     generate_corpus,
     groundable_objects,
@@ -23,7 +24,6 @@ from visdep.synth import (
     read_corpus,
     surface,
     surfaces_for,
-    token_object,
     train_test_split,
     vocab_size,
     write_corpus,
@@ -56,33 +56,28 @@ def expected_hallucination_fraction(cfg: CorpusConfig) -> float:
     return expected_ins / (mean_k + expected_ins)
 
 
-def assert_corpus_matches(corpus: Corpus, scenes: list) -> None:
-    """``corpus`` holds exactly ``scenes``, row for row, as arrays."""
-    assert len(corpus) == len(scenes)
-    assert corpus.scene_ids.tolist() == [s.scene_id for s in scenes]
+def assert_corpus_matches(corpus: Corpus, expected: Corpus) -> None:
+    """The two corpora hold the same arrays, field by field, dtypes included."""
+    for name, a in vars(corpus).items():
+        b = getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert all(type(sid) is str for sid in corpus.scene_ids)
-    assert corpus.features.dtype == np.float64
-    assert corpus.features.tolist() == [list(s.feature) for s in scenes]
-    assert corpus.lengths.tolist() == [len(s.caption) for s in scenes]
-    assert corpus.captions.shape[1] >= max(len(s.caption) for s in scenes)
-    for i, s in enumerate(scenes):
-        n = len(s.caption)
-        assert corpus.captions[i, :n].tolist() == list(s.caption) and not corpus.captions[i, n:].any()
-        assert np.flatnonzero(corpus.truth[i]).tolist() == sorted(set(s.true_objects))
-        assert np.flatnonzero(corpus.inserted[i]).tolist() == sorted(set(s.hallucinated_positions))
-        assert corpus.targets()[i].tolist() == list(s.caption[1:])
+
+
+def mentions(caption) -> list[int]:
+    """The object ids a caption mentions, in caption order."""
+    return [t - OBJECT_BASE for t in caption if t >= OBJECT_BASE]
+
+
+def scenes(corpus: Corpus):
+    """Each row's caption, true objects, inserted positions and feature, as lists."""
+    for caption, n, truth, inserted, feature in zip(
+        corpus.captions.tolist(), corpus.lengths.tolist(), corpus.truth, corpus.inserted, corpus.features.tolist()
+    ):
+        yield caption[:n], np.flatnonzero(truth).tolist(), np.flatnonzero(inserted).tolist(), feature
 
 
 class TestTokenMapping:
-    def test_object_token_round_trip(self):
-        for obj in (0, 7, 39):
-            assert token_object(object_token(obj)) == obj
-
-    def test_function_tokens_map_to_none(self):
-        assert token_object(BOS_ID) is None
-        assert token_object(EOS_ID) is None
-        assert token_object(OBJECT_BASE - 1) is None
-
     def test_vocab_size_counts_all_tokens(self):
         assert vocab_size(40) == OBJECT_BASE + 40
 
@@ -102,77 +97,71 @@ class TestTokenMapping:
 
 class TestSceneInvariants:
     def test_object_count_range(self):
-        for scene in small_corpus():
-            assert MIN_OBJECTS <= len(scene.true_objects) <= MAX_OBJECTS
+        counts = small_corpus().truth.sum(axis=1)
+        assert np.all((MIN_OBJECTS <= counts) & (counts <= MAX_OBJECTS))
 
     def test_true_objects_sorted_unique_and_groundable(self):
         cfg = CorpusConfig(num_scenes=200, seed=42)
         allowed = set(groundable_objects(cfg))
-        for scene in generate_corpus(cfg):
-            objs = scene.true_objects
-            assert list(objs) == sorted(set(objs))
+        for _, objs, _, _ in scenes(generate_corpus(cfg)):
+            assert objs == sorted(set(objs))
             assert set(objs) <= allowed
 
     def test_caption_brackets(self):
-        for scene in small_corpus():
-            assert scene.caption[0] == BOS_ID
-            assert scene.caption[-1] == EOS_ID
-            assert scene.caption.count(BOS_ID) == 1
-            assert scene.caption.count(EOS_ID) == 1
+        for caption, _, _, _ in scenes(small_corpus()):
+            assert caption[0] == BOS_ID
+            assert caption[-1] == EOS_ID
+            assert caption.count(BOS_ID) == 1
+            assert caption.count(EOS_ID) == 1
 
     def test_each_mentioned_object_appears_exactly_once(self):
-        for scene in small_corpus():
-            mentioned = [token_object(t) for t in scene.caption if token_object(t) is not None]
+        for caption, _, _, _ in scenes(small_corpus()):
+            mentioned = mentions(caption)
             assert len(mentioned) == len(set(mentioned))
 
     def test_mentions_are_true_objects_plus_labelled_hallucinations(self):
         """Every object mention is either grounded or flagged, never both."""
-        for scene in small_corpus():
-            halluc = {token_object(scene.caption[p]) for p in scene.hallucinated_positions}
-            grounded = [
-                token_object(t)
-                for i, t in enumerate(scene.caption)
-                if token_object(t) is not None and i not in scene.hallucinated_positions
-            ]
-            assert set(grounded) == set(scene.true_objects)
-            assert halluc.isdisjoint(scene.true_objects)
+        for caption, objs, positions, _ in scenes(small_corpus()):
+            halluc = set(mentions(caption[p] for p in positions))
+            grounded = mentions(t for i, t in enumerate(caption) if i not in positions)
+            assert set(grounded) == set(objs)
+            assert halluc.isdisjoint(objs)
 
     def test_hallucinated_positions_point_at_object_tokens(self):
-        for scene in small_corpus():
-            for pos in scene.hallucinated_positions:
-                assert token_object(scene.caption[pos]) is not None
+        for caption, _, positions, _ in scenes(small_corpus()):
+            for pos in positions:
+                assert caption[pos] >= OBJECT_BASE
 
     def test_feature_thresholding_recovers_object_set(self):
         """A 0.5 threshold on the jittered multi-hot decodes the scene."""
-        for scene in small_corpus():
-            feature = np.asarray(scene.feature)
-            decoded = tuple(int(i) for i in np.flatnonzero(feature > 0.5))
-            assert decoded == scene.true_objects
+        corpus = small_corpus()
+        np.testing.assert_array_equal(corpus.features > 0.5, corpus.truth)
 
-    def test_surfaces_parallel_to_caption(self):
+    def test_surfaces_parallel_to_caption(self, tmp_path):
         cfg = CorpusConfig(num_scenes=50, seed=42)
-        for scene in generate_corpus(cfg):
-            assert scene.caption_surfaces == surfaces_for(scene.caption, cfg.vocab_objects)
+        write_corpus(generate_corpus(cfg), tmp_path / "corpus.jsonl")
+        for line in (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            assert tuple(record["caption_surfaces"]) == surfaces_for(record["caption"], cfg.vocab_objects)
 
     def test_inserted_mentions_ride_the_marker_phrase(self):
         """Each flagged mention is preceded by the fixed three-word cue."""
         found = 0
-        for scene in small_corpus():
-            for pos in scene.hallucinated_positions:
-                assert scene.caption_surfaces[pos - 3 : pos] == ("also", "there", "is")
+        for caption, _, positions, _ in scenes(small_corpus()):
+            for pos in positions:
+                assert surfaces_for(caption[pos - 3 : pos], 40) == ("also", "there", "is")
                 found += 1
         assert found > 0
 
     def test_marker_word_is_reserved_for_insertions(self):
         """Bias-free captions never use the cue word in filler."""
-        for scene in small_corpus(hallucination_rate=0.0):
-            assert "also" not in scene.caption_surfaces
+        for caption, _, _, _ in scenes(small_corpus(hallucination_rate=0.0)):
+            assert "also" not in surfaces_for(caption, 40)
 
 
 class TestHallucinationControls:
     def test_zero_rate_gives_zero_hallucinations(self):
-        for scene in small_corpus(hallucination_rate=0.0):
-            assert scene.hallucinated_positions == ()
+        assert not small_corpus(hallucination_rate=0.0).inserted.any()
 
     def test_certain_pair_always_fires(self):
         """With pair probability 1 and rate 1, every scene containing the
@@ -184,32 +173,28 @@ class TestHallucinationControls:
             seed=42,
         )
         fired = 0
-        for scene in generate_corpus(cfg):
-            if 0 in scene.true_objects:
-                mentioned = {token_object(t) for t in scene.caption} - {None}
-                assert 39 in mentioned
-                assert len(scene.hallucinated_positions) == 1
+        for caption, objs, positions, _ in scenes(generate_corpus(cfg)):
+            if 0 in objs:
+                assert 39 in mentions(caption)
+                assert len(positions) == 1
                 fired += 1
             else:
-                assert scene.hallucinated_positions == ()
+                assert positions == []
         assert fired > 0
 
     def test_partners_never_appear_in_scenes(self):
         cfg = CorpusConfig(num_scenes=100, seed=42)
-        partners = {b for _, b, _ in cfg.bias_pairs}
-        for scene in generate_corpus(cfg):
-            assert partners.isdisjoint(scene.true_objects)
+        partners = [b for _, b, _ in cfg.bias_pairs]
+        assert not generate_corpus(cfg).truth[:, partners].any()
 
     def test_observed_fraction_matches_analytic(self):
         """Empirical hallucinated-mention share at 5000 scenes lands within
         2% (relative) of the closed-form expectation."""
         cfg = CorpusConfig(num_scenes=5000, seed=42)
-        scenes = generate_corpus(cfg)
-        halluc = sum(len(s.hallucinated_positions) for s in scenes)
-        mentions = sum(
-            1 for s in scenes for t in s.caption if token_object(t) is not None
-        )
-        observed = halluc / mentions
+        corpus = generate_corpus(cfg)
+        halluc = np.count_nonzero(corpus.inserted)
+        mentioned = np.count_nonzero(corpus.captions >= OBJECT_BASE)
+        observed = halluc / mentioned
         assert observed == pytest.approx(expected_hallucination_fraction(cfg), rel=0.02)
 
     def test_analytic_fraction_scales_with_rate(self):
@@ -229,32 +214,26 @@ class TestHallucinationControls:
 
 class TestDeterminism:
     def test_same_config_same_corpus(self):
-        a = small_corpus(100)
-        b = small_corpus(100)
-        assert a == b
+        assert_corpus_matches(small_corpus(100), small_corpus(100))
 
     def test_different_seed_differs(self):
         a = generate_corpus(CorpusConfig(num_scenes=50, seed=1))
         b = generate_corpus(CorpusConfig(num_scenes=50, seed=2))
-        assert a != b
+        assert not np.array_equal(a.features, b.features)
+        assert not np.array_equal(a.truth, b.truth)
 
     def test_write_is_byte_deterministic(self, tmp_path):
-        scenes = small_corpus(40)
+        corpus = small_corpus(40)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_corpus(scenes, p1)
-        write_corpus(scenes, p2)
+        write_corpus(corpus, p1)
+        write_corpus(corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip(self, tmp_path):
-        scenes = small_corpus(40)
+        corpus = small_corpus(40)
         path = tmp_path / "corpus.jsonl"
-        write_corpus(scenes, path)
-        corpus = read_corpus(path)
-        assert_corpus_matches(corpus, scenes)
-        built = Corpus.from_scenes(scenes)
-        assert_corpus_matches(built, scenes)
-        for a, b in zip(vars(corpus).values(), vars(built).values()):
-            assert a.dtype == b.dtype and a.shape == b.shape
+        write_corpus(corpus, path)
+        assert_corpus_matches(read_corpus(path), corpus)
 
     def test_read_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -291,6 +270,10 @@ class TestDeterminism:
             (lambda r: {**r, "caption": r["caption"][:-1] + [53]}, r".*caption token 53 outside \[0, 53\)"),
             (lambda r: {**r, "caption": [-1] + r["caption"][1:]}, r".*caption token -1 outside \[0, 53\)"),
             (lambda r: {**r, "caption": [10**30] + r["caption"][1:]}, r".*caption token 10{30} outside \[0, 53\)"),
+            (lambda r: {**r, "caption": r["caption"][1:], "caption_surfaces": r["caption_surfaces"][1:],
+                        "hallucinated_positions": []}, r".*caption does not start with BOS \(0\)"),
+            (lambda r: {**r, "caption": [0], "caption_surfaces": ["<bos>"], "hallucinated_positions": []},
+             ".*caption holds no token after BOS"),
         ],
         ids=[
             "objects-int", "feature-null", "feature-null-element", "id-int", "no-caption", "not-an-object",
@@ -298,72 +281,67 @@ class TestDeterminism:
             "float-object-id", "boolean-object-id", "string-token", "string-feature", "boolean-feature",
             "nan-feature", "infinite-feature", "huge-integer-feature", "integer-surface", "float-position",
             "empty-id", "surface-count", "position-past-caption", "token-past-vocabulary", "negative-token",
-            "huge-token",
+            "huge-token", "caption-without-bos", "caption-of-bos-alone",
         ],
     )
     def test_read_rejects_a_malformed_record_with_its_line(self, tmp_path, edit, message):
-        scenes = small_corpus(3)
-        lines = [json.dumps(s.to_record()) for s in scenes]
-        lines[1] = json.dumps(edit(scenes[1].to_record()))
         path = tmp_path / "bad.jsonl"
+        write_corpus(small_corpus(3), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="bad.jsonl:2: " + message):
             read_corpus(path)
 
     def test_read_rejects_a_repeated_scene_id(self, tmp_path):
-        scenes = small_corpus(3)
         path = tmp_path / "dup.jsonl"
-        write_corpus(scenes + scenes[:1], path)
+        write_corpus(small_corpus(3).take([0, 1, 2, 0]), path)
         with pytest.raises(ValueError, match="dup.jsonl:4: duplicate scene_id 'scene-000000' \\(first on line 1\\)"):
             read_corpus(path)
 
 
 class TestTrainTestSplit:
     def test_split_sizes_and_disjointness(self):
-        scenes = small_corpus(100)
-        train, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
+        corpus = small_corpus(100)
+        train, test = train_test_split(corpus, 0.2, seed=42)
         assert len(train) == 80
         assert len(test) == 20
         train_ids = set(train.scene_ids)
         test_ids = set(test.scene_ids)
         assert train_ids.isdisjoint(test_ids)
-        assert train_ids | test_ids == {s.scene_id for s in scenes}
+        assert train_ids | test_ids == set(corpus.scene_ids)
 
     def test_same_seed_same_split(self):
-        corpus = Corpus.from_scenes(small_corpus(100))
+        corpus = small_corpus(100)
         a, b = train_test_split(corpus, 0.2, 7), train_test_split(corpus, 0.2, 7)
         for half_a, half_b in zip(a, b):
             assert half_a.scene_ids.tolist() == half_b.scene_ids.tolist()
 
     def test_halves_are_the_input_scenes_in_corpus_order(self):
-        scenes = small_corpus(100)
-        train, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
-        held_out = set(test.scene_ids)
-        for half, expected in (
-            (train, [s for s in scenes if s.scene_id not in held_out]),
-            (test, [s for s in scenes if s.scene_id in held_out]),
-        ):
-            assert_corpus_matches(half, expected)
+        corpus = small_corpus(100)
+        train, test = train_test_split(corpus, 0.2, seed=42)
+        held_out = np.isin(corpus.scene_ids, test.scene_ids)
+        assert_corpus_matches(train, corpus.take(~held_out))
+        assert_corpus_matches(test, corpus.take(held_out))
 
     def test_test_scenes_keep_objects_and_features(self):
-        scenes = small_corpus(100)
-        _, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
-        by_id = {s.scene_id: s for s in scenes}
+        corpus = small_corpus(100)
+        _, test = train_test_split(corpus, 0.2, seed=42)
+        row = {sid: i for i, sid in enumerate(corpus.scene_ids)}
         for sid, truth, feature in zip(test.scene_ids, test.truth, test.features):
-            original = by_id[sid]
-            assert np.flatnonzero(truth).tolist() == list(original.true_objects)
-            assert tuple(feature.tolist()) == original.feature
+            np.testing.assert_array_equal(truth, corpus.truth[row[sid]])
+            np.testing.assert_array_equal(feature, corpus.features[row[sid]])
 
     def test_held_out_rows_are_the_seeded_permutation(self):
         """The parent's split of a scene list, kept by index: the first
         round(0.2 n) entries of the seeded permutation are held out."""
-        scenes = small_corpus(100)
-        _, test = train_test_split(Corpus.from_scenes(scenes), 0.2, seed=42)
+        corpus = small_corpus(100)
+        _, test = train_test_split(corpus, 0.2, seed=42)
         held_out = sorted(rng_for(42, "split").permutation(100)[:20].tolist())
-        assert test.scene_ids.tolist() == [scenes[i].scene_id for i in held_out]
+        assert test.scene_ids.tolist() == corpus.scene_ids[held_out].tolist()
 
     def test_rejects_degenerate_fractions(self):
-        corpus = Corpus.from_scenes(small_corpus(10))
+        corpus = small_corpus(10)
         with pytest.raises(ValueError):
             train_test_split(corpus, 0.0, seed=42)
         with pytest.raises(ValueError):
@@ -377,13 +355,12 @@ class TestBuildCaption:
         rng = rng_for(42, "caption-test")
         caption, halluc = build_caption(rng, (3, 7, 11), (), 0.0)
         assert halluc == ()
-        mentioned = [token_object(t) for t in caption if token_object(t) is not None]
-        assert sorted(mentioned) == [3, 7, 11]
+        assert sorted(mentions(caption)) == [3, 7, 11]
 
     def test_mentions_separated_by_fixed_gap(self):
         rng = rng_for(42, "gap-test")
         caption, _ = build_caption(rng, (3, 7, 11), (), 0.0)
-        positions = [i for i, t in enumerate(caption) if token_object(t) is not None]
+        positions = [i for i, t in enumerate(caption) if t >= OBJECT_BASE]
         gaps = np.diff(positions)
         assert np.all(gaps == gaps[0])
 
@@ -425,17 +402,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CorpusConfig(num_scenes=1, vocab_objects=6, bias_pairs=((0, 5, 0.5),))
 
-    def test_scene_rejects_out_of_range_hallucinated_position(self):
-        with pytest.raises(ValueError):
-            SyntheticScene(
-                scene_id="s",
-                true_objects=(1,),
-                feature=(0.0,),
-                caption=(BOS_ID, EOS_ID),
-                caption_surfaces=("<bos>", "<eos>"),
-                hallucinated_positions=(5,),
-            )
-
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -445,9 +411,14 @@ class TestConfigValidation:
 )
 def test_invariants_hold_for_random_configs(n, rate, seed):
     cfg = CorpusConfig(num_scenes=n, hallucination_rate=rate, seed=seed)
-    for scene in generate_corpus(cfg):
-        assert MIN_OBJECTS <= len(scene.true_objects) <= MAX_OBJECTS
-        assert scene.caption[0] == BOS_ID and scene.caption[-1] == EOS_ID
-        mentioned = [token_object(t) for t in scene.caption if token_object(t) is not None]
+    corpus = generate_corpus(cfg)
+    for caption, objs, _, _ in scenes(corpus):
+        assert MIN_OBJECTS <= len(objs) <= MAX_OBJECTS
+        assert caption[0] == BOS_ID and caption[-1] == EOS_ID
+        mentioned = mentions(caption)
         assert len(mentioned) == len(set(mentioned))
-        assert set(scene.true_objects) <= set(mentioned)
+        assert set(objs) <= set(mentioned)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_corpus(corpus, path)
+        assert_corpus_matches(read_corpus(path), corpus)

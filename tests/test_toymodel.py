@@ -12,7 +12,7 @@ from visdep.dependence import CLASS_BY_CODE, classify_array, dependence_array, p
 from visdep.diffusion import make_schedule, corrupt
 from visdep.reweight import LossMode, ReweightConfig, training_weights
 from visdep.seeding import derive_seed, rng_for
-from visdep.synth import BOS_ID, EOS_ID, Corpus, CorpusConfig, generate_corpus, object_token, token_object
+from visdep.synth import BOS_ID, EOS_ID, OBJECT_BASE, Corpus, CorpusConfig, generate_corpus, object_token
 from visdep.toymodel import (
     SCORE_BLOCK_ROWS,
     ModelParams,
@@ -27,14 +27,11 @@ from visdep.toymodel import (
     _loss_and_grads,
     _sigmoid,
     batch_weights,
-    forward,
-    generate,
     generate_batch,
     init_params,
     load_params,
     noised_dependence,
     save_params,
-    sequence_loss,
     teacher_forced_probs,
     train,
     write_train_log,
@@ -53,9 +50,45 @@ def small_condition(seed=0):
     return np.random.default_rng(seed).normal(0.0, 1.0, V_OBJ_SMALL)
 
 
+def _targets(corpus: Corpus) -> list[list[int]]:
+    """Each caption after BOS, as a list of token ids."""
+    return [t.tolist() for t in corpus.targets()]
+
+
+def _ref_forward(p: ModelParams, condition, prefix) -> np.ndarray:
+    """Next-token distribution after consuming ``prefix`` (starting at BOS)."""
+    condition = np.asarray(condition, dtype=np.float64)
+    if condition.shape != (p.v_obj,):
+        raise ValueError(f"condition must have shape ({p.v_obj},), got {condition.shape}")
+    prefix = list(prefix)
+    if not prefix or prefix[0] != synth.BOS_ID:
+        raise ValueError("prefix must begin with BOS")
+    if any(not 0 <= t < p.vocab_size for t in prefix):
+        raise ValueError("prefix contains out-of-vocabulary token ids")
+    gates = _gates(p)
+    h = _cell_forward(gates, np.zeros((1, p.d_hid)), toymodel._cond_embed(p, condition[None, :]))
+    for t in prefix:
+        h = _cell_forward(gates, h, p.emb[[t]])
+    logits = (h @ p.w_out + p.b_out)[0]
+    logits = logits - logits.max()
+    e = np.exp(logits)
+    return e / e.sum()
+
+
+def _one_row_loss(p, condition, target, weights):
+    """``_loss_and_grads`` of one sequence, as a batch of one row."""
+    c = np.asarray(condition, dtype=np.float64)[None, :]
+    return _loss_and_grads(p, c, _forward_batch(p, c, [target]), np.asarray(weights, dtype=np.float64)[None, :])
+
+
+def _decode(p, condition, max_len=40):
+    """``generate_batch`` of one condition, BOS through its last emitted token."""
+    return _sequences(*generate_batch(p, np.asarray(condition)[None, :], max_len)[:2])[0]
+
+
 @pytest.fixture(scope="module")
 def tiny_corpus():
-    return Corpus.from_scenes(generate_corpus(CorpusConfig(num_scenes=160, seed=42)))
+    return generate_corpus(CorpusConfig(num_scenes=160, seed=42))
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +112,15 @@ def wneg_run(tiny_corpus):
 @pytest.fixture(scope="module")
 def trained_run():
     """A model trained long enough to caption scenes it was shown."""
-    scenes = generate_corpus(CorpusConfig(num_scenes=1000, seed=42))
+    corpus = generate_corpus(CorpusConfig(num_scenes=1000, seed=42))
     cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.015, seed=42)
-    return scenes, train(Corpus.from_scenes(scenes), cfg)
+    return corpus, train(corpus, cfg)
 
 
 class TestForward:
     def test_output_is_a_distribution(self):
         p = small_params()
-        dist = forward(p, small_condition(), [BOS_ID])
+        dist = _ref_forward(p, small_condition(), [BOS_ID])
         assert dist.shape == (VOCAB_SMALL,)
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(dist > 0.0)
@@ -97,36 +130,36 @@ class TestForward:
         cond = small_condition()
         prefix = [BOS_ID, 3, 4]
         np.testing.assert_array_equal(
-            forward(p, cond, prefix), forward(p, cond, prefix)
+            _ref_forward(p, cond, prefix), _ref_forward(p, cond, prefix)
         )
 
     def test_does_not_mutate_params(self):
         p = small_params()
         before = {name: arr.copy() for name, arr in p.blocks().items()}
-        forward(p, small_condition(), [BOS_ID, 2])
+        _ref_forward(p, small_condition(), [BOS_ID, 2])
         for name, arr in p.blocks().items():
             np.testing.assert_array_equal(arr, before[name])
 
     def test_rejects_prefix_without_bos(self):
         with pytest.raises(ValueError):
-            forward(small_params(), small_condition(), [3, 4])
+            _ref_forward(small_params(), small_condition(), [3, 4])
 
     def test_rejects_empty_prefix(self):
         with pytest.raises(ValueError):
-            forward(small_params(), small_condition(), [])
+            _ref_forward(small_params(), small_condition(), [])
 
     def test_rejects_out_of_vocab_token(self):
         with pytest.raises(ValueError):
-            forward(small_params(), small_condition(), [BOS_ID, VOCAB_SMALL])
+            _ref_forward(small_params(), small_condition(), [BOS_ID, VOCAB_SMALL])
 
     def test_rejects_wrong_condition_shape(self):
         with pytest.raises(ValueError):
-            forward(small_params(), np.zeros(V_OBJ_SMALL + 1), [BOS_ID])
+            _ref_forward(small_params(), np.zeros(V_OBJ_SMALL + 1), [BOS_ID])
 
     def test_condition_changes_the_distribution(self):
         p = small_params()
-        a = forward(p, small_condition(1), [BOS_ID])
-        b = forward(p, small_condition(2), [BOS_ID])
+        a = _ref_forward(p, small_condition(1), [BOS_ID])
+        b = _ref_forward(p, small_condition(2), [BOS_ID])
         assert np.abs(a - b).sum() > 0.0
 
 
@@ -271,9 +304,8 @@ class TestFusedCellMatchesReference:
     @pytest.mark.parametrize("b", [1, 2, 8, 128])
     def test_training_step_is_bit_identical(self, b):
         p = _full_size_params(b)
-        scenes = generate_corpus(CorpusConfig(num_scenes=b, seed=b))
-        conditions = np.array([s.feature for s in scenes])
-        targets = [list(s.caption[1:]) for s in scenes]
+        corpus = generate_corpus(CorpusConfig(num_scenes=b, seed=b))
+        conditions, targets = corpus.features, _targets(corpus)
         fwd = _forward_batch(p, conditions, targets)
         weights = np.where(fwd.mask, np.random.default_rng(b).uniform(0.5, 2.0, fwd.mask.shape), 0.0)
         loss, grads = _loss_and_grads(p, conditions, fwd, weights)
@@ -297,7 +329,7 @@ class TestTeacherForcedProbs:
         for i, target in enumerate(targets):
             assert not batched[i, len(target) :].any()
             for t in range(len(target)):
-                dist = forward(p, conds[i], [BOS_ID] + target[:t])
+                dist = _ref_forward(p, conds[i], [BOS_ID] + target[:t])
                 assert batched[i][t] == pytest.approx(dist[target[t]], rel=1e-12)
 
     @pytest.mark.parametrize("n", [1100, SCORE_BLOCK_ROWS + 1])
@@ -306,9 +338,8 @@ class TestTeacherForcedProbs:
         straddle a block boundary give every row the same bits, and so do
         a slice of a few rows and a one-row remainder."""
         p = _full_size_params(3)
-        scenes = generate_corpus(CorpusConfig(num_scenes=n, seed=9))
-        conds = np.array([s.feature for s in scenes])
-        targets = [list(s.caption[1:]) for s in scenes]
+        corpus = generate_corpus(CorpusConfig(num_scenes=n, seed=9))
+        conds, targets = corpus.features, _targets(corpus)
         assert len({len(t) for t in targets}) > 5
         whole = teacher_forced_probs(p, conds, targets)
         assert whole.shape == (n, max(len(t) for t in targets))
@@ -361,9 +392,8 @@ def _ref_teacher_forced_probs(p, conditions, targets):
 def _scoring_targets(n, shape):
     """Corpus captions of mixed lengths, one caption 6 tokens longer than
     any other (in the middle of the batch), or n equal lengths."""
-    scenes = generate_corpus(CorpusConfig(num_scenes=n, seed=11))
-    conds = np.array([s.feature for s in scenes])
-    targets = [list(s.caption[1:]) for s in scenes]
+    corpus = generate_corpus(CorpusConfig(num_scenes=n, seed=11))
+    conds, targets = corpus.features, _targets(corpus)
     if shape == "one_long":
         longest = max(len(t) for t in targets)
         targets[n // 2] = targets[n // 2] + [object_token(0)] * (longest + 6 - len(targets[n // 2]))
@@ -408,7 +438,7 @@ class TestSequenceLoss:
         target = [3, 9, 4, 1]
         probs = teacher_forced_probs(p, cond[None, :], [target])[0]
         expected = -np.mean(np.log(probs))
-        loss, _ = sequence_loss(p, cond, target, np.ones(len(target)))
+        loss, _ = _one_row_loss(p, cond, target, np.ones(len(target)))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_arbitrary_weights_match_recomputation(self):
@@ -419,7 +449,7 @@ class TestSequenceLoss:
         weights = np.array([1.0, 2.0, 0.5, 1.0])
         probs = teacher_forced_probs(p, cond[None, :], [target])[0]
         expected = -np.sum(weights * np.log(probs)) / len(target)
-        loss, _ = sequence_loss(p, cond, target, weights)
+        loss, _ = _one_row_loss(p, cond, target, weights)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_a_weight_adds_that_tokens_share(self):
@@ -427,21 +457,13 @@ class TestSequenceLoss:
         cond = small_condition()
         target = [3, 9, 4]
         probs = teacher_forced_probs(p, cond[None, :], [target])[0]
-        base, _ = sequence_loss(p, cond, target, np.ones(3))
-        bumped, _ = sequence_loss(p, cond, target, np.array([1.0, 2.0, 1.0]))
+        base, _ = _one_row_loss(p, cond, target, np.ones(3))
+        bumped, _ = _one_row_loss(p, cond, target, np.array([1.0, 2.0, 1.0]))
         assert bumped - base == pytest.approx(-np.log(probs[1]) / 3, rel=1e-9)
 
     def test_rejects_empty_target(self):
-        with pytest.raises(ValueError):
-            sequence_loss(small_params(), small_condition(), [], np.ones(0))
-
-    def test_rejects_weight_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sequence_loss(small_params(), small_condition(), [3, 4], np.ones(3))
-
-    def test_rejects_out_of_vocab_target(self):
-        with pytest.raises(ValueError):
-            sequence_loss(small_params(), small_condition(), [VOCAB_SMALL], np.ones(1))
+        with pytest.raises(ValueError, match="at least one token"):
+            _forward_batch(small_params(), small_condition()[None, :], [[]])
 
 
 class TestGradients:
@@ -459,7 +481,7 @@ class TestGradients:
         cond = rng.normal(0.0, 1.0, V_OBJ_SMALL)
         target = [int(t) for t in rng.integers(1, VOCAB_SMALL, size=5)]
         weights = rng.uniform(0.5, 2.0, size=5)
-        _, grads = sequence_loss(p, cond, target, weights)
+        _, grads = _one_row_loss(p, cond, target, weights)
         eps = 1e-5
         for name, arr in p.blocks().items():
             g = grads.blocks()[name]
@@ -469,9 +491,9 @@ class TestGradients:
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + eps
-                up, _ = sequence_loss(p, cond, target, weights)
+                up, _ = _one_row_loss(p, cond, target, weights)
                 flat[j] = orig - eps
-                down, _ = sequence_loss(p, cond, target, weights)
+                down, _ = _one_row_loss(p, cond, target, weights)
                 flat[j] = orig
                 fd_flat[j] = (up - down) / (2 * eps)
             np.testing.assert_allclose(
@@ -488,14 +510,14 @@ class TestGradients:
 class TestGenerate:
     def test_starts_with_bos_and_terminates(self):
         p = small_params()
-        seq = generate(p, small_condition(), max_len=12)
+        seq = _decode(p, small_condition(), max_len=12)
         assert seq[0] == BOS_ID
         assert seq[-1] == EOS_ID or len(seq) == 12
 
     def test_deterministic(self):
         p = small_params()
         cond = small_condition()
-        assert generate(p, cond) == generate(p, cond)
+        assert _decode(p, cond) == _decode(p, cond)
 
     def test_batch_matches_single(self):
         """Each row of a batch decode equals its standalone decode, so the
@@ -504,17 +526,17 @@ class TestGenerate:
         rng = np.random.default_rng(42)
         conds = rng.normal(0.0, 1.0, (5, V_OBJ_SMALL))
         batch = _sequences(*generate_batch(p, conds, max_len=20)[:2])
-        singles = [generate(p, conds[i], max_len=20) for i in range(5)]
+        singles = [_decode(p, conds[i], max_len=20) for i in range(5)]
         assert batch == singles
 
     def test_rejects_tiny_max_len(self):
         with pytest.raises(ValueError):
-            generate(small_params(), small_condition(), max_len=1)
+            generate_batch(small_params(), small_condition()[None, :], max_len=1)
 
     def test_respects_max_len(self):
         p = small_params()
         for max_len in (2, 5, 9):
-            assert len(generate(p, small_condition(), max_len=max_len)) <= max_len
+            assert len(_decode(p, small_condition(), max_len=max_len)) <= max_len
 
 
 def _sequences(tokens, lengths):
@@ -715,9 +737,9 @@ class TestTrainMechanics:
         counting("teacher_forced_probs", lambda args: step[0])
         counting("_forward_batch", lambda args: (step[0], len(args[1])))
         monkeypatch.setattr(toymodel, "_loss_and_grads", loss_and_next_step)
-        scenes = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
+        corpus = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
         gated = ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5)
-        _, log = train(Corpus.from_scenes(scenes), TrainConfig(epochs=2, batch_size=8, seed=11, reweight=gated))
+        _, log = train(corpus, TrainConfig(epochs=2, batch_size=8, seed=11, reweight=gated))
         assert len(log) == 6
         assert calls["corrupt"] == [3] * 8 + [4] * 8 + [5] * 8
         assert calls["_forward_batch"] == [(0, 8), (1, 8), (2, 8), (3, 16), (4, 16), (5, 16)]
@@ -726,7 +748,7 @@ class TestTrainMechanics:
         for rows in calls.values():
             rows.clear()
         step[0] = 0
-        train(Corpus.from_scenes(scenes), TrainConfig(epochs=2, batch_size=8, seed=11))
+        train(corpus, TrainConfig(epochs=2, batch_size=8, seed=11))
         assert calls == {"corrupt": [], "teacher_forced_probs": [], "_forward_batch": [(i, 8) for i in range(6)]}
 
     def test_batch_weights_match_the_trace_path(self):
@@ -735,12 +757,11 @@ class TestTrainMechanics:
         through TokenTrace, profile_trace and a one-row training_weights;
         the class means are those of the per-token classes."""
         p = _full_size_params(4)
-        scenes = generate_corpus(CorpusConfig(num_scenes=32, seed=4))
-        conds = np.array([s.feature for s in scenes])
-        targets = [list(s.caption[1:]) for s in scenes]
+        corpus = generate_corpus(CorpusConfig(num_scenes=32, seed=4))
+        conds, targets = corpus.features, _targets(corpus)
         fwd = _forward_batch(p, conds, targets)
         p_clean = np.where(fwd.mask, fwd.target_p, 0.0)
-        noisy_p, d = noised_dependence(p, conds, targets, p_clean, list(range(len(scenes))), 900)
+        noisy_p, d = noised_dependence(p, conds, targets, p_clean, list(range(len(corpus))), 900)
         noisy = np.stack([corrupt(c, 900, make_schedule(), i) for i, c in enumerate(conds)])
         np.testing.assert_array_equal(noisy_p, teacher_forced_probs(p, noisy, targets))
         for cfg in (
@@ -750,10 +771,10 @@ class TestTrainMechanics:
         ):
             weights, means = batch_weights(fwd, d, cfg)
             classes = []
-            for i, (scene, target) in enumerate(zip(scenes, targets)):
+            for i, (sid, target) in enumerate(zip(corpus.scene_ids, targets)):
                 n = len(target)
                 trace = TokenTrace(
-                    sample_id=scene.scene_id,
+                    sample_id=sid,
                     tokens=target,
                     surfaces=synth.surfaces_for(target, p.v_obj),
                     p_clean=fwd.target_p[i, :n],
@@ -781,7 +802,7 @@ class TestTrainMechanics:
         """One optimizer step decomposes into the documented stages:
         shuffle, clean pass, noising, trace scoring, weighting, backward,
         update — each reproducible from the shared seed streams."""
-        scenes = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
+        corpus = generate_corpus(CorpusConfig(num_scenes=24, seed=5))
         cfg = TrainConfig(
             epochs=1,
             batch_size=24,
@@ -789,28 +810,21 @@ class TestTrainMechanics:
             seed=11,
             reweight=ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.0),
         )
-        trained_params, log = train(Corpus.from_scenes(scenes), cfg)
+        trained_params, log = train(corpus, cfg)
         assert len(log) == 1
 
-        v_obj = len(scenes[0].feature)
+        v_obj = corpus.features.shape[1]
         params = init_params(
             synth.vocab_size(v_obj), v_obj, seed=derive_seed(cfg.seed, "init")
         )
         schedule = make_schedule()
-        order = rng_for(cfg.seed, "shuffle", 0).permutation(len(scenes))
-        batch = [scenes[int(i)] for i in order]
-        features = np.array([s.feature for s in batch])
-        targets = [list(s.caption[1:]) for s in batch]
+        batch = corpus.take(rng_for(cfg.seed, "shuffle", 0).permutation(len(corpus)))
+        features, targets = batch.features, _targets(batch)
         fwd = _forward_batch(params, features, targets)
         noisy = np.stack(
             [
-                corrupt(
-                    np.array(s.feature),
-                    cfg.noise_step,
-                    schedule,
-                    derive_seed(cfg.seed, "noise", 0, s.scene_id),
-                )
-                for s in batch
+                corrupt(feature, cfg.noise_step, schedule, derive_seed(cfg.seed, "noise", 0, sid))
+                for feature, sid in zip(batch.features, batch.scene_ids)
             ]
         )
         noisy_p = teacher_forced_probs(params, noisy, targets)
@@ -840,7 +854,7 @@ class TestTrainMechanics:
 
     @staticmethod
     def _check_replicated_run(num_scenes, batch_size):
-        scenes = generate_corpus(CorpusConfig(num_scenes=num_scenes, seed=5))
+        corpus = generate_corpus(CorpusConfig(num_scenes=num_scenes, seed=5))
         cfg = TrainConfig(
             epochs=2,
             batch_size=batch_size,
@@ -848,11 +862,11 @@ class TestTrainMechanics:
             seed=11,
             reweight=ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5),
         )
-        averaged, log = train(Corpus.from_scenes(scenes), cfg)
-        n_steps = 2 * -(-len(scenes) // batch_size)
+        averaged, log = train(corpus, cfg)
+        n_steps = 2 * -(-len(corpus) // batch_size)
         assert len(log) == n_steps
 
-        v_obj = len(scenes[0].feature)
+        v_obj = corpus.features.shape[1]
         params = init_params(
             synth.vocab_size(v_obj), v_obj, seed=derive_seed(cfg.seed, "init")
         )
@@ -860,25 +874,19 @@ class TestTrainMechanics:
         schedule = make_schedule()
         losses, iterates = [], []
         for epoch in range(cfg.epochs):
-            order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(scenes))
-            for start in range(0, len(scenes), cfg.batch_size):
+            order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(corpus))
+            for start in range(0, len(corpus), cfg.batch_size):
                 step = len(losses)
-                batch = [scenes[int(i)] for i in order[start : start + cfg.batch_size]]
-                features = np.array([s.feature for s in batch])
-                targets = [list(s.caption[1:]) for s in batch]
+                batch = corpus.take(order[start : start + cfg.batch_size])
+                features, targets = batch.features, _targets(batch)
                 fwd = _forward_batch(params, features, targets)
                 if step < n_steps // 2:  # before start_fraction: all-ones weights, no noisy pass
                     weights = np.where(fwd.mask, 1.0, 0.0)
                 else:
                     noisy = np.stack(
                         [
-                            corrupt(
-                                np.array(s.feature),
-                                cfg.noise_step,
-                                schedule,
-                                derive_seed(cfg.seed, "noise", step, s.scene_id),
-                            )
-                            for s in batch
+                            corrupt(feature, cfg.noise_step, schedule, derive_seed(cfg.seed, "noise", step, sid))
+                            for feature, sid in zip(batch.features, batch.scene_ids)
                         ]
                     )
                     noisy_p = teacher_forced_probs(params, noisy, targets)
@@ -909,19 +917,18 @@ class TestTrainMechanics:
             return float("nan"), grads
 
         monkeypatch.setattr(toymodel, "_loss_and_grads", poisoned)
-        scenes = generate_corpus(CorpusConfig(num_scenes=32, seed=1))
+        corpus = generate_corpus(CorpusConfig(num_scenes=32, seed=1))
         cfg = TrainConfig(epochs=1, batch_size=16, seed=1)
         with pytest.raises(TrainingDiverged, match="step 0"):
-            train(Corpus.from_scenes(scenes), cfg)
+            train(corpus, cfg)
 
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
-            train(Corpus.from_scenes([]), TrainConfig())
+            train(generate_corpus(CorpusConfig(num_scenes=0)), TrainConfig())
 
     def test_rejects_out_of_schedule_noise_step(self):
-        scenes = generate_corpus(CorpusConfig(num_scenes=4, seed=1))
         with pytest.raises(ValueError):
-            train(Corpus.from_scenes(scenes), TrainConfig(noise_step=1001))
+            train(generate_corpus(CorpusConfig(num_scenes=4, seed=1)), TrainConfig(noise_step=1001))
 
 
 class _RefAdam:
@@ -984,30 +991,28 @@ class TestTrainedBehaviour:
 
     def test_generates_objects_from_the_scene(self, trained_run):
         """Captions for a seen scene mention most of its objects."""
-        scenes, (params, _) = trained_run
+        corpus, (params, _) = trained_run
+        tokens, _, _ = generate_batch(params, corpus.features[:20])
         hits = 0
-        for scene in scenes[:20]:
-            seq = generate(params, np.array(scene.feature))
-            mentioned = {token_object(t) for t in seq} - {None}
-            hits += len(mentioned & set(scene.true_objects)) >= 2
+        for row, truth in zip(tokens.tolist(), corpus.truth[:20]):
+            mentioned = {t - OBJECT_BASE for t in row if t >= OBJECT_BASE}
+            hits += len(mentioned & set(np.flatnonzero(truth).tolist())) >= 2
         assert hits >= 15
 
     def test_specific_scene_is_described(self, trained_run):
         _, (params, _) = trained_run
         feature = np.zeros(40)
         feature[[3, 7, 11]] = 1.0
-        seq = generate(params, feature)
-        mentioned = {token_object(t) for t in seq} - {None}
+        mentioned = {t - OBJECT_BASE for t in _decode(params, feature) if t >= OBJECT_BASE}
         assert len(mentioned & {3, 7, 11}) >= 2
 
     def test_conditioning_shifts_the_first_object_slot(self, trained_run):
         """Zeroing the image changes the distribution at the first content
         position by more than 0.01 in total variation."""
-        scenes, (params, _) = trained_run
-        scene = scenes[0]
-        prefix = list(scene.caption[:4])
-        with_image = forward(params, np.array(scene.feature), prefix)
-        without = forward(params, np.zeros_like(np.array(scene.feature)), prefix)
+        corpus, (params, _) = trained_run
+        prefix = corpus.captions[0, :4].tolist()
+        with_image = _ref_forward(params, corpus.features[0], prefix)
+        without = _ref_forward(params, np.zeros_like(corpus.features[0]), prefix)
         tv = 0.5 * np.abs(with_image - without).sum()
         assert tv > 0.01
 
