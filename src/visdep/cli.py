@@ -22,6 +22,7 @@ from .diffusion import DEFAULT_NOISE_STEP
 from .filtering import (
     FilterStrategy,
     apply_filter,
+    check_fraction,
     load_manifest,
     save_manifest,
     score_corpus,
@@ -33,6 +34,8 @@ from .seeding import derive_seed
 from .toymodel import (
     TrainConfig,
     TrainingDiverged,
+    check_max_len,
+    check_noise_step,
     generate_batch,
     load_params,
     noised_dependence,
@@ -42,9 +45,7 @@ from .toymodel import (
 )
 from .trace import TraceArrays, TraceError, read_traces, write_traces
 
-# ``run_eval`` corrupts and scores through ``noised_dependence`` and builds no
-# TokenTrace, but ``bench/tracer.py`` hooks these three by name in this module
-# to count calls; they stay importable here until its hook list changes.
+# Unused here but hooked by name by ``bench/tracer.py`` (tests/test_bench_hooks.py).
 from .diffusion import corrupt  # noqa: F401
 from .toymodel import teacher_forced_probs  # noqa: F401
 from .trace import TokenTrace  # noqa: F401
@@ -239,6 +240,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     out = _out_dir(args)
     corpus, _ = _read_split(args)
     if args.manifest:
@@ -250,7 +252,7 @@ def cmd_train(args) -> int:
             )
         kept = set(manifest.kept)
         corpus = corpus.take(np.array([sid in kept for sid in corpus.scene_ids], dtype=bool))
-    params, log = train(corpus, _train_config(args))
+    params, log = train(corpus, cfg)
     save_params(params, out / CKPT_FILE)
     write_train_log(log, out / TRAINLOG_FILE)
     _write_run(out, args)
@@ -281,6 +283,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    check_fraction(args.frac)
+    check_noise_step(args.noise_step)
     out = _out_dir(args)
     corpus, _ = _read_split(args)
     params = _load_ckpt(args, corpus)
@@ -299,9 +303,8 @@ def run_eval(params, corpus: synth.Corpus, noise_step: int, seed: int, max_len: 
     teacher-forced.  Returns (traces, report, counts, histogram).
     """
     tokens, lengths, p_clean = generate_batch(params, corpus.features, max_len=max_len)
-    targets = [row[:n] for row, n in zip(tokens, lengths.tolist())]
     seeds = [derive_seed(seed, "evalnoise", sid) for sid in corpus.scene_ids]
-    p_noisy, d = noised_dependence(params, corpus.features, targets, p_clean, seeds, noise_step)
+    p_noisy, d = noised_dependence(params, corpus.features, tokens, lengths, p_clean, seeds, noise_step)
     surfaces = np.array(synth.surfaces_for(range(params.vocab_size), params.v_obj), dtype=object)
     traces = TraceArrays(
         noise_step=noise_step,
@@ -341,6 +344,8 @@ def _write_eval_artifacts(out: Path, tf, report, counts, hist) -> None:
 
 
 def cmd_eval(args) -> int:
+    check_noise_step(args.noise_step)
+    check_max_len(args.max_len)
     out = _out_dir(args)
     _, corpus = _read_split(args)
     params = _load_ckpt(args, corpus)
@@ -368,6 +373,7 @@ def cmd_sweep(args) -> int:
         sub_args = argparse.Namespace(**vars(args))
         setattr(sub_args, args.axis.replace("-", "_"), int(value) if args.axis == "noise-step" else value)
         configs.append(_train_config(sub_args))
+    check_max_len(args.max_len)
     out = _out_dir(args)
     train_corpus, test_corpus = _read_split(args)
     rows = ["value,chair_s,chair_i,recall,mean_len"]

@@ -21,9 +21,7 @@ from .seeding import derive_seed, rng_for
 from .synth import Corpus
 from .toymodel import ModelParams, noised_dependence, teacher_forced_probs
 
-# Scoring works on arrays and corrupts through ``noised_dependence``, but
-# ``bench/tracer.py`` hooks these three by name in this module to count
-# calls; they stay importable here until its hook list changes.
+# Unused here but hooked by name by ``bench/tracer.py`` (tests/test_bench_hooks.py).
 from .dependence import profile_trace  # noqa: F401
 from .diffusion import corrupt  # noqa: F401
 from .trace import TokenTrace  # noqa: F401
@@ -125,11 +123,16 @@ def score_corpus(
     """
     if not len(corpus):
         raise ValueError("cannot score an empty corpus")
-    targets = corpus.targets()
-    p_clean = teacher_forced_probs(params, corpus.features, targets)
+    ids, lengths = corpus.captions[:, 1:], corpus.lengths - 1
+    p_clean = teacher_forced_probs(params, corpus.features, ids, lengths)
     seeds = [derive_seed(seed, "filternoise", sid) for sid in corpus.scene_ids]
-    _, d = noised_dependence(params, corpus.features, targets, p_clean, seeds, noise_step)
-    return {sid: float(sum(row[: len(t)].tolist())) for sid, t, row in zip(corpus.scene_ids, targets, d)}
+    _, d = noised_dependence(params, corpus.features, ids, lengths, p_clean, seeds, noise_step)
+    return {sid: float(sum(row[:n].tolist())) for sid, n, row in zip(corpus.scene_ids, lengths.tolist(), d)}
+
+
+def check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
 
 
 def apply_filter(
@@ -143,8 +146,7 @@ def apply_filter(
     ``round(fraction * n)`` samples are removed; score ties break by
     sample id.  Both output lists preserve the input (corpus) order.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    check_fraction(fraction)
     for sid, sc in scores.items():
         if not math.isfinite(sc):
             raise ValueError(f"non-finite score for sample {sid!r}")

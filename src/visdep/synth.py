@@ -180,10 +180,6 @@ class Corpus:
         """The rows at ``idx``, an index array or a boolean mask, in its order."""
         return Corpus(*(getattr(self, f.name)[idx] for f in fields(self)))
 
-    def targets(self) -> list[np.ndarray]:
-        """Each caption after BOS, cut to its length: the tokens a model predicts."""
-        return [row[1:n] for row, n in zip(self.captions, self.lengths.tolist())]
-
 
 def _sample_gap(rng: np.random.Generator) -> list[int]:
     return [int(t) for t in rng.choice(_GAP_TOKENS, size=GAP_LEN)]

@@ -20,13 +20,11 @@ import numpy as np
 
 from . import synth
 from .dependence import CLASS_BY_CODE, TokenClass, classify_array, dependence_array
-from .diffusion import DEFAULT_NOISE_STEP, DEFAULT_NUM_STEPS, corrupt, make_schedule
+from .diffusion import DEFAULT_NOISE_STEP, DEFAULT_NUM_STEPS, NoiseSchedule, corrupt, make_schedule
 from .reweight import ReweightConfig, reweighting_active, training_weights
 from .seeding import derive_seed, rng_for
 
-# Training works on arrays and builds no trace, but ``bench/tracer.py`` hooks
-# these two by name in this module to count calls; they stay importable here
-# until its hook list changes.
+# Unused here but hooked by name by ``bench/tracer.py`` (tests/test_bench_hooks.py).
 from .dependence import profile_trace  # noqa: F401
 from .trace import TokenTrace  # noqa: F401
 
@@ -262,19 +260,6 @@ def _cell_backward(p: ModelParams, dh_new: np.ndarray, h_prev: np.ndarray, g: np
     return dh_prev
 
 
-def pad_targets(targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack variable-length targets into (B, T) ids, lengths and a mask."""
-    lengths = np.array([len(t) for t in targets], dtype=np.int64)
-    if np.any(lengths < 1):
-        raise ValueError("every target sequence must contain at least one token")
-    t_max = int(lengths.max())
-    ids = np.zeros((len(targets), t_max), dtype=np.int64)
-    for i, t in enumerate(targets):
-        ids[i, : len(t)] = t
-    mask = np.arange(t_max)[None, :] < lengths[:, None]
-    return ids, lengths, mask
-
-
 class _ForwardCache(NamedTuple):
     """Everything the backward pass needs from one teacher-forced forward.
 
@@ -283,21 +268,21 @@ class _ForwardCache(NamedTuple):
     second-to-last axis.
     """
 
-    inputs: np.ndarray            # (B, T) BOS then the targets shifted right
-    targets: np.ndarray           # (B, T) padded target ids
-    lengths: np.ndarray           # (B,)
-    mask: np.ndarray              # (B, T) True within each length
-    xs: np.ndarray | None         # (T+1, B, d_emb) cell input at each step
-    hs: np.ndarray | None         # (T+2, B, d_hid) zero, then the state after each step
-    hr: np.ndarray | None         # (T+1, B, d_hid) r * h_prev at each step
-    gz: np.ndarray | None         # (T+1, 3, B, d_hid) the gates [z, r, c] at each step
-    probs: np.ndarray | None      # (T, B, vocab) next-token distributions
-    target_p: np.ndarray          # (B, T) probability of each target
-    target_logp: np.ndarray       # (B, T) its log
+    inputs: np.ndarray       # (B, T) BOS then the targets shifted right
+    targets: np.ndarray      # (B, T) padded target ids
+    lengths: np.ndarray      # (B,)
+    mask: np.ndarray         # (B, T) True within each length
+    xs: np.ndarray           # (T+1, B, d_emb) cell input at each step
+    hs: np.ndarray           # (T+2, B, d_hid) zero, then the state after each step
+    hr: np.ndarray           # (T+1, B, d_hid) r * h_prev at each step
+    gz: np.ndarray           # (T+1, 3, B, d_hid) the gates [z, r, c] at each step
+    probs: np.ndarray        # (T, B, vocab) next-token distributions
+    target_p: np.ndarray     # (B, T) probability of each target
+    target_logp: np.ndarray  # (B, T) its log
 
     def head(self, b: int) -> "_ForwardCache":
         """The cache of the first ``b`` rows, as views."""
-        return _ForwardCache(*(None if f is None else f[:b] if f.ndim == 1 else f[..., :b, :] for f in self))
+        return _ForwardCache(*(f[:b] if f.ndim == 1 else f[..., :b, :] for f in self))
 
 
 def _output_layer(p: ModelParams, hs: np.ndarray, ids: np.ndarray):
@@ -325,60 +310,55 @@ def _softmax_at(logits: np.ndarray, ids: np.ndarray):
     return probs, target_p, target_logits - np.log(denom)
 
 
-def _forward_batch(
-    p: ModelParams,
-    conditions: np.ndarray,
-    targets: list,
-    keep_cache: bool = True,
-) -> _ForwardCache:
-    """Teacher-forced pass over a batch; targets exclude BOS.
+def _forward_batch(p: ModelParams, conditions: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> _ForwardCache:
+    """Teacher-forced training pass over padded (B, T) target ids (BOS excluded) and their lengths.
 
-    The output layer does not feed the recurrence.  For training
-    (``keep_cache``) it runs once on the stack of states, so a small batch
-    pays its per-call cost once instead of at every step.  A scoring block
-    must come longest row first: step ``t`` then runs only the rows whose
-    length exceeds ``t``, a prefix of the block, and takes their output at
-    that step, so no state outlives its step.  It never runs fewer than two
-    rows, since a lone row's matmuls are matrix-vector products that round
-    differently.  In a batch of two or more rows a row's bits do not depend
-    on the other rows, so every path gives the same bits.  In the scoring
-    path ``target_p`` and ``target_logp`` are 0 past each length.
+    Only the recurrence runs step by step: the input projections of every
+    step are one stacked matmul, which makes each step's own BLAS calls,
+    and the cell turns them into the gates in place.  The output layer does
+    not feed the recurrence and runs once on the stack of states, so a
+    small batch pays its per-call cost once instead of at every step.
     """
-    b = conditions.shape[0]
-    ids, lengths, mask = pad_targets(targets)
-    t_max = ids.shape[1]
+    if np.any(lengths < 1):
+        raise ValueError("every target sequence must contain at least one token")
+    b, t_max = ids.shape
     inputs = np.concatenate([np.full((b, 1), synth.BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
-
     gates = _gates(p)
-    cond_x = _cond_embed(p, conditions)
-    if keep_cache:
-        # Only the recurrence runs step by step: the input projections of
-        # every step are one stacked matmul, which makes each step's own BLAS
-        # calls, and the cell turns them into the gates in place.
-        xs = np.empty((t_max + 1, b, p.d_emb))
-        xs[0] = cond_x
-        p.emb.take(inputs.T, axis=0, out=xs[1:])
-        gz = xs[:, None] @ gates.w_x
-        hs = np.zeros((t_max + 2, b, p.d_hid))
-        hr = np.empty((t_max + 1, b, p.d_hid))
-        for t in range(t_max + 1):
-            _cell_step(gates, hs[t], gz[t], hr[t], out=hs[t + 1])
-        probs, target_p, target_logp = _output_layer(p, hs[2:], ids.T)
-    else:
-        if np.any(lengths[1:] > lengths[:-1]):
-            raise ValueError("a scoring block must list its rows longest first")
-        h = _cell_forward(gates, np.zeros((b, p.d_hid)), cond_x)
-        # live[t]: rows still inside their target at step t, at least two
-        live = np.maximum(np.searchsorted(-lengths, -np.arange(t_max), side="left"), min(b, 2))
-        target_p, target_logp = np.zeros((t_max, b)), np.zeros((t_max, b))
-        for t in range(t_max):
-            k = live[t]
-            _cell_forward(gates, h[:k], p.emb[inputs[:k, t]], out=h[:k])
-            _, target_p[t : t + 1, :k], target_logp[t : t + 1, :k] = _output_layer(
-                p, h[None, :k], ids.T[t : t + 1, :k]
-            )
-        xs = hs = hr = gz = probs = None
+    xs = np.empty((t_max + 1, b, p.d_emb))
+    xs[0] = _cond_embed(p, conditions)
+    p.emb.take(inputs.T, axis=0, out=xs[1:])
+    gz = xs[:, None] @ gates.w_x
+    hs = np.zeros((t_max + 2, b, p.d_hid))
+    hr = np.empty((t_max + 1, b, p.d_hid))
+    for t in range(t_max + 1):
+        _cell_step(gates, hs[t], gz[t], hr[t], out=hs[t + 1])
+    probs, target_p, target_logp = _output_layer(p, hs[2:], ids.T)
+    mask = np.arange(t_max)[None, :] < lengths[:, None]
     return _ForwardCache(inputs, ids, lengths, mask, xs, hs, hr, gz, probs, target_p.T, target_logp.T)
+
+
+def _score_block(p: ModelParams, conditions: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ``target_p`` of ``_forward_batch`` for a block listed longest first, zero past each length.
+
+    Step ``t`` runs only the rows whose length exceeds ``t``, a prefix of
+    the block, but never fewer than two: a row's bits do not depend on the
+    other rows of a batch of two or more, but a lone row's matmuls are
+    matrix-vector products that round differently.
+    """
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ValueError("a scoring block must list its rows longest first")
+    b, t_max = ids.shape
+    inputs = np.concatenate([np.full((b, 1), synth.BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
+    gates = _gates(p)
+    h = _cell_forward(gates, np.zeros((b, p.d_hid)), _cond_embed(p, conditions))
+    # live[t]: rows still inside their target at step t, at least two
+    live = np.maximum(np.searchsorted(-lengths, -np.arange(t_max), side="left"), min(b, 2))
+    target_p = np.zeros((t_max, b))
+    for t in range(t_max):
+        k = live[t]
+        _cell_forward(gates, h[:k], p.emb[inputs[:k, t]], out=h[:k])
+        _, target_p[t : t + 1, :k], _ = _output_layer(p, h[None, :k], ids.T[t : t + 1, :k])
+    return np.where(np.arange(t_max) < lengths[:, None], target_p.T, 0.0)
 
 
 def _loss_and_grads(
@@ -440,43 +420,50 @@ def _loss_and_grads(
     return loss, g
 
 
-def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, targets: list) -> np.ndarray:
-    """(n, T) probability of each target token, rows in input order, zero past each length.
+def teacher_forced_probs(p: ModelParams, conditions: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(n, T) probability of each of the padded (n, T) target ids, zero past each length.
 
-    Rows are ordered longest first (a stable sort) and then cut into blocks
-    of ``SCORE_BLOCK_ROWS``, so a block pads little and its steps run only
-    the rows still inside their target (see ``_forward_batch``).  The
-    blocks bound the memory and change no bit: in a batch of two or more
-    rows, a row's probabilities do not depend on the other rows.  A lone
-    row runs its matmuls as matrix-vector products, which round
-    differently, so a one-row remainder joins the block before it.
+    Rows are ordered longest first (a stable sort) and cut into blocks of
+    ``SCORE_BLOCK_ROWS``, each scored by ``_score_block`` over the columns
+    of its longest row, so a block pads little.  The blocks bound the
+    memory and change no bit, as long as none is a lone row: a one-row
+    remainder joins the block before it.
     """
     conditions = np.asarray(conditions, dtype=np.float64)
-    n = len(targets)
-    order = np.argsort([-len(t) for t in targets], kind="stable")
+    if np.any(lengths < 1):
+        raise ValueError("every target sequence must contain at least one token")
+    n = len(lengths)
+    order = np.argsort(-lengths, kind="stable")
     starts = list(range(0, n, SCORE_BLOCK_ROWS))
     if n > 1 and n % SCORE_BLOCK_ROWS == 1:
         starts.pop()
-    out = np.zeros((n, max(map(len, targets), default=0)))
+    out = np.zeros(ids.shape)
     for start, stop in zip(starts, starts[1:] + [n]):
         rows = order[start:stop]
-        fwd = _forward_batch(p, conditions[rows], [targets[i] for i in rows], keep_cache=False)
-        out[rows, : fwd.mask.shape[1]] = np.where(fwd.mask, fwd.target_p, 0.0)
+        width = lengths[rows[0]]
+        out[rows, :width] = _score_block(p, conditions[rows], ids[rows, :width], lengths[rows])
     return out
+
+
+def check_noise_step(noise_step: int) -> NoiseSchedule:
+    """The schedule a noised pass corrupts with; raises unless ``noise_step`` lies on it."""
+    schedule = make_schedule()
+    if not 0 <= noise_step <= schedule.num_steps:
+        raise ValueError(f"noise_step {noise_step} outside the schedule's [0, {schedule.num_steps}]")
+    return schedule
 
 
 def _noised_conditions(conditions: np.ndarray, seeds: list, noise_step: int) -> np.ndarray:
     """Condition ``i`` corrupted to ``noise_step`` with ``seeds[i]``."""
-    schedule = make_schedule()
-    if not 0 <= noise_step <= schedule.num_steps:
-        raise ValueError(f"noise_step {noise_step} outside the schedule's [0, {schedule.num_steps}]")
+    schedule = check_noise_step(noise_step)
     return np.stack([corrupt(c, noise_step, schedule, seed) for c, seed in zip(conditions, seeds)])
 
 
 def noised_dependence(
     p: ModelParams,
     conditions: np.ndarray,
-    targets: list,
+    ids: np.ndarray,
+    lengths: np.ndarray,
     p_clean: np.ndarray,
     seeds: list,
     noise_step: int,
@@ -485,10 +472,15 @@ def noised_dependence(
 
     Condition ``i`` is corrupted to ``noise_step`` with ``seeds[i]``.
     ``p_clean`` is the clean pass as ``teacher_forced_probs`` returns it.
-    Returns ``(p_noisy, d)``, (B, T) each and zero past each length.
+    Returns ``(p_noisy, d)``, shaped as ``ids`` and zero past each length.
     """
-    p_noisy = teacher_forced_probs(p, _noised_conditions(conditions, seeds, noise_step), targets)
+    p_noisy = teacher_forced_probs(p, _noised_conditions(conditions, seeds, noise_step), ids, lengths)
     return p_noisy, dependence_array(p_clean, p_noisy)
+
+
+def check_max_len(max_len: int) -> None:
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2, got {max_len}")
 
 
 def generate_batch(
@@ -506,8 +498,7 @@ def generate_batch(
     a row that is done stays in as padding, since a lone row's matmuls
     round differently.
     """
-    if max_len < 2:
-        raise ValueError(f"max_len must be >= 2, got {max_len}")
+    check_max_len(max_len)
     conditions = np.asarray(conditions, dtype=np.float64)
     b = conditions.shape[0]
     gates = _gates(p)
@@ -665,7 +656,6 @@ def train(corpus: synth.Corpus, cfg: TrainConfig) -> tuple[ModelParams, list[Tra
     opt = _Adam(params, cfg.learning_rate)
 
     n = len(corpus)
-    all_targets = corpus.targets()
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     average_from = total_steps // 2
@@ -678,22 +668,25 @@ def train(corpus: synth.Corpus, cfg: TrainConfig) -> tuple[ModelParams, list[Tra
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             features = corpus.features[idx]
-            targets = [all_targets[i] for i in idx]
+            # the captions after BOS, cut to the longest in the batch
+            lengths = corpus.lengths[idx] - 1
+            ids = corpus.captions[idx, 1 : 1 + lengths.max()]
 
             if reweighting_active(cfg.reweight, global_step / total_steps):
                 seeds = [derive_seed(cfg.seed, "noise", global_step, sid) for sid in corpus.scene_ids[idx]]
                 noisy = _noised_conditions(features, seeds, cfg.noise_step)
                 b = len(idx)
                 if b > 1:  # in a batch of two or more rows, no row's bits depend on the others
-                    both = _forward_batch(params, np.concatenate([features, noisy]), targets * 2)
+                    conds = np.concatenate([features, noisy])
+                    both = _forward_batch(params, conds, np.tile(ids, (2, 1)), np.tile(lengths, 2))
                     fwd, p_noisy = both.head(b), both.target_p[b:]
                 else:  # a lone row's matmuls round differently from a pair's
-                    fwd = _forward_batch(params, features, targets)
-                    p_noisy = _forward_batch(params, noisy, targets).target_p
+                    fwd = _forward_batch(params, features, ids, lengths)
+                    p_noisy = _forward_batch(params, noisy, ids, lengths).target_p
                 d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), np.where(fwd.mask, p_noisy, 0.0))
                 weights, means = batch_weights(fwd, d, cfg.reweight)
             else:
-                fwd = _forward_batch(params, features, targets)
+                fwd = _forward_batch(params, features, ids, lengths)
                 weights = fwd.mask.astype(np.float64)
                 means = unweighted_means
             loss, grads = _loss_and_grads(params, features, fwd, weights)

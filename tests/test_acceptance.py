@@ -32,11 +32,12 @@ from visdep.toymodel import (
     _forward_batch,
     _loss_and_grads,
     init_params,
-    pad_targets,
     save_params,
     train,
 )
 from visdep.trace import write_traces
+
+from test_toymodel import padded
 
 # Evaluation protocol.  Corpus, epochs, temperature, gating point and
 # noise step are fixed by the protocol; batch size, learning rate and
@@ -241,7 +242,7 @@ def test_c04_analytic_gradients_match_finite_differences():
         def loss_and_grads():
             """The weighted loss and gradients of the one sequence, as a one-row batch."""
             c = condition[None, :]
-            return _loss_and_grads(params, c, _forward_batch(params, c, [target]), weights[None, :])
+            return _loss_and_grads(params, c, _forward_batch(params, c, *padded([target])), weights[None, :])
 
         _, grads = loss_and_grads()
         n_blocks = len(params.blocks())
@@ -302,7 +303,7 @@ def test_c06_evaluation_matches_naive_recount():
         length = int(rng.integers(1, 30))
         responses.append([int(t) for t in rng.integers(0, synth.vocab_size(v_obj), length)])
         truths.append({int(o) for o in rng.choice(v_obj, size=int(rng.integers(0, 7)), replace=False)})
-    tokens, lengths, _ = pad_targets(responses)
+    tokens, lengths = padded(responses)
     truth = np.zeros((len(truths), v_obj), dtype=bool)
     for i, objs in enumerate(truths):
         truth[i, list(objs)] = True
@@ -382,7 +383,9 @@ def test_c09_dependence_filtering_controls(filter_runs):
             f"\n[C9] seed {seed}: chair_i mle={m.chair_i:.4f} high={high.report.chair_i:.4f} "
             f"low={low.report.chair_i:.4f} | recall mle={m.recall:.4f} "
             f"high={high.report.recall:.4f} low={low.report.recall:.4f} | removed "
-            f"insertion share high={high.insertion_share:.3f} low={low.insertion_share:.3f}"
+            f"insertion share high={high.insertion_share:.3f} low={low.insertion_share:.3f} | "
+            f"mean_len mle={m.mean_len:.3f} high={high.report.mean_len:.3f} low={low.report.mean_len:.3f} "
+            f"len_ratio high={high.report.mean_len / m.mean_len:.3f} low={low.report.mean_len / m.mean_len:.3f}"
         )
     d_high_chair, d_high_recall, d_high_low_chair, d_low_recall, d_share = np.mean(rows, axis=0)
     high_ok = d_high_chair < 0.0 and d_high_recall < 0.0

@@ -167,9 +167,9 @@ class TestTeacherForcedPasses:
 
         real, calls = toymodel.teacher_forced_probs, []
 
-        def counting(params, conditions, targets):
-            calls.append(len(targets))
-            return real(params, conditions, targets)
+        def counting(params, conditions, ids, lengths):
+            calls.append(len(lengths))
+            return real(params, conditions, ids, lengths)
 
         for module in (toymodel, filtering, cli):
             monkeypatch.setattr(module, "teacher_forced_probs", counting)
@@ -528,6 +528,36 @@ class TestSweep:
         )
         assert code == 3
         assert "tau" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestFlagsCheckedBeforeReading:
+    """A bad flag value exits 3 with its check's message before the corpus is read."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval", "--noise-step", 1001], "noise_step 1001 outside the schedule's [0, 1000]"),
+            (["eval", "--max-len", 1], "max_len must be >= 2, got 1"),
+            (["filter", "--frac", 0], "fraction must lie in (0, 1), got 0.0"),
+            (["filter", "--frac", 0.1, "--noise-step", 1001], "noise_step 1001 outside the schedule's [0, 1000]"),
+            (["train", "--tau", -1], "tau must be a finite non-negative real, got -1.0"),
+            (["sweep", "--axis", "tau", "--values", 0.5, "--max-len", 1], "max_len must be >= 2, got 1"),
+        ],
+        ids=["eval-noise-step", "eval-max-len", "filter-frac", "filter-noise-step", "train-tau", "sweep-max-len"],
+    )
+    def test_exits_without_reading_the_corpus(self, pipeline, tmp_path, monkeypatch, capsys, argv, message):
+        import visdep.cli as cli
+
+        monkeypatch.setattr(cli.synth, "read_corpus", lambda path: pytest.fail("read the corpus first"))
+        stage, *flags = argv
+        inputs = ["--corpus", pipeline / "data" / "corpus.jsonl"]
+        if stage in ("eval", "filter"):
+            inputs += ["--ckpt", pipeline / "mle" / "ckpt.json"]
+        if stage == "filter":
+            inputs += ["--strategy", "lowest"]
+        assert run_cli(stage, *inputs, *flags, "--out-dir", tmp_path / "out") == 3
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

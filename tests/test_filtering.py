@@ -23,6 +23,8 @@ from visdep.synth import CorpusConfig, generate_corpus
 from visdep.toymodel import TrainConfig, init_params, teacher_forced_probs, train
 from visdep.trace import TokenTrace
 
+from test_toymodel import _targets, padded
+
 
 @pytest.fixture(scope="module")
 def scored_setup():
@@ -198,11 +200,10 @@ class TestScoreCorpus:
         noise_step, seed = 900, 42
         scores = score_corpus(subset, trained, noise_step=noise_step, seed=seed)
         schedule = make_schedule()
-        for sid, feature, target in zip(subset.scene_ids, subset.features, subset.targets()):
-            target = target.tolist()
-            clean = teacher_forced_probs(trained, feature[None, :], [target])[0]
+        for sid, feature, target in zip(subset.scene_ids, subset.features, _targets(subset)):
+            clean = teacher_forced_probs(trained, feature[None, :], *padded([target]))[0]
             noisy_vec = corrupt(feature, noise_step, schedule, derive_seed(seed, "filternoise", sid))
-            noisy = teacher_forced_probs(trained, noisy_vec[None, :], [target])[0]
+            noisy = teacher_forced_probs(trained, noisy_vec[None, :], *padded([target]))[0]
             trace = TokenTrace(
                 sample_id=sid,
                 tokens=target,
@@ -223,15 +224,15 @@ class TestScoreCorpus:
         noise_step, seed = 900, 3
         scores = score_corpus(corpus, trained, noise_step=noise_step, seed=seed)
         schedule = make_schedule()
-        targets = [t.tolist() for t in corpus.targets()]
-        clean = teacher_forced_probs(trained, corpus.features, targets)
+        targets = _targets(corpus)
+        clean = teacher_forced_probs(trained, corpus.features, *padded(targets))
         noisy_features = np.stack(
             [
                 corrupt(feature, noise_step, schedule, derive_seed(seed, "filternoise", sid))
                 for feature, sid in zip(corpus.features, corpus.scene_ids)
             ]
         )
-        noisy = teacher_forced_probs(trained, noisy_features, targets)
+        noisy = teacher_forced_probs(trained, noisy_features, *padded(targets))
         assert list(scores) == corpus.scene_ids.tolist()
         for i, (sid, target) in enumerate(zip(corpus.scene_ids, targets)):
             trace = TokenTrace(
@@ -252,9 +253,9 @@ class TestScoreCorpus:
         real = teacher_forced_probs
         calls = []
 
-        def corrupted(params, conditions, targets):
-            probs = real(params, conditions, targets)
-            calls.append(len(targets))
+        def corrupted(params, conditions, ids, lengths):
+            probs = real(params, conditions, ids, lengths)
+            calls.append(len(lengths))
             probs[3, 1] = bad
             return probs
 

@@ -1,5 +1,6 @@
 """Tests for the synthetic scene/caption corpus generator."""
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -228,6 +229,15 @@ class TestDeterminism:
         write_corpus(corpus, p1)
         write_corpus(corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_generated_bytes_are_pinned(self, tmp_path):
+        """The generator's output, not only its agreement with itself: any
+        change to a feature value, a caption or the record format moves this
+        digest, and with it every corpus a seed names."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(generate_corpus(CorpusConfig(num_scenes=50, seed=1)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "bf38bbef1ef29134233a34b89bd148fc125bd702c05dfc2efb2031e11d920ab3"
 
     def test_round_trip(self, tmp_path):
         corpus = small_corpus(40)

@@ -52,7 +52,16 @@ def small_condition(seed=0):
 
 def _targets(corpus: Corpus) -> list[list[int]]:
     """Each caption after BOS, as a list of token ids."""
-    return [t.tolist() for t in corpus.targets()]
+    return [row[1:n] for row, n in zip(corpus.captions.tolist(), corpus.lengths.tolist())]
+
+
+def padded(rows):
+    """``(ids, lengths)`` of variable-length token rows, zero past each length."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    ids = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids, lengths
 
 
 def _ref_forward(p: ModelParams, condition, prefix) -> np.ndarray:
@@ -78,7 +87,8 @@ def _ref_forward(p: ModelParams, condition, prefix) -> np.ndarray:
 def _one_row_loss(p, condition, target, weights):
     """``_loss_and_grads`` of one sequence, as a batch of one row."""
     c = np.asarray(condition, dtype=np.float64)[None, :]
-    return _loss_and_grads(p, c, _forward_batch(p, c, [target]), np.asarray(weights, dtype=np.float64)[None, :])
+    fwd = _forward_batch(p, c, *padded([target]))
+    return _loss_and_grads(p, c, fwd, np.asarray(weights, dtype=np.float64)[None, :])
 
 
 def _decode(p, condition, max_len=40):
@@ -212,7 +222,7 @@ def _ref_cell_backward(p, g, dh_new, cache):
 
 def _ref_train_step(p, conditions, targets, weights):
     """Loss and gradients of one step with everything per time step and unfused."""
-    fwd = _forward_batch(p, conditions, targets)  # only its ids, lengths, mask and inputs are read
+    fwd = _forward_batch(p, conditions, *padded(targets))  # only its ids, lengths, mask and inputs are read
     b, t_max = fwd.targets.shape
     rows = np.arange(b)
     h, cache = _ref_cell_forward(p, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions))
@@ -306,7 +316,7 @@ class TestFusedCellMatchesReference:
         p = _full_size_params(b)
         corpus = generate_corpus(CorpusConfig(num_scenes=b, seed=b))
         conditions, targets = corpus.features, _targets(corpus)
-        fwd = _forward_batch(p, conditions, targets)
+        fwd = _forward_batch(p, conditions, *padded(targets))
         weights = np.where(fwd.mask, np.random.default_rng(b).uniform(0.5, 2.0, fwd.mask.shape), 0.0)
         loss, grads = _loss_and_grads(p, conditions, fwd, weights)
         ref_loss, ref_grads = _ref_train_step(p, conditions, targets, weights)
@@ -324,7 +334,7 @@ class TestTeacherForcedProbs:
         targets = [
             [int(t) for t in rng.integers(2, VOCAB_SMALL, size=n)] for n in (4, 7, 2)
         ]
-        batched = teacher_forced_probs(p, conds, targets)
+        batched = teacher_forced_probs(p, conds, *padded(targets))
         assert batched.shape == (3, 7)
         for i, target in enumerate(targets):
             assert not batched[i, len(target) :].any()
@@ -341,11 +351,11 @@ class TestTeacherForcedProbs:
         corpus = generate_corpus(CorpusConfig(num_scenes=n, seed=9))
         conds, targets = corpus.features, _targets(corpus)
         assert len({len(t) for t in targets}) > 5
-        whole = teacher_forced_probs(p, conds, targets)
+        whole = teacher_forced_probs(p, conds, *padded(targets))
         assert whole.shape == (n, max(len(t) for t in targets))
         cuts = [c for c in (0, 8, 300, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS + 200) if c < n] + [n]
         for lo, hi in zip(cuts, cuts[1:]):
-            part = teacher_forced_probs(p, conds[lo:hi], targets[lo:hi])
+            part = teacher_forced_probs(p, conds[lo:hi], *padded(targets[lo:hi]))
             np.testing.assert_array_equal(whole[lo:hi, : part.shape[1]], part)
             assert not whole[lo:hi, part.shape[1] :].any()
 
@@ -355,10 +365,31 @@ class TestTeacherForcedProbs:
         rng = np.random.default_rng(1)
         conds = rng.normal(0.0, 1.0, (2, V_OBJ_SMALL))
         targets = [[3, 4, 5, 6, 7, 8], [9]]
-        batched = teacher_forced_probs(p, conds, targets)
+        batched = teacher_forced_probs(p, conds, *padded(targets))
         for i, target in enumerate(targets):
-            solo = teacher_forced_probs(p, conds[i : i + 1], [target])[0]
+            solo = teacher_forced_probs(p, conds[i : i + 1], *padded([target]))[0]
             np.testing.assert_allclose(batched[i, : len(target)], solo, rtol=1e-12)
+
+    def test_ids_wider_than_the_longest_length(self):
+        """Columns past the longest length, and junk past each row's length,
+        change no probability or dependence bit: they come back as zeros."""
+        p = _full_size_params(5)
+        corpus = generate_corpus(CorpusConfig(num_scenes=40, seed=6))
+        conds, (ids, lengths) = corpus.features, padded(_targets(corpus))
+        wide = np.random.default_rng(0).integers(0, p.vocab_size, (len(ids), ids.shape[1] + 4))
+        within = np.arange(ids.shape[1]) < lengths[:, None]
+        wide[:, : ids.shape[1]][within] = ids[within]
+
+        def widened(arr):
+            return np.pad(arr, ((0, 0), (0, 4)))
+
+        p_clean = teacher_forced_probs(p, conds, ids, lengths)
+        np.testing.assert_array_equal(teacher_forced_probs(p, conds, wide, lengths), widened(p_clean))
+        seeds = list(range(len(ids)))
+        narrow = noised_dependence(p, conds, ids, lengths, p_clean, seeds, 900)
+        got = noised_dependence(p, conds, wide, lengths, widened(p_clean), seeds, 900)
+        for a, b in zip(got, narrow):
+            np.testing.assert_array_equal(a, widened(b))
 
 
 def _ref_teacher_forced_probs(p, conditions, targets):
@@ -371,7 +402,7 @@ def _ref_teacher_forced_probs(p, conditions, targets):
     out = []
     for start, stop in zip(starts, starts[1:] + [n]):
         block = targets[start:stop]
-        ids, _, _ = toymodel.pad_targets(block)
+        ids, _ = padded(block)
         b, t_max = ids.shape
         inputs = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
         h = _cell_forward(gates, np.zeros((b, p.d_hid)), toymodel._cond_embed(p, conditions[start:stop]))
@@ -416,7 +447,7 @@ class TestPackedScoringMatchesBlockLoop:
         if shape == "one_long":
             assert lengths[-1] >= lengths[-2] + 5
         assert (len(set(lengths)) == 1) == (shape == "equal")
-        got = teacher_forced_probs(p, conds, targets)
+        got = teacher_forced_probs(p, conds, *padded(targets))
         want = _ref_teacher_forced_probs(p, conds, targets)
         assert len(got) == len(want) == n
         for i, (a, b) in enumerate(zip(got, want)):
@@ -428,7 +459,7 @@ class TestPackedScoringMatchesBlockLoop:
         conds = np.zeros((SCORE_BLOCK_ROWS, V_OBJ_SMALL))
         targets = [[3]] + [[3, 4]] * (SCORE_BLOCK_ROWS - 1)
         with pytest.raises(ValueError, match="longest first"):
-            _forward_batch(p, conds, targets, keep_cache=False)
+            toymodel._score_block(p, conds, *padded(targets))
 
 
 class TestSequenceLoss:
@@ -436,7 +467,7 @@ class TestSequenceLoss:
         p = small_params()
         cond = small_condition()
         target = [3, 9, 4, 1]
-        probs = teacher_forced_probs(p, cond[None, :], [target])[0]
+        probs = teacher_forced_probs(p, cond[None, :], *padded([target]))[0]
         expected = -np.mean(np.log(probs))
         loss, _ = _one_row_loss(p, cond, target, np.ones(len(target)))
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -447,7 +478,7 @@ class TestSequenceLoss:
         cond = small_condition()
         target = [3, 9, 4, 1]
         weights = np.array([1.0, 2.0, 0.5, 1.0])
-        probs = teacher_forced_probs(p, cond[None, :], [target])[0]
+        probs = teacher_forced_probs(p, cond[None, :], *padded([target]))[0]
         expected = -np.sum(weights * np.log(probs)) / len(target)
         loss, _ = _one_row_loss(p, cond, target, weights)
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -456,14 +487,16 @@ class TestSequenceLoss:
         p = small_params()
         cond = small_condition()
         target = [3, 9, 4]
-        probs = teacher_forced_probs(p, cond[None, :], [target])[0]
+        probs = teacher_forced_probs(p, cond[None, :], *padded([target]))[0]
         base, _ = _one_row_loss(p, cond, target, np.ones(3))
         bumped, _ = _one_row_loss(p, cond, target, np.array([1.0, 2.0, 1.0]))
         assert bumped - base == pytest.approx(-np.log(probs[1]) / 3, rel=1e-9)
 
     def test_rejects_empty_target(self):
-        with pytest.raises(ValueError, match="at least one token"):
-            _forward_batch(small_params(), small_condition()[None, :], [[]])
+        conds = np.stack([small_condition(0), small_condition(1)])
+        for forward in (_forward_batch, teacher_forced_probs):
+            with pytest.raises(ValueError, match="at least one token"):
+                forward(small_params(), conds, *padded([[3, 4], []]))
 
 
 class TestGradients:
@@ -623,8 +656,7 @@ class TestDecodeProbabilities:
     @staticmethod
     def _check(p, conds, max_len):
         tokens, lengths, probs = generate_batch(p, conds, max_len=max_len)
-        targets = [row[:n] for row, n in zip(tokens, lengths.tolist())]
-        np.testing.assert_array_equal(probs, teacher_forced_probs(p, conds, targets))
+        np.testing.assert_array_equal(probs, teacher_forced_probs(p, conds, tokens, lengths))
         assert probs.shape == (len(conds), lengths.max())
         return lengths
 
@@ -759,11 +791,12 @@ class TestTrainMechanics:
         p = _full_size_params(4)
         corpus = generate_corpus(CorpusConfig(num_scenes=32, seed=4))
         conds, targets = corpus.features, _targets(corpus)
-        fwd = _forward_batch(p, conds, targets)
+        ids, lengths = padded(targets)
+        fwd = _forward_batch(p, conds, ids, lengths)
         p_clean = np.where(fwd.mask, fwd.target_p, 0.0)
-        noisy_p, d = noised_dependence(p, conds, targets, p_clean, list(range(len(corpus))), 900)
+        noisy_p, d = noised_dependence(p, conds, ids, lengths, p_clean, list(range(len(corpus))), 900)
         noisy = np.stack([corrupt(c, 900, make_schedule(), i) for i, c in enumerate(conds)])
-        np.testing.assert_array_equal(noisy_p, teacher_forced_probs(p, noisy, targets))
+        np.testing.assert_array_equal(noisy_p, teacher_forced_probs(p, noisy, ids, lengths))
         for cfg in (
             ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE),
             ReweightConfig(mode=LossMode.EMPHASIZE_POSITIVE, tau=2.0),
@@ -796,7 +829,7 @@ class TestTrainMechanics:
     def test_noised_pass_rejects_a_step_outside_the_schedule(self):
         p = small_params()
         with pytest.raises(ValueError, match="schedule"):
-            noised_dependence(p, np.zeros((1, V_OBJ_SMALL)), [[3]], np.ones((1, 1)), [0], 1001)
+            noised_dependence(p, np.zeros((1, V_OBJ_SMALL)), *padded([[3]]), np.ones((1, 1)), [0], 1001)
 
     def test_single_step_matches_manual_replication(self):
         """One optimizer step decomposes into the documented stages:
@@ -820,14 +853,14 @@ class TestTrainMechanics:
         schedule = make_schedule()
         batch = corpus.take(rng_for(cfg.seed, "shuffle", 0).permutation(len(corpus)))
         features, targets = batch.features, _targets(batch)
-        fwd = _forward_batch(params, features, targets)
+        fwd = _forward_batch(params, features, *padded(targets))
         noisy = np.stack(
             [
                 corrupt(feature, cfg.noise_step, schedule, derive_seed(cfg.seed, "noise", 0, sid))
                 for feature, sid in zip(batch.features, batch.scene_ids)
             ]
         )
-        noisy_p = teacher_forced_probs(params, noisy, targets)
+        noisy_p = teacher_forced_probs(params, noisy, *padded(targets))
         d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), noisy_p)
         weights, _ = batch_weights(fwd, d, cfg.reweight)
         loss, grads = _loss_and_grads(params, features, fwd, weights)
@@ -879,7 +912,7 @@ class TestTrainMechanics:
                 step = len(losses)
                 batch = corpus.take(order[start : start + cfg.batch_size])
                 features, targets = batch.features, _targets(batch)
-                fwd = _forward_batch(params, features, targets)
+                fwd = _forward_batch(params, features, *padded(targets))
                 if step < n_steps // 2:  # before start_fraction: all-ones weights, no noisy pass
                     weights = np.where(fwd.mask, 1.0, 0.0)
                 else:
@@ -889,7 +922,7 @@ class TestTrainMechanics:
                             for feature, sid in zip(batch.features, batch.scene_ids)
                         ]
                     )
-                    noisy_p = teacher_forced_probs(params, noisy, targets)
+                    noisy_p = teacher_forced_probs(params, noisy, *padded(targets))
                     d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), noisy_p)
                     weights, _ = batch_weights(fwd, d, cfg.reweight)
                 loss, grads = _loss_and_grads(params, features, fwd, weights)
