@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .dependence import CLASS_BY_CODE, classify_array, profile_trace
+from .dependence import CLASS_BY_CODE, TokenClass, classify_array, dependence_array
 from .diffusion import DEFAULT_NOISE_STEP
 from .filtering import (
     FilterStrategy,
@@ -46,6 +46,7 @@ from .toymodel import (
 from .trace import TraceArrays, TraceError, read_traces, write_traces
 
 # Unused here but hooked by name by ``bench/tracer.py`` (tests/test_bench_hooks.py).
+from .dependence import profile_trace  # noqa: F401
 from .diffusion import corrupt  # noqa: F401
 from .toymodel import teacher_forced_probs  # noqa: F401
 from .trace import TokenTrace  # noqa: F401
@@ -267,18 +268,22 @@ def _csv_field(text: str) -> str:
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     tf = read_traces(args.traces)
+    d = dependence_array(tf.p_clean, tf.p_noisy)
     lines = ["sample_id,t,surface,p_clean,p_noisy,d,class"]
-    for tr in tf.traces:
-        d = profile_trace(tr)
-        sid = _csv_field(tr.sample_id) if any(c in tr.sample_id for c in ',"\n\r') else tr.sample_id
-        for t, (dt, code) in enumerate(zip(d.tolist(), classify_array(d).tolist())):
+    rows = zip(
+        tf.sample_ids, tf.lengths.tolist(), tf.surfaces.tolist(), tf.p_clean.tolist(), tf.p_noisy.tolist(),
+        d.tolist(), classify_array(d).tolist(),
+    )
+    for sid, n, surfaces, clean, noisy, row_d, codes in rows:
+        sid = _csv_field(sid) if any(c in sid for c in ',"\n\r') else sid
+        for t in range(n):
             lines.append(
-                f"{sid},{t},{_csv_field(tr.surfaces[t])},{tr.p_clean[t]!r},{tr.p_noisy[t]!r},"
-                f"{dt!r},{CLASS_BY_CODE[code].value}"
+                f"{sid},{t},{_csv_field(surfaces[t])},{clean[t]!r},{noisy[t]!r},"
+                f"{row_d[t]!r},{CLASS_BY_CODE[codes[t]].value}"
             )
     write_text(out / ANALYSIS_FILE, "\n".join(lines) + "\n")
     _write_run(out, args)
-    print(f"wrote {out / ANALYSIS_FILE} ({len(tf)} traces)")
+    print(f"wrote {out / ANALYSIS_FILE} ({len(tf.sample_ids)} traces)")
     return EXIT_OK
 
 
@@ -323,22 +328,27 @@ def run_eval(params, corpus: synth.Corpus, noise_step: int, seed: int, max_len: 
     return traces, report, counts, hist
 
 
+def _fraction_within(row: list[int]) -> float | None:
+    """The share within the window of one ``co_occurrence`` row's mentions that have a token of its class."""
+    near = sum(row[:-2])
+    return near / (near + row[-2]) if near + row[-2] else None
+
+
 def _write_eval_artifacts(out: Path, tf, report, counts, hist) -> None:
     write_traces(tf, out / TRACES_FILE)
     with open(out / REPORT_FILE, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     lines = ["class,grounded,hallucinated"]
-    for cls in counts.grounded:
-        lines.append(f"{cls.value},{counts.grounded[cls]},{counts.hallucinated[cls]}")
+    for cls, (grounded, hallucinated) in zip(TokenClass, counts.tolist()):
+        lines.append(f"{cls.value},{grounded},{hallucinated}")
     write_text(out / CLASS_COUNTS_FILE, "\n".join(lines) + "\n")
     lines = ["class,bucket,count"]
-    for cls, stats in hist.per_class.items():
-        for d, c in enumerate(stats.counts):
-            lines.append(f"{cls.value},{d},{c}")
-        lines.append(f"{cls.value},beyond,{stats.beyond}")
-        lines.append(f"{cls.value},absent,{stats.absent}")
-        frac = stats.fraction_within
+    for cls, row in zip(TokenClass, hist.tolist()):
+        lines.extend(f"{cls.value},{d},{c}" for d, c in enumerate(row[:-2]))
+        lines.append(f"{cls.value},beyond,{row[-2]}")
+        lines.append(f"{cls.value},absent,{row[-1]}")
+        frac = _fraction_within(row)
         lines.append(f"{cls.value},fraction_within,{'' if frac is None else repr(frac)}")
     write_text(out / COOCCUR_FILE, "\n".join(lines) + "\n")
 
@@ -401,15 +411,15 @@ def cmd_plot(args) -> int:
     wrote = []
     if args.traces:
         tf = read_traces(args.traces)
-        if len(tf) == 0:
+        if len(tf.sample_ids) == 0:
             raise ValueError(f"{args.traces}: no traces to plot")
-        for tr in tf.traces:
-            sid = tr.sample_id
+        for sid in tf.sample_ids:
             if sid in (".", "..") or any(c and c in sid for c in (os.sep, os.altsep, "\0")):
                 raise ValueError(f"{args.traces}: trace {sid!r}: sample_id is not a file name, cannot plot it")
-        for tr in tf.traces:
-            path = out / f"trace_{tr.sample_id}.svg"
-            write_text(path, trace_bars_svg(tr, profile_trace(tr)))
+        d = dependence_array(tf.p_clean, tf.p_noisy)
+        for i, (sid, n) in enumerate(zip(tf.sample_ids, tf.lengths.tolist())):
+            path = out / f"trace_{sid}.svg"
+            write_text(path, trace_bars_svg(sid, tf.surfaces[i, :n], tf.p_clean[i, :n], tf.p_noisy[i, :n], d[i, :n]))
             wrote.append(path.name)
     if args.manifest:
         manifest = load_manifest(args.manifest)

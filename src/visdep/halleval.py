@@ -102,54 +102,21 @@ def evaluate(tokens, lengths, truth) -> HallucinationReport:
     )
 
 
-@dataclass(frozen=True)
-class ClassObjectCounts:
-    """Grounded / hallucinated mention counts per token class."""
-
-    grounded: dict
-    hallucinated: dict
-
-
-def class_object_counts(d, tokens, lengths, truth) -> ClassObjectCounts:
-    """Tally every object mention by truth status and the class of its token."""
+def class_object_counts(d, tokens, lengths, truth) -> np.ndarray:
+    """(3, 2) mention counts: rows the token classes in ``TokenClass`` order, columns grounded and hallucinated."""
     rows, pos, _, grounded = _mentions(tokens, lengths, truth)
     codes = _class_codes(d, tokens)[rows, pos]
-    good, bad = (np.bincount(codes[m], minlength=len(_CODES))[_CODES].tolist() for m in (grounded, ~grounded))
-    return ClassObjectCounts(grounded=dict(zip(TokenClass, good)), hallucinated=dict(zip(TokenClass, bad)))
+    return np.stack([np.bincount(codes[m], minlength=len(_CODES))[_CODES] for m in (grounded, ~grounded)], axis=1)
 
 
-@dataclass(frozen=True)
-class ClassDistanceStats:
-    """Distance-to-nearest-token histogram for one class.
-
-    ``counts[k]`` is the number of hallucinated mentions whose nearest
-    token of the class sits ``k`` tokens away; mentions farther than the
-    window land in ``beyond``, responses with no token of the class at
-    all land in ``absent``.
-    """
-
-    counts: tuple[int, ...]
-    beyond: int
-    absent: int
-
-    @property
-    def fraction_within(self) -> float | None:
-        denom = sum(self.counts) + self.beyond
-        return (sum(self.counts) / denom) if denom else None
-
-
-@dataclass(frozen=True)
-class CoOccurrenceHistogram:
-    window: int
-    per_class: dict
-
-
-def co_occurrence(d, tokens, lengths, truth, window: int = 3) -> CoOccurrenceHistogram:
+def co_occurrence(d, tokens, lengths, truth, window: int = 3) -> np.ndarray:
     """Distance from each hallucinated mention to the nearest token of each class.
 
-    Distances are symmetric token-index differences within the mention's
-    response; a hallucinated token that is itself of class C has distance
-    0 to C.
+    A (3, window + 3) int array, rows the classes in ``TokenClass`` order:
+    column ``k <= window`` counts the mentions whose nearest token of the
+    class sits ``k`` tokens away, then come those farther away and those
+    whose response has none.  Distances are absolute token-index differences
+    within the mention's response; a mention of class C is at distance 0 from C.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
@@ -164,13 +131,4 @@ def co_occurrence(d, tokens, lengths, truth, window: int = 3) -> CoOccurrenceHis
     within = present & (nearest <= window)
     bucket = np.arange(len(_CODES))[:, None] * (window + 1) + nearest
     counts = np.bincount(bucket[within], minlength=len(_CODES) * (window + 1)).reshape(-1, window + 1)
-    per_class = {
-        cls: ClassDistanceStats(counts=tuple(c), beyond=b, absent=a)
-        for cls, c, b, a in zip(
-            TokenClass,
-            counts.tolist(),
-            np.count_nonzero(present & ~within, axis=1).tolist(),
-            np.count_nonzero(~present, axis=1).tolist(),
-        )
-    }
-    return CoOccurrenceHistogram(window=window, per_class=per_class)
+    return np.column_stack([counts, np.count_nonzero(present & ~within, axis=1), np.count_nonzero(~present, axis=1)])

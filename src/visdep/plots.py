@@ -12,7 +12,6 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .dependence import CLASS_BY_CODE, TokenClass, classify_array
-from .trace import TokenTrace
 
 CLASS_COLORS = {
     TokenClass.IMAGE_POSITIVE: "#c0392b",
@@ -25,17 +24,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def trace_bars_svg(trace: TokenTrace, d) -> str:
-    """Paired clean/noisy probability bars per token, colored by the class of its ``d``.
+def trace_bars_svg(sample_id: str, surfaces, p_clean, p_noisy, d) -> str:
+    """Paired clean/noisy probability bars per token of one trace, colored by the class of its ``d``.
 
     Every token contributes two ``class="bar"`` rects: a solid one for
     the clean probability and a translucent one for the noisy one.
     """
-    if np.shape(d) != (len(trace),):
-        raise ValueError("trace and d must cover the same tokens")
+    n = len(surfaces)
+    if not np.shape(p_clean) == np.shape(p_noisy) == np.shape(d) == (n,):
+        raise ValueError("surfaces, p_clean, p_noisy and d must cover the same tokens")
     codes = classify_array(d).tolist()
-    d = np.asarray(d).tolist()
-    n = len(trace)
+    p_clean, p_noisy, d = (np.asarray(a).tolist() for a in (p_clean, p_noisy, d))
     bar_w = 14.0
     gap = 16.0
     margin_l, margin_r, top, plot_h = 46.0, 14.0, 16.0, 160.0
@@ -47,7 +46,7 @@ def trace_bars_svg(trace: TokenTrace, d) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" font-family="monospace" font-size="10">',
-        f'<title>{escape(trace.sample_id)}</title>',
+        f'<title>{escape(sample_id)}</title>',
         f'<line x1="{_fmt(margin_l)}" y1="{_fmt(base)}" x2="{_fmt(width - margin_r)}" y2="{_fmt(base)}" stroke="#888"/>',
         f'<line x1="{_fmt(margin_l)}" y1="{_fmt(top)}" x2="{_fmt(margin_l)}" y2="{_fmt(base)}" stroke="#888"/>',
         f'<text x="{_fmt(margin_l - 4)}" y="{_fmt(top + 4)}" text-anchor="end">1.0</text>',
@@ -56,7 +55,7 @@ def trace_bars_svg(trace: TokenTrace, d) -> str:
     for i in range(n):
         color = CLASS_COLORS[CLASS_BY_CODE[codes[i]]]
         x0 = margin_l + i * group_w
-        for j, p in enumerate((trace.p_clean[i], trace.p_noisy[i])):
+        for j, p in enumerate((p_clean[i], p_noisy[i])):
             h = p * plot_h
             x = x0 + j * bar_w
             opacity = "1.0" if j == 0 else "0.45"
@@ -67,7 +66,7 @@ def trace_bars_svg(trace: TokenTrace, d) -> str:
         label_x = x0 + bar_w
         parts.append(
             f'<text x="{_fmt(label_x)}" y="{_fmt(base + 12)}" text-anchor="middle">'
-            f"{escape(trace.surfaces[i])}</text>"
+            f"{escape(surfaces[i])}</text>"
         )
         parts.append(
             f'<text x="{_fmt(label_x)}" y="{_fmt(base + 24)}" text-anchor="middle">'

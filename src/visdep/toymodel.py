@@ -20,7 +20,7 @@ import numpy as np
 
 from . import synth
 from .dependence import CLASS_BY_CODE, TokenClass, classify_array, dependence_array
-from .diffusion import DEFAULT_NOISE_STEP, DEFAULT_NUM_STEPS, NoiseSchedule, corrupt, make_schedule
+from .diffusion import DEFAULT_NOISE_STEP, NoiseSchedule, corrupt, make_schedule
 from .reweight import ReweightConfig, reweighting_active, training_weights
 from .seeding import derive_seed, rng_for
 
@@ -92,9 +92,6 @@ class ModelParams:
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.blocks().items()})
 
     def zeros_like(self) -> "ModelParams":
         return ModelParams(**{k: np.zeros_like(v) for k, v in self.blocks().items()})
@@ -552,8 +549,7 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 <= self.noise_step <= DEFAULT_NUM_STEPS:
-            raise ValueError(f"noise_step must lie in [0, {DEFAULT_NUM_STEPS}], got {self.noise_step}")
+        check_noise_step(self.noise_step)
 
 
 @dataclass(frozen=True)

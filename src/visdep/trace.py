@@ -37,7 +37,7 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class TokenTrace:
-    """One sequence with parallel token ids, surfaces and probability pairs.
+    """One line of a trace file, checked: parallel token ids, surfaces and probability pairs.
 
     ``eos_index``, when set, marks the terminal EOS token and must point
     at the last position.
@@ -66,6 +66,8 @@ class TokenTrace:
         for i, t in enumerate(self.tokens):
             if not isinstance(t, int) or isinstance(t, bool) or t < 0:
                 raise TraceError(f"trace {sid!r}: tokens[{i}] = {t!r} is not a non-negative integer")
+            if t >= 2**63:
+                raise TraceError(f"trace {sid!r}: tokens[{i}] = {t} does not fit in 64 bits")
         for name in ("p_clean", "p_noisy"):
             for i, p in enumerate(getattr(self, name)):
                 if not math.isfinite(p) or p < 0.0 or p > 1.0:
@@ -77,19 +79,6 @@ class TokenTrace:
                 self.eos_index == n - 1,
                 f"trace {sid!r}: eos_index {self.eos_index} is not the last position {n - 1}",
             )
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def to_record(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "tokens": list(self.tokens),
-            "surfaces": list(self.surfaces),
-            "p_clean": list(self.p_clean),
-            "p_noisy": list(self.p_noisy),
-            "eos_index": self.eos_index,
-        }
 
     @classmethod
     def from_record(cls, record: dict) -> "TokenTrace":
@@ -119,38 +108,14 @@ class TokenTrace:
         )
 
 
-@dataclass(frozen=True)
-class TraceFile:
-    """An ordered collection of traces plus the noise step that produced them."""
-
-    noise_step: int
-    traces: tuple[TokenTrace, ...] = ()
-    generator: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "traces", tuple(self.traces))
-        if not isinstance(self.noise_step, int) or isinstance(self.noise_step, bool) or self.noise_step < 0:
-            raise TraceError(f"noise_step must be a non-negative integer, got {self.noise_step!r}")
-        seen: set[str] = set()
-        for tr in self.traces:
-            _require(tr.sample_id not in seen, f"duplicate sample_id {tr.sample_id!r}")
-            seen.add(tr.sample_id)
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    def records(self):
-        return (tr.to_record() for tr in self.traces)
-
-
 @dataclass(frozen=True, eq=False)
 class TraceArrays:
-    """Traces as padded arrays, row ``i`` one trace: what ``write_traces`` writes
-    without a TokenTrace per row.
+    """Traces as padded arrays, row ``i`` one trace: what ``read_traces`` returns
+    and ``write_traces`` writes.
 
-    Construction checks every row's ids, tokens and probabilities as
-    TokenTrace and TraceFile check them, once over the arrays; entries past
-    each row's length are ignored.
+    Construction checks the noise step, and every row's ids, tokens and
+    probabilities as TokenTrace checks them, once over the arrays; entries
+    past each row's length are ignored.
     """
 
     noise_step: int
@@ -164,6 +129,8 @@ class TraceArrays:
     generator: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.noise_step, int) or isinstance(self.noise_step, bool) or self.noise_step < 0:
+            raise TraceError(f"noise_step must be a non-negative integer, got {self.noise_step!r}")
         seen: set[str] = set()
         for sid in self.sample_ids:
             _require(isinstance(sid, str) and sid != "", "sample_id must be a non-empty string")
@@ -208,8 +175,8 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def write_traces(trace_file: TraceFile | TraceArrays, path: str | os.PathLike) -> None:
-    """Serialize to JSON-lines; identical traces produce identical bytes in either form."""
+def write_traces(trace_file: TraceArrays, path: str | os.PathLike) -> None:
+    """Serialize to JSON-lines; identical traces produce identical bytes."""
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "noise_step": trace_file.noise_step}
     if trace_file.generator:
         header["generator"] = trace_file.generator
@@ -219,44 +186,68 @@ def write_traces(trace_file: TraceFile | TraceArrays, path: str | os.PathLike) -
             fh.write(_dumps(record) + "\n")
 
 
-def read_traces(path: str | os.PathLike) -> TraceFile:
-    """Parse a trace file, rejecting malformed lines with their line number."""
+def _pad(rows: list, dtype, fill) -> np.ndarray:
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=dtype)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def read_traces(path: str | os.PathLike) -> TraceArrays:
+    """Parse a trace file into padded arrays, rejecting malformed lines with their line number."""
+    where = os.fspath(path)
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         # Split strictly on newlines: str.splitlines() would also break on
         # unicode separators such as \x85 that may occur inside surfaces.
         lines = [line.rstrip("\r") for line in fh.read().split("\n")]
     while lines and lines[-1].strip() == "":
         lines.pop()
-    if not lines:
-        return TraceFile(noise_step=0)
 
     def parse(lineno: int, text: str) -> dict:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise TraceError(f"{os.fspath(path)}:{lineno}: invalid JSON: {exc.msg}") from exc
+            raise TraceError(f"{where}:{lineno}: invalid JSON: {exc.msg}") from exc
         if not isinstance(obj, dict):
-            raise TraceError(f"{os.fspath(path)}:{lineno}: expected a JSON object")
+            raise TraceError(f"{where}:{lineno}: expected a JSON object")
         return obj
 
-    header = parse(1, lines[0])
-    if header.get("format") != FORMAT_NAME:
-        raise TraceError(f"{os.fspath(path)}:1: missing or unknown format marker (expected {FORMAT_NAME!r})")
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceError(f"{os.fspath(path)}:1: unsupported version {header.get('version')!r}")
-    if "noise_step" not in header:
-        raise TraceError(f"{os.fspath(path)}:1: header lacks noise_step")
-    traces = []
+    header = {"noise_step": 0}
+    if lines:
+        header = parse(1, lines[0])
+        if header.get("format") != FORMAT_NAME:
+            raise TraceError(f"{where}:1: missing or unknown format marker (expected {FORMAT_NAME!r})")
+        if header.get("version") != FORMAT_VERSION:
+            raise TraceError(f"{where}:1: unsupported version {header.get('version')!r}")
+        if "noise_step" not in header:
+            raise TraceError(f"{where}:1: header lacks noise_step")
+    traces: list[TokenTrace] = []
+    first_on: dict[str, int] = {}
     for lineno, text in enumerate(lines[1:], start=2):
         if text.strip() == "":
             continue
         record = parse(lineno, text)
         try:
-            traces.append(TokenTrace.from_record(record))
+            tr = TokenTrace.from_record(record)
         except TraceError as exc:
-            raise TraceError(f"{os.fspath(path)}:{lineno}: {exc}") from exc
-    return TraceFile(
-        noise_step=header["noise_step"],
-        traces=tuple(traces),
-        generator=header.get("generator", {}),
-    )
+            raise TraceError(f"{where}:{lineno}: {exc}") from exc
+        if tr.sample_id in first_on:
+            raise TraceError(
+                f"{where}:{lineno}: duplicate sample_id {tr.sample_id!r} (first on line {first_on[tr.sample_id]})"
+            )
+        first_on[tr.sample_id] = lineno
+        traces.append(tr)
+    try:
+        return TraceArrays(
+            noise_step=header["noise_step"],
+            sample_ids=np.array([tr.sample_id for tr in traces], dtype=object),
+            tokens=_pad([tr.tokens for tr in traces], np.int64, 0),
+            lengths=np.array([len(tr.tokens) for tr in traces], dtype=np.int64),
+            surfaces=_pad([tr.surfaces for tr in traces], object, ""),
+            p_clean=_pad([tr.p_clean for tr in traces], np.float64, 0.0),
+            p_noisy=_pad([tr.p_noisy for tr in traces], np.float64, 0.0),
+            ends_at_eos=np.array([tr.eos_index is not None for tr in traces], dtype=bool),
+            generator=header.get("generator", {}),
+        )
+    except TraceError as exc:  # every line passed above: what is left is the header's noise step
+        raise TraceError(f"{where}:1: {exc}") from exc

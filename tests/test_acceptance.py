@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from visdep import synth
-from visdep.cli import run_eval
+from visdep.cli import _fraction_within, run_eval
 from visdep.dependence import (
     CLASS_BY_CODE,
     NEGATIVE_THRESHOLD,
@@ -404,9 +404,9 @@ def test_c09_dependence_filtering_controls(filter_runs):
 
 @pytest.mark.slow
 def test_c10_hallucinations_cluster_near_invariant_spans(mle_bundle):
-    hist = mle_bundle.hist
-    inv = hist.per_class[TokenClass.IMAGE_INVARIANT].fraction_within
-    pos = hist.per_class[TokenClass.IMAGE_POSITIVE].fraction_within
+    rows = dict(zip(TokenClass, mle_bundle.hist.tolist()))
+    inv = _fraction_within(rows[TokenClass.IMAGE_INVARIANT])
+    pos = _fraction_within(rows[TokenClass.IMAGE_POSITIVE])
     ok = inv is not None and pos is not None and inv > pos
     _verdict("C10", ok, f"fraction_within_3: invariant={inv} positive={pos}")
 

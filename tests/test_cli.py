@@ -11,7 +11,9 @@ from visdep.diffusion import DEFAULT_NOISE_STEP
 from visdep.filtering import load_manifest
 from visdep.synth import read_corpus, vocab_size
 from visdep.toymodel import init_params, load_params, save_params
-from visdep.trace import TokenTrace, TraceFile, read_traces, write_traces
+from visdep.trace import read_traces
+
+from test_trace import trace_record, write_lines
 
 
 def run_cli(*argv) -> int:
@@ -126,7 +128,7 @@ class TestEval:
 
     def test_traces_cover_test_split(self, pipeline):
         tf = read_traces(pipeline / "eval" / "traces.jsonl")
-        assert len(tf) == 16
+        assert len(tf.sample_ids) == 16
         assert tf.noise_step == 900
 
     def test_class_counts_csv_shape(self, pipeline):
@@ -220,7 +222,7 @@ class TestSplitSeed:
             )
             == 0
         )
-        evaluated = [tr.sample_id for tr in read_traces(tmp_path / "eval" / "traces.jsonl").traces]
+        evaluated = read_traces(tmp_path / "eval" / "traces.jsonl").sample_ids.tolist()
         assert len(trained_on) == 64 and len(evaluated) == 16
         assert set(evaluated).isdisjoint(trained_on)
         assert set(load_manifest(tmp_path / "filter" / "manifest.json").scores) == set(trained_on)
@@ -238,10 +240,8 @@ class TestSplitSeed:
                 )
                 == 0
             )
-        ids = [
-            {tr.sample_id for tr in read_traces(tmp_path / str(s) / "traces.jsonl").traces} for s in (42, 5)
-        ]
-        assert ids[0] == {tr.sample_id for tr in read_traces(pipeline / "eval" / "traces.jsonl").traces}
+        ids = [set(read_traces(tmp_path / str(s) / "traces.jsonl").sample_ids) for s in (42, 5)]
+        assert ids[0] == set(read_traces(pipeline / "eval" / "traces.jsonl").sample_ids)
         assert ids[0] != ids[1]
         run = json.loads((tmp_path / "5" / "run.json").read_text())
         assert run["config"]["split_seed"] == 5
@@ -253,7 +253,7 @@ class TestAnalyze:
         assert run_cli("analyze", "--traces", traces, "--out-dir", tmp_path) == 0
         lines = (tmp_path / "analysis.csv").read_text().splitlines()
         assert lines[0] == "sample_id,t,surface,p_clean,p_noisy,d,class"
-        total_tokens = sum(len(tr) for tr in read_traces(traces).traces)
+        total_tokens = read_traces(traces).lengths.sum()
         assert len(lines) == 1 + total_tokens
         first = lines[1].split(",")
         assert first[1] == "0"
@@ -263,12 +263,8 @@ class TestAnalyze:
         """An id holding a comma, a quote or a newline is quoted like a
         surface, so every row parses to 7 fields; a plain id stays bare."""
         ids = ["plain", 'x,"y', "line\nbreak"]
-        traces = tuple(
-            TokenTrace(sample_id=sid, tokens=(5, 6), surfaces=("a", 'b"c'), p_clean=(0.5, 0.2), p_noisy=(0.1, 0.4))
-            for sid in ids
-        )
         src = tmp_path / "traces.jsonl"
-        write_traces(TraceFile(noise_step=900, traces=traces), src)
+        write_lines(src, [trace_record(sid, (5, 6), ("a", 'b"c'), (0.5, 0.2), (0.1, 0.4)) for sid in ids])
         assert run_cli("analyze", "--traces", src, "--out-dir", tmp_path) == 0
         text = (tmp_path / "analysis.csv").read_text()
         assert "\nplain,0,\"a\"," in text
@@ -282,15 +278,15 @@ class TestAnalyze:
 class TestPlot:
     def test_trace_chart_has_two_bars_per_token(self, tmp_path):
         n = 12
-        trace = TokenTrace(
-            sample_id="tr0",
-            tokens=tuple(range(1, n + 1)),
-            surfaces=tuple(f"w{i}" for i in range(n)),
-            p_clean=tuple((i + 1) / (n + 1) for i in range(n)),
-            p_noisy=tuple((n - i) / (n + 1) for i in range(n)),
+        trace = trace_record(
+            "tr0",
+            tokens=range(1, n + 1),
+            surfaces=(f"w{i}" for i in range(n)),
+            p_clean=((i + 1) / (n + 1) for i in range(n)),
+            p_noisy=((n - i) / (n + 1) for i in range(n)),
         )
         src = tmp_path / "traces.jsonl"
-        write_traces(TraceFile(noise_step=500, traces=(trace,)), src)
+        write_lines(src, [trace], noise_step=500)
         out = tmp_path / "plots"
         assert run_cli("plot", "--traces", src, "--out-dir", out) == 0
         svg = (out / "trace_tr0.svg").read_text()
@@ -301,12 +297,8 @@ class TestPlot:
 
     @pytest.mark.parametrize("sample_id", ["../escaped", "sub/dir", ".."])
     def test_rejects_an_id_that_is_not_a_file_name(self, tmp_path, capsys, sample_id):
-        traces = tuple(
-            TokenTrace(sample_id=sid, tokens=(5,), surfaces=("a",), p_clean=(0.5,), p_noisy=(0.1,))
-            for sid in ("ok", sample_id)
-        )
         src = tmp_path / "traces.jsonl"
-        write_traces(TraceFile(noise_step=900, traces=traces), src)
+        write_lines(src, [trace_record("ok"), trace_record(sample_id)])
         out = tmp_path / "out" / "plots"
         assert run_cli("plot", "--traces", src, "--out-dir", out) == 3
         assert repr(sample_id) in capsys.readouterr().err
@@ -411,6 +403,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         for line in expected:
             assert line in err
+
+    @pytest.mark.parametrize("stage", ["analyze", "plot"])
+    @pytest.mark.parametrize(
+        "records,noise_step,message",
+        [
+            ([trace_record("a"), trace_record("b"), trace_record("a")], 900,
+             ":4: duplicate sample_id 'a' (first on line 2)"),
+            ([trace_record("a")], -1, ":1: noise_step must be a non-negative integer, got -1"),
+            ([trace_record("a")], "9", ":1: noise_step must be a non-negative integer, got '9'"),
+            ([trace_record("a")], True, ":1: noise_step must be a non-negative integer, got True"),
+            ([trace_record("a"), trace_record("b", tokens=(2**70,))], 900,
+             f":3: trace 'b': tokens[0] = {2**70} does not fit in 64 bits"),
+        ],
+        ids=["duplicate-id", "negative-noise-step", "string-noise-step", "boolean-noise-step", "token-past-int64"],
+    )
+    def test_trace_file_rejection_names_file_and_line(self, tmp_path, capsys, stage, records, noise_step, message):
+        src = tmp_path / "traces.jsonl"
+        write_lines(src, records, noise_step=noise_step)
+        assert run_cli(stage, "--traces", src, "--out-dir", tmp_path / "out") == 3
+        assert f"error: TraceError: {src}{message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run.json").exists()
 
     def test_empty_trace_file(self, tmp_path, capsys):
         empty = tmp_path / "traces.jsonl"
@@ -542,9 +555,12 @@ class TestFlagsCheckedBeforeReading:
             (["filter", "--frac", 0], "fraction must lie in (0, 1), got 0.0"),
             (["filter", "--frac", 0.1, "--noise-step", 1001], "noise_step 1001 outside the schedule's [0, 1000]"),
             (["train", "--tau", -1], "tau must be a finite non-negative real, got -1.0"),
+            (["train", "--noise-step", 1001], "noise_step 1001 outside the schedule's [0, 1000]"),
             (["sweep", "--axis", "tau", "--values", 0.5, "--max-len", 1], "max_len must be >= 2, got 1"),
+            (["sweep", "--axis", "noise-step", "--values", 1001], "noise_step 1001 outside the schedule's [0, 1000]"),
         ],
-        ids=["eval-noise-step", "eval-max-len", "filter-frac", "filter-noise-step", "train-tau", "sweep-max-len"],
+        ids=["eval-noise-step", "eval-max-len", "filter-frac", "filter-noise-step", "train-tau", "train-noise-step",
+             "sweep-max-len", "sweep-noise-step"],
     )
     def test_exits_without_reading_the_corpus(self, pipeline, tmp_path, monkeypatch, capsys, argv, message):
         import visdep.cli as cli

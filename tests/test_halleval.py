@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
+from visdep.cli import _fraction_within
 from visdep.dependence import NEGATIVE_THRESHOLD, POSITIVE_THRESHOLD, TokenClass
-from visdep.halleval import (
-    ClassDistanceStats,
-    ClassObjectCounts,
-    CoOccurrenceHistogram,
-    HallucinationReport,
-    class_object_counts,
-    co_occurrence,
-    evaluate,
-)
+from visdep.halleval import HallucinationReport, class_object_counts, co_occurrence, evaluate
 from visdep.synth import OBJECT_BASE, object_token
 
 V_OBJ = 40
+# Rows of both tallies, in ``TokenClass`` order; columns of ``class_object_counts``.
+POS, INV, NEG = map(
+    list(TokenClass).index, (TokenClass.IMAGE_POSITIVE, TokenClass.IMAGE_INVARIANT, TokenClass.IMAGE_NEGATIVE)
+)
+GROUNDED, HALLUCINATED = 0, 1
 
 
 def padded(rows, fill=0, dtype=np.int64):
@@ -44,9 +42,9 @@ def mentions(resp):
     return [(pos, t - OBJECT_BASE) for pos, t in enumerate(resp) if OBJECT_BASE <= t < OBJECT_BASE + V_OBJ]
 
 
-def landed(stats):
-    """Every hallucinated mention a class's stats account for."""
-    return sum(stats.counts) + stats.beyond + stats.absent
+def landed(row):
+    """Every hallucinated mention one class's ``co_occurrence`` row accounts for."""
+    return int(row.sum())
 
 
 def naive_report(responses, truths):
@@ -227,21 +225,22 @@ class TestSpanClass:
         """A mention takes the class of its own token."""
         resp = [object_token(1), object_token(2), object_token(3)]
         counts = class_object_counts(d_batch([[0.9, 0.0, -0.9]]), *batch([resp], [{1, 2, 3}]))
-        assert counts.grounded == {cls: 1 for cls in TokenClass}
+        assert counts[:, GROUNDED].tolist() == [1, 1, 1]
 
 
 class TestClassObjectCounts:
     def test_hand_built_tally(self):
         resp = [object_token(3), 5, object_token(8)]
         counts = class_object_counts(d_batch([[0.9, 0.0, -0.9]]), *batch([resp], [{3}]))
-        assert counts.grounded[TokenClass.IMAGE_POSITIVE] == 1
-        assert counts.hallucinated[TokenClass.IMAGE_NEGATIVE] == 1
-        assert sum(counts.grounded.values()) == 1
-        assert sum(counts.hallucinated.values()) == 1
+        assert counts[POS, GROUNDED] == 1
+        assert counts[NEG, HALLUCINATED] == 1
+        assert counts[:, GROUNDED].sum() == 1
+        assert counts[:, HALLUCINATED].sum() == 1
 
     def test_lists_the_classes_in_enum_order(self):
         counts = class_object_counts(d_batch([[0.9]]), *batch([[object_token(3)]], [{3}]))
-        assert list(counts.grounded) == list(counts.hallucinated) == list(TokenClass)
+        assert [cls.value for cls in TokenClass] == ["positive", "invariant", "negative"]
+        assert counts.tolist() == [[1, 0], [0, 0], [0, 0]]
 
     def test_conserves_evaluate_totals(self):
         """Class tallies partition exactly the mentions evaluate() counts."""
@@ -267,8 +266,8 @@ class TestClassObjectCounts:
             for t in r
             if OBJECT_BASE <= t < OBJECT_BASE + 40 and (t - OBJECT_BASE) not in tr
         )
-        assert sum(counts.grounded.values()) + sum(counts.hallucinated.values()) == all_mentions
-        assert sum(counts.hallucinated.values()) == bad_mentions
+        assert counts.sum() == all_mentions
+        assert counts[:, HALLUCINATED].sum() == bad_mentions
 
     def test_misaligned_profile_rejected(self):
         with pytest.raises(ValueError, match="does not align"):
@@ -285,26 +284,23 @@ class TestCoOccurrence:
         """A hallucinated mention measures its gap to every class."""
         resp = [object_token(3), 10, 11, object_token(9)]
         hist = co_occurrence(d_batch([[0.9, 0.0, 0.0, -0.9]]), *batch([resp], [{3}]), window=3)
-        inv = hist.per_class[TokenClass.IMAGE_INVARIANT]
-        pos = hist.per_class[TokenClass.IMAGE_POSITIVE]
-        neg = hist.per_class[TokenClass.IMAGE_NEGATIVE]
-        assert inv.counts[1] == 1      # nearest flat token one slot away
-        assert pos.counts[3] == 1      # grounded mention three slots away
-        assert neg.counts[0] == 1      # the mention itself is anti-visual
+        assert hist.shape == (3, 3 + 3)
+        assert hist[INV, 1] == 1      # nearest flat token one slot away
+        assert hist[POS, 3] == 1      # grounded mention three slots away
+        assert hist[NEG, 0] == 1      # the mention itself is anti-visual
 
     def test_self_distance_is_zero(self):
         hist = co_occurrence(d_batch([[-0.9]]), *batch([[object_token(5)]], [set()]), window=2)
-        assert hist.per_class[TokenClass.IMAGE_NEGATIVE].counts[0] == 1
+        assert hist[NEG, 0] == 1
 
     def test_absent_class_is_tracked_separately(self):
         """With no positive token anywhere, the mention lands in absent
         and the within-window fraction for that class stays undefined."""
         resp = [object_token(5), 10]
         hist = co_occurrence(d_batch([[-0.9, 0.0]]), *batch([resp], [set()]), window=3)
-        pos = hist.per_class[TokenClass.IMAGE_POSITIVE]
-        assert pos.absent == 1
-        assert sum(pos.counts) == 0
-        assert pos.fraction_within is None
+        assert hist[POS, -1] == 1
+        assert hist[POS, :4].sum() == 0
+        assert _fraction_within(hist[POS].tolist()) is None
 
     def test_another_responses_tokens_are_not_near(self):
         """The nearest token of a class is looked for in the mention's own
@@ -312,20 +308,19 @@ class TestCoOccurrence:
         responses = [[object_token(5), 10], [10, 11, 12]]
         d = d_batch([[-0.9, 0.0], [0.9, 0.9, 0.9]], fill=0.9)
         hist = co_occurrence(d, *batch(responses, [set(), set()], fill=object_token(3)), window=3)
-        assert hist.per_class[TokenClass.IMAGE_POSITIVE].absent == 1
-        assert hist.per_class[TokenClass.IMAGE_INVARIANT].counts[1] == 1
+        assert hist[POS, -1] == 1
+        assert hist[INV, 1] == 1
 
     def test_beyond_window_mentions_counted(self):
         resp = [object_token(0)] + [10] * 6 + [object_token(9)]
         d = [0.9] + [0.0] * 6 + [-0.9]
         hist = co_occurrence(d_batch([d]), *batch([resp], [{0}]), window=3)
-        pos = hist.per_class[TokenClass.IMAGE_POSITIVE]
-        assert pos.beyond == 1
-        assert pos.fraction_within == 0.0
+        assert hist[POS, -2] == 1
+        assert _fraction_within(hist[POS].tolist()) == 0.0
 
     def test_grounded_mentions_are_ignored(self):
         hist = co_occurrence(d_batch([[0.9]]), *batch([[object_token(3)]], [{3}]), window=3)
-        assert all(landed(stats) == 0 for stats in hist.per_class.values())
+        assert all(landed(row) == 0 for row in hist)
 
     def test_every_mention_lands_somewhere(self):
         """counts + beyond + absent adds up to the hallucinated mentions,
@@ -348,8 +343,8 @@ class TestCoOccurrence:
             for t in r
             if OBJECT_BASE <= t < OBJECT_BASE + 40 and (t - OBJECT_BASE) not in tr
         )
-        for cls in TokenClass:
-            assert landed(hist.per_class[cls]) == halluc
+        for row in hist:
+            assert landed(row) == halluc
 
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError, match="window"):
@@ -365,10 +360,9 @@ class TestCoOccurrence:
             co_occurrence(np.zeros((0, 2)), *empty)
 
     def test_fraction_within_arithmetic(self):
-        stats = ClassDistanceStats(counts=(1, 2, 0, 1), beyond=2, absent=5)
-        assert stats.fraction_within == pytest.approx(4 / 6)
-        empty = ClassDistanceStats(counts=(0, 0), beyond=0, absent=3)
-        assert empty.fraction_within is None
+        """``cooccurrence.csv``'s share: counts 0..window over those plus beyond; absent is left out."""
+        assert _fraction_within([1, 2, 0, 1, 2, 5]) == pytest.approx(4 / 6)
+        assert _fraction_within([0, 0, 0, 3]) is None
 
 
 def _ref_profile(d):
@@ -383,38 +377,31 @@ def _ref_profile(d):
 
 def _ref_class_object_counts(d_rows, responses, truths):
     """Test-local per-response tally: one mention, one token's class."""
-    grounded = {cls: 0 for cls in TokenClass}
-    halluc = {cls: 0 for cls in TokenClass}
+    counts = [[0, 0] for _ in TokenClass]
     for d, resp, truth in zip(d_rows, responses, truths):
         classes = _ref_profile(d)
         for pos, obj in mentions(resp):
-            (grounded if obj in truth else halluc)[classes[pos]] += 1
-    return ClassObjectCounts(grounded=grounded, hallucinated=halluc)
+            counts[list(TokenClass).index(classes[pos])][GROUNDED if obj in truth else HALLUCINATED] += 1
+    return counts
 
 
 def _ref_co_occurrence(d_rows, responses, truths, window):
     """Test-local per-response histogram, nearest token by brute force."""
-    counts = {cls: [0] * (window + 1) for cls in TokenClass}
-    beyond = {cls: 0 for cls in TokenClass}
-    absent = {cls: 0 for cls in TokenClass}
+    rows = [[0] * (window + 3) for _ in TokenClass]  # distances 0..window, beyond, absent
     for d, resp, truth in zip(d_rows, responses, truths):
         classes = _ref_profile(d)
         for pos, obj in mentions(resp):
             if obj in truth:
                 continue
-            for cls in TokenClass:
+            for row, cls in zip(rows, TokenClass):
                 gaps = [abs(q - pos) for q, c in enumerate(classes) if c is cls]
                 if not gaps:
-                    absent[cls] += 1
+                    row[-1] += 1
                 elif min(gaps) <= window:
-                    counts[cls][min(gaps)] += 1
+                    row[min(gaps)] += 1
                 else:
-                    beyond[cls] += 1
-    per_class = {
-        cls: ClassDistanceStats(counts=tuple(counts[cls]), beyond=beyond[cls], absent=absent[cls])
-        for cls in TokenClass
-    }
-    return CoOccurrenceHistogram(window=window, per_class=per_class)
+                    row[-2] += 1
+    return rows
 
 
 # (token, d) written past each length: nothing, a grounded-looking object of
@@ -449,20 +436,23 @@ class TestArrayAttributionMatchesProfiles:
     def test_class_object_counts(self, sample):
         d_rows, responses, truths = sample
         got = class_object_counts(d_batch(d_rows), *batch(responses, truths))
-        assert got == _ref_class_object_counts(d_rows, responses, truths)
-        assert sum(got.grounded.values()) > 50 and sum(got.hallucinated.values()) > 50
+        assert got.shape == (3, 2) and got.dtype == np.int64
+        assert got.tolist() == _ref_class_object_counts(d_rows, responses, truths)
+        assert got[:, GROUNDED].sum() > 50 and got[:, HALLUCINATED].sum() > 50
 
     @pytest.mark.parametrize("window", [0, 1, 3, 8])
     def test_co_occurrence(self, sample, window):
         d_rows, responses, truths = sample
         got = co_occurrence(d_batch(d_rows), *batch(responses, truths), window=window)
-        assert got == _ref_co_occurrence(d_rows, responses, truths, window)
+        assert got.shape == (3, window + 3) and got.dtype == np.int64
+        assert got.tolist() == _ref_co_occurrence(d_rows, responses, truths, window)
 
     @pytest.mark.parametrize("token_fill,d_fill", PADDING, ids=["zeros", "grounded-positive", "hallucinated-negative"])
     def test_padding_counts_for_nothing(self, sample, token_fill, d_fill):
         d_rows, responses, truths = sample
         d, args = d_batch(d_rows, d_fill), batch(responses, truths, token_fill)
         assert evaluate(*args).to_dict() == pytest.approx(naive_report(responses, truths), rel=1e-12)
-        assert class_object_counts(d, *args) == _ref_class_object_counts(d_rows, responses, truths)
+        assert class_object_counts(d, *args).tolist() == _ref_class_object_counts(d_rows, responses, truths)
         for window in (0, 3):
-            assert co_occurrence(d, *args, window=window) == _ref_co_occurrence(d_rows, responses, truths, window)
+            got = co_occurrence(d, *args, window=window).tolist()
+            assert got == _ref_co_occurrence(d_rows, responses, truths, window)

@@ -928,7 +928,7 @@ class TestTrainMechanics:
                 loss, grads = _loss_and_grads(params, features, fwd, weights)
                 opt.step(params, grads)
                 losses.append(loss)
-                iterates.append(params.copy())
+                iterates.append(ModelParams(**{name: arr.copy() for name, arr in params.blocks().items()}))
 
         assert [rec.loss for rec in log] == losses
         tail = iterates[n_steps // 2 :]

@@ -1,7 +1,7 @@
 """Tests for the JSON-lines token trace format."""
 
+import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -14,23 +14,9 @@ from visdep.trace import (
     TokenTrace,
     TraceArrays,
     TraceError,
-    TraceFile,
     read_traces,
     write_traces,
 )
-
-
-def make_trace(sample_id="s0", n=3, eos=False, rng=None):
-    if rng is None:
-        rng = np.random.default_rng(42)
-    return TokenTrace(
-        sample_id=sample_id,
-        tokens=tuple(int(t) for t in rng.integers(0, 100, size=n)),
-        surfaces=tuple(f"tok{i}" for i in range(n)),
-        p_clean=tuple(float(p) for p in rng.uniform(0, 1, size=n)),
-        p_noisy=tuple(float(p) for p in rng.uniform(0, 1, size=n)),
-        eos_index=n - 1 if eos else None,
-    )
 
 
 class TestTokenTraceValidation:
@@ -42,12 +28,12 @@ class TestTokenTraceValidation:
             p_clean=(0.5,),
             p_noisy=(0.25,),
         )
-        assert len(trace) == 1
+        assert trace.tokens == (5,)
         assert trace.eos_index is None
 
     def test_empty_sample_id_rejected(self):
         with pytest.raises(TraceError):
-            make_trace(sample_id="")
+            TokenTrace("", (1,), ("x",), (0.5,), (0.5,))
 
     def test_zero_tokens_rejected(self):
         with pytest.raises(TraceError):
@@ -86,22 +72,46 @@ class TestTokenTraceValidation:
         assert trace.eos_index == 1
 
 
+def write_lines(path, records, **header):
+    """A trace file written by hand: the header (noise step 900 unless given), then ``records``."""
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "noise_step": 900, **header}
+    path.write_text("\n".join(json.dumps(v) for v in [header, *records]) + "\n", encoding="utf-8")
+    return path
+
+
+def trace_record(sample_id, tokens=(1,), surfaces=("x",), p_clean=(0.5,), p_noisy=(0.5,)):
+    """One trace line as a JSON object."""
+    return {"sample_id": sample_id, "tokens": list(tokens), "surfaces": list(surfaces),
+            "p_clean": list(p_clean), "p_noisy": list(p_noisy)}
+
+
 class TestTraceFileValidation:
-    def test_duplicate_sample_ids_rejected(self):
-        with pytest.raises(TraceError, match="duplicate"):
-            TraceFile(noise_step=900, traces=(make_trace("a"), make_trace("a")))
+    """What a trace file may not hold across its lines; ``read_traces`` names the file and line."""
 
-    def test_negative_noise_step_rejected(self):
-        with pytest.raises(TraceError):
-            TraceFile(noise_step=-1)
+    def test_duplicate_sample_ids_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", [trace_record("a"), trace_record("b"), trace_record("a")])
+        with pytest.raises(TraceError, match=r"t\.jsonl:4: duplicate sample_id 'a' \(first on line 2\)"):
+            read_traces(path)
 
-    def test_non_integer_noise_step_rejected(self):
-        with pytest.raises(TraceError):
-            TraceFile(noise_step=900.0)
+    def test_negative_noise_step_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", [trace_record("a")], noise_step=-1)
+        with pytest.raises(TraceError, match=r"t\.jsonl:1: noise_step must be a non-negative integer, got -1"):
+            read_traces(path)
+        with pytest.raises(TraceError, match="noise_step must be a non-negative integer, got -1"):
+            TraceArrays(**make_arrays(noise_step=-1))
 
-    def test_len_counts_traces(self):
-        tf = TraceFile(noise_step=0, traces=(make_trace("a"), make_trace("b")))
-        assert len(tf) == 2
+    def test_non_integer_noise_step_rejected(self, tmp_path):
+        for bad in (900.0, "9", True):
+            path = write_lines(tmp_path / "t.jsonl", [trace_record("a")], noise_step=bad)
+            with pytest.raises(TraceError, match=rf"t\.jsonl:1: noise_step must be a non-negative integer, got {bad!r}"):
+                read_traces(path)
+            with pytest.raises(TraceError, match="noise_step"):
+                TraceArrays(**make_arrays(noise_step=bad))
+
+    def test_len_counts_traces(self, tmp_path):
+        tf = read_traces(write_lines(tmp_path / "t.jsonl", [trace_record("a"), trace_record("b")]))
+        assert tf.sample_ids.tolist() == ["a", "b"]
+        assert tf.lengths.tolist() == [1, 1]
 
 
 def make_arrays(n=6, width=9, seed=3, **overrides):
@@ -126,26 +136,26 @@ def make_arrays(n=6, width=9, seed=3, **overrides):
     return {**fields, **overrides}
 
 
+def assert_same_traces(a, b):
+    """Equal header fields, and equal arrays of equal dtypes within each row's length."""
+    assert (a.noise_step, a.generator) == (b.noise_step, b.generator)
+    for name in ("sample_ids", "lengths", "ends_at_eos", "tokens", "surfaces", "p_clean", "p_noisy"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        if x.ndim == 2:
+            x, y = (v[np.arange(v.shape[1]) < a.lengths[:, None]] for v in (x, y))
+        assert np.array_equal(x, y), name
+
+
 class TestTraceArrays:
-    def test_writes_the_bytes_of_the_equal_trace_file(self, tmp_path):
+    def test_writes_pinned_bytes(self, tmp_path):
+        """The writer's bytes for fixed traces: non-ASCII surfaces written raw,
+        junk past each length left out, and both ``eos_index`` forms."""
         arrays = make_arrays()
-        rows = []
-        for i, n in enumerate(arrays["lengths"].tolist()):
-            rows.append(
-                TokenTrace(
-                    sample_id=arrays["sample_ids"][i],
-                    tokens=arrays["tokens"][i, :n].tolist(),
-                    surfaces=arrays["surfaces"][i, :n].tolist(),
-                    p_clean=arrays["p_clean"][i, :n].tolist(),
-                    p_noisy=arrays["p_noisy"][i, :n].tolist(),
-                    eos_index=n - 1 if arrays["ends_at_eos"][i] else None,
-                )
-            )
-        tf = TraceFile(noise_step=700, traces=rows, generator={"source": "test"})
-        write_traces(tf, tmp_path / "file.jsonl")
-        write_traces(TraceArrays(**arrays), tmp_path / "arrays.jsonl")
-        assert (tmp_path / "arrays.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
-        assert read_traces(tmp_path / "arrays.jsonl").traces == tf.traces
+        assert 0 < np.count_nonzero(arrays["ends_at_eos"]) < len(arrays["ends_at_eos"])
+        write_traces(TraceArrays(**arrays), tmp_path / "t.jsonl")
+        digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
+        assert digest == "bd85c492afcc4428528c6e9bb1014723685bfccdd065c76e6496b3cda66c9651"
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -168,66 +178,83 @@ class TestTraceArrays:
             TraceArrays(**arrays)
 
 
+probability = st.floats(0.0, 1.0)
+
+
+@st.composite
+def trace_arrays(draw):
+    """Padded traces of any shape, with junk past each length, as ``run_eval`` types them."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.text(min_size=1, max_size=6),
+                st.lists(st.tuples(st.integers(0, 2**63 - 1), st.text(max_size=6), probability, probability),
+                         min_size=1, max_size=8),
+                st.booleans(),
+            ),
+            max_size=5,
+            unique_by=lambda row: row[0],
+        )
+    )
+    lengths = np.array([len(tokens) for _, tokens, _ in rows], dtype=np.int64)
+    width = max(lengths, default=0) + draw(st.integers(0, 2))
+    tokens = np.full((len(rows), width), -5, dtype=np.int64)
+    surfaces = np.full((len(rows), width), "junk", dtype=object)
+    p_clean = np.full((len(rows), width), np.nan)
+    p_noisy = np.full((len(rows), width), 7.0)
+    for i, (_, row, _) in enumerate(rows):
+        tokens[i, : len(row)], surfaces[i, : len(row)], p_clean[i, : len(row)], p_noisy[i, : len(row)] = zip(*row)
+    return TraceArrays(
+        noise_step=draw(st.integers(0, 1000)),
+        sample_ids=np.array([sid for sid, _, _ in rows], dtype=object),
+        tokens=tokens,
+        lengths=lengths,
+        surfaces=surfaces,
+        p_clean=p_clean,
+        p_noisy=p_noisy,
+        ends_at_eos=np.array([eos for _, _, eos in rows], dtype=bool),
+        generator=draw(st.sampled_from([{}, {"source": "h\u00e9\x85"}])),
+    )
+
+
 class TestRoundTrip:
     def test_single_trace_identity(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        original = TraceFile(noise_step=900, traces=(make_trace(eos=True),))
+        original = TraceArrays(**make_arrays(n=1, noise_step=900, ends_at_eos=np.array([True])))
         write_traces(original, path)
-        assert read_traces(path) == original
+        assert_same_traces(read_traces(path), original)
 
     def test_hundred_random_traces_identity(self, tmp_path):
-        rng = np.random.default_rng(42)
-        traces = tuple(
-            make_trace(f"s{i}", n=int(rng.integers(1, 30)), eos=bool(rng.integers(2)), rng=rng)
-            for i in range(100)
-        )
-        original = TraceFile(noise_step=500, traces=traces, generator={"model": "toy"})
+        original = TraceArrays(**make_arrays(n=100, width=30, seed=42, noise_step=500, generator={"model": "toy"}))
         path = tmp_path / "traces.jsonl"
         write_traces(original, path)
-        assert read_traces(path) == original
+        assert_same_traces(read_traces(path), original)
 
     def test_write_is_deterministic(self, tmp_path):
-        tf = TraceFile(noise_step=900, traces=(make_trace("a"), make_trace("b")))
+        tf = TraceArrays(**make_arrays())
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_traces(tf, p1)
         write_traces(tf, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_utf8_surfaces_preserved(self, tmp_path):
-        trace = TokenTrace(
-            sample_id="séance",
-            tokens=(1, 2),
-            surfaces=("café", "猫"),
-            p_clean=(0.5, 0.5),
-            p_noisy=(0.1, 0.9),
-        )
         path = tmp_path / "traces.jsonl"
-        write_traces(TraceFile(noise_step=0, traces=(trace,)), path)
+        write_lines(path, [trace_record("séance", (1, 2), ("café", "猫"), (0.5, 0.5), (0.1, 0.9))], noise_step=0)
         restored = read_traces(path)
-        assert restored.traces[0].surfaces == ("café", "猫")
-        assert restored.traces[0].sample_id == "séance"
+        assert restored.surfaces[0].tolist() == ["café", "猫"]
+        assert restored.sample_ids[0] == "séance"
 
     @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.integers(0, 10_000),
-                st.text(min_size=0, max_size=8),
-                st.floats(0.0, 1.0, allow_nan=False),
-                st.floats(0.0, 1.0, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=12,
-        ),
-        noise_step=st.integers(0, 1000),
-    )
-    def test_property_round_trip(self, tmp_path, data, noise_step):
-        tokens, surfaces, clean, noisy = zip(*data)
-        trace = TokenTrace("h", tokens, surfaces, clean, noisy)
-        original = TraceFile(noise_step=noise_step, traces=(trace,))
-        path = tmp_path / "h.jsonl"
-        write_traces(original, path)
-        assert read_traces(path) == original
+    @given(original=trace_arrays())
+    def test_property_round_trip(self, tmp_path, original):
+        """Read back, the arrays match within each length with the same dtypes,
+        and writing them again gives the same bytes."""
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_traces(original, first)
+        restored = read_traces(first)
+        assert_same_traces(restored, original)
+        write_traces(restored, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestReadErrors:
@@ -245,7 +272,7 @@ class TestReadErrors:
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
         tf = read_traces(path)
-        assert len(tf) == 0
+        assert len(tf.sample_ids) == 0
 
     def test_invalid_json_reports_line_number(self, tmp_path):
         path = self._write(tmp_path, [self._header(), "{not json"])
@@ -288,8 +315,10 @@ class TestReadErrors:
             ({"tokens": [1.0]}, r"tokens\[0\] = 1.0 is not an integer"),
             ({"surfaces": [7]}, r"surfaces\[0\] = 7 is not a string"),
             ({"tokens": 1}, "tokens must be a list"),
+            ({"tokens": [2**70]}, rf"tokens\[0\] = {2**70} does not fit in 64 bits"),
         ],
-        ids=["string-probability", "boolean-probability", "float-token", "integer-surface", "scalar-tokens"],
+        ids=["string-probability", "boolean-probability", "float-token", "integer-surface", "scalar-tokens",
+             "token-past-int64"],
     )
     def test_record_of_the_wrong_json_type_reports_line(self, tmp_path, edit, message):
         record = {"sample_id": "a", "tokens": [1], "surfaces": ["x"], "p_clean": [0.5], "p_noisy": [0.5], **edit}
@@ -315,6 +344,6 @@ class TestReadErrors:
 
 class TestWriteErrors:
     def test_unwritable_path_raises_oserror(self, tmp_path):
-        tf = TraceFile(noise_step=0, traces=(make_trace(),))
+        tf = TraceArrays(**make_arrays())
         with pytest.raises(OSError):
             write_traces(tf, tmp_path / "no_such_dir" / "t.jsonl")
