@@ -13,6 +13,8 @@ from 13 upward.
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
 import math
 import os
@@ -182,7 +184,8 @@ class Corpus:
 
 
 def _sample_gap(rng: np.random.Generator) -> list[int]:
-    return [int(t) for t in rng.choice(_GAP_TOKENS, size=GAP_LEN)]
+    # the draws ``rng.choice(_GAP_TOKENS, size=GAP_LEN)`` makes, without its per-call set-up
+    return [_GAP_TOKENS[i] for i in rng.integers(0, len(_GAP_TOKENS), size=GAP_LEN)]
 
 
 def build_caption(
@@ -276,15 +279,28 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def write_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
-    """One JSON scene record per row of ``corpus``, the format ``read_corpus`` reads."""
+def sidecar_path(path: str | os.PathLike, digest: str) -> str:
+    """The array sidecar of the JSON-lines corpus at ``path`` whose bytes hash to ``digest``."""
+    return f"{os.fspath(path)}.{digest}.npy"
+
+
+def _sidecar_dtype(id_len: int, v_obj: int, width: int) -> np.dtype:
+    return np.dtype([
+        ("scene_id", f"<U{id_len}"), ("feature", "<f8", (v_obj,)), ("caption", "<i8", (width,)),
+        ("length", "<i8"), ("truth", "?", (v_obj,)), ("inserted", "?", (width,)),
+    ])
+
+
+def _write_records(corpus: Corpus, path: str | os.PathLike) -> str:
+    """One JSON scene record per row of ``corpus``; the sha256 of the bytes written."""
     v_obj = corpus.features.shape[1]
     words = surfaces_for(range(vocab_size(v_obj)), v_obj)
     rows = zip(
         corpus.scene_ids, corpus.features.tolist(), corpus.captions.tolist(), corpus.lengths.tolist(),
         corpus.truth, corpus.inserted,
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
         for sid, feature, caption, n, truth, inserted in rows:
             record = {
                 "scene_id": sid,
@@ -294,7 +310,36 @@ def write_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
                 "caption_surfaces": [words[t] for t in caption[:n]],
                 "hallucinated_positions": np.flatnonzero(inserted).tolist(),
             }
-            fh.write(_dumps(record) + "\n")
+            line = (_dumps(record) + "\n").encode("utf-8")
+            digest.update(line)
+            fh.write(line)
+    return digest.hexdigest()
+
+
+def write_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
+    """One JSON scene record per row of ``corpus``, the format ``read_corpus`` reads.
+
+    Beside it goes the same corpus as one structured array, named by the
+    sha256 of the JSON-lines bytes (``sidecar_path``), so that ``read_corpus``
+    can skip decoding them; sidecars of earlier contents of ``path`` are
+    removed.  An empty corpus, or one whose scene ids a fixed-width numpy
+    string would not give back (a trailing NUL), gets no sidecar.
+    """
+    digest = _write_records(corpus, path)  # its row lists are freed before the array is built
+    for stale in glob.glob(f"{glob.escape(os.fspath(path))}.{'[0-9a-f]' * 64}.npy"):
+        os.remove(stale)
+    ids = np.array(corpus.scene_ids.tolist(), dtype=str)
+    if len(corpus) == 0 or ids.tolist() != corpus.scene_ids.tolist():
+        return
+    # The arrays as they are: where they are not what the JSON reader would
+    # build (padding wider than the longest caption, say), the reader's
+    # checks of the sidecar reject it.
+    dtype = _sidecar_dtype(ids.dtype.itemsize // 4, corpus.features.shape[1], corpus.captions.shape[1])
+    arr = np.zeros(len(corpus), dtype=dtype)
+    arr["scene_id"], arr["feature"], arr["caption"] = ids, corpus.features, corpus.captions
+    arr["length"], arr["truth"], arr["inserted"] = corpus.lengths, corpus.truth, corpus.inserted
+    with open(sidecar_path(path, digest), "wb") as fh:
+        np.save(fh, arr, allow_pickle=False)
 
 
 def _check_record(record) -> str:
@@ -364,13 +409,64 @@ def _corpus(ids: list, features: list, captions: list, objects: list, positions:
     )
 
 
+def _read_sidecar(path: str | os.PathLike) -> Corpus | None:
+    """The corpus the sidecar of ``path``'s current bytes holds, or None
+    unless it loads, has the sidecar dtype and passes, as arrays, the checks
+    ``read_corpus`` makes per line."""
+    if not os.path.isfile(path):  # hashing a pipe would consume what the JSON reader is to read
+        return None
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    # A memory map checks that the file holds the array its header describes.
+    # Copy-on-write ("c") keeps the arrays writable, as the JSON reader's are,
+    # and the file as it is.
+    try:
+        arr = np.lib.format.open_memmap(sidecar_path(path, digest.hexdigest()), mode="c")
+    except (OSError, ValueError):  # missing, unreadable, truncated or not an array file
+        return None
+    dt = arr.dtype
+    try:
+        expected = _sidecar_dtype(dt["scene_id"].itemsize // 4, *dt["feature"].shape, *dt["caption"].shape)
+    except (KeyError, TypeError):  # a field missing, or of another rank
+        return None
+    if dt != expected or arr.ndim != 1 or len(arr) == 0:
+        return None
+    ids, lengths, captions, inserted = arr["scene_id"], arr["length"], arr["caption"], arr["inserted"]
+    width = captions.shape[1]
+    within = np.arange(width) < lengths[:, None]
+    in_vocab = (captions >= 0) & (captions < vocab_size(dt["feature"].shape[0]))
+    valid = (
+        np.all(ids != "") and len(np.unique(ids)) == len(ids)
+        and np.isfinite(arr["feature"]).all()
+        and np.all(lengths >= 2) and lengths.max() == width
+        and np.all(captions[:, 0] == BOS_ID)
+        and np.all(np.where(within, in_vocab, captions == 0))
+        and not np.any(inserted & ~within)
+        # a bool holds one byte, 0 or 1, as every array the JSON reader builds
+        and arr["truth"].view(np.uint8).max() <= 1 and inserted.view(np.uint8).max() <= 1
+    )
+    if not valid:
+        return None
+    # The fields after the id are Corpus's, in its order: views of the map,
+    # which a split or any other take() copies out.
+    return Corpus(np.array(ids.tolist(), dtype=object), *(np.asarray(arr[name]) for name in dt.names[1:]))
+
+
 def read_corpus(path: str | os.PathLike) -> Corpus:
     """The scenes of a JSON-lines corpus, as arrays.
 
-    A malformed line, a record that fails a scene's checks, a repeated
-    scene_id or a feature whose length differs from the first scene's
-    raises ValueError naming the file and the line.
+    When the file has a sidecar (``write_corpus``) for its current bytes,
+    and the sidecar loads and passes the checks, the arrays come from it;
+    otherwise every line is decoded and checked.  A malformed line, a
+    record that fails a scene's checks, a repeated scene_id or a feature
+    whose length differs from the first scene's raises ValueError naming
+    the file and the line.
     """
+    corpus = _read_sidecar(path)
+    if corpus is not None:
+        return corpus
     where = os.fspath(path)
     first_line: dict[str, int] = {}
     features, captions, objects, positions = [], [], [], []
@@ -380,8 +476,8 @@ def read_corpus(path: str | os.PathLike) -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}:{lineno}: invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # also a JSON integer past int()'s digit limit, which is not a JSONDecodeError
+                raise ValueError(f"{where}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             try:
                 sid = _check_record(record)
             except (OverflowError, ValueError) as exc:

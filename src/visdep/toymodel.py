@@ -174,7 +174,7 @@ def _cond_embed(p: ModelParams, conditions: np.ndarray) -> np.ndarray:
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function; ``exp`` only ever sees ``-|x|``, so it cannot overflow."""
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)  # e <= 1: the numerator is 1 where x >= 0
 
 
 class _Gates(NamedTuple):
@@ -738,7 +738,10 @@ def save_params(p: ModelParams, path: str | os.PathLike) -> None:
 def load_params(path: str | os.PathLike) -> ModelParams:
     where = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # also a JSON integer past int()'s digit limit, which is not a JSONDecodeError
+            raise ValueError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CKPT_FORMAT:
         raise ValueError(f"{where}: not a {CKPT_FORMAT} checkpoint")
     if payload.get("version") != CKPT_VERSION:

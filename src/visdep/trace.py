@@ -206,8 +206,8 @@ def read_traces(path: str | os.PathLike) -> TraceArrays:
     def parse(lineno: int, text: str) -> dict:
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"{where}:{lineno}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # also a JSON integer past int()'s digit limit, which is not a JSONDecodeError
+            raise TraceError(f"{where}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(obj, dict):
             raise TraceError(f"{where}:{lineno}: expected a JSON object")
         return obj
@@ -229,7 +229,7 @@ def read_traces(path: str | os.PathLike) -> TraceArrays:
         record = parse(lineno, text)
         try:
             tr = TokenTrace.from_record(record)
-        except TraceError as exc:
+        except (OverflowError, TraceError) as exc:  # OverflowError: a JSON integer probability past the float range
             raise TraceError(f"{where}:{lineno}: {exc}") from exc
         if tr.sample_id in first_on:
             raise TraceError(

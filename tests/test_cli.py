@@ -53,9 +53,9 @@ class TestSynth:
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         assert run_cli("synth", "--scenes", 80, "--seed", 42, "--out-dir", tmp_path) == 0
-        assert (tmp_path / "corpus.jsonl").read_bytes() == (
-            pipeline / "data" / "corpus.jsonl"
-        ).read_bytes()
+        (sidecar,) = (pipeline / "data").glob("corpus.jsonl.*.npy")
+        for name in ("corpus.jsonl", sidecar.name):
+            assert (tmp_path / name).read_bytes() == (pipeline / "data" / name).read_bytes()
 
     def test_seed_changes_corpus(self, pipeline, tmp_path):
         assert run_cli("synth", "--scenes", 80, "--seed", 43, "--out-dir", tmp_path) == 0
@@ -424,6 +424,40 @@ class TestExitCodes:
         assert run_cli(stage, "--traces", src, "--out-dir", tmp_path / "out") == 3
         assert f"error: TraceError: {src}{message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run.json").exists()
+
+    @pytest.mark.parametrize("stage", ["analyze", "plot"])
+    @pytest.mark.parametrize(
+        "number,message",
+        [
+            ("1" + "0" * 400, ":2: int too large to convert to float"),
+            ("1" + "0" * 5000, ":2: invalid JSON: Exceeds the limit (4300 digits)"),
+        ],
+        ids=["past-float-range", "past-digit-limit"],
+    )
+    def test_oversized_trace_number_names_file_and_line(self, tmp_path, capsys, stage, number, message):
+        src = write_lines(tmp_path / "traces.jsonl", [trace_record("a", p_clean=(0.123456789,))])
+        src.write_text(src.read_text(encoding="utf-8").replace("0.123456789", number), encoding="utf-8")
+        assert run_cli(stage, "--traces", src, "--out-dir", tmp_path / "out") == 3
+        assert f"error: TraceError: {src}{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["corpus", "ckpt"])
+    def test_integer_past_the_digit_limit_names_the_file(self, pipeline, tmp_path, capsys, target):
+        """json.loads raises a plain ValueError for such an integer, not a JSONDecodeError."""
+        corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "ckpt.json"
+        lines = (pipeline / "data" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:20]
+        payload = json.loads((pipeline / "mle" / "ckpt.json").read_text(encoding="utf-8"))
+        if target == "corpus":
+            record = json.loads(lines[1])
+            record["feature"][0] = 0.123456789
+            lines[1] = json.dumps(record)
+        else:
+            next(iter(payload["blocks"].values()))["data"][0] = 0.123456789
+        huge = "1" + "0" * 5000
+        corpus.write_text("\n".join(lines).replace("0.123456789", huge) + "\n", encoding="utf-8")
+        ckpt.write_text(json.dumps(payload).replace("0.123456789", huge), encoding="utf-8")
+        assert run_cli("eval", "--corpus", corpus, "--ckpt", ckpt, "--out-dir", tmp_path / "out") == 3
+        where = f"{corpus}:2" if target == "corpus" else f"{ckpt}"
+        assert f"error: ValueError: {where}: invalid JSON: Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
     def test_empty_trace_file(self, tmp_path, capsys):
         empty = tmp_path / "traces.jsonl"

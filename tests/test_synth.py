@@ -23,12 +23,14 @@ from visdep.synth import (
     groundable_objects,
     object_token,
     read_corpus,
+    sidecar_path,
     surface,
     surfaces_for,
     train_test_split,
     vocab_size,
     write_corpus,
 )
+from visdep import synth
 from visdep.seeding import rng_for
 
 
@@ -63,6 +65,21 @@ def assert_corpus_matches(corpus: Corpus, expected: Corpus) -> None:
         b = getattr(expected, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert all(type(sid) is str for sid in corpus.scene_ids)
+
+
+def sidecar_of(path: Path) -> Path:
+    """The sidecar ``write_corpus`` wrote for the current bytes of ``path``."""
+    return Path(sidecar_path(path, hashlib.sha256(path.read_bytes()).hexdigest()))
+
+
+def read_counting_lines(path: Path, monkeypatch) -> tuple[Corpus, int]:
+    """``read_corpus(path)`` and the number of JSON lines it checked: 0 when the sidecar served it."""
+    checked = []
+    check = synth._check_record
+    monkeypatch.setattr(synth, "_check_record", lambda record: checked.append(1) or check(record))
+    corpus = read_corpus(path)
+    monkeypatch.setattr(synth, "_check_record", check)
+    return corpus, len(checked)
 
 
 def mentions(caption) -> list[int]:
@@ -239,11 +256,15 @@ class TestDeterminism:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "bf38bbef1ef29134233a34b89bd148fc125bd702c05dfc2efb2031e11d920ab3"
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, monkeypatch):
+        """Through the JSON lines: TestSidecar covers the sidecar's round trip."""
         corpus = small_corpus(40)
         path = tmp_path / "corpus.jsonl"
         write_corpus(corpus, path)
-        assert_corpus_matches(read_corpus(path), corpus)
+        sidecar_of(path).unlink()
+        read, decoded = read_counting_lines(path, monkeypatch)
+        assert decoded == 40
+        assert_corpus_matches(read, corpus)
 
     def test_read_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -308,6 +329,240 @@ class TestDeterminism:
         write_corpus(small_corpus(3).take([0, 1, 2, 0]), path)
         with pytest.raises(ValueError, match="dup.jsonl:4: duplicate scene_id 'scene-000000' \\(first on line 1\\)"):
             read_corpus(path)
+
+
+def tamper(path: Path, edit) -> None:
+    """Rewrite the sidecar of ``path`` in place with ``edit`` applied to a copy of its array."""
+    side = sidecar_of(path)
+    arr = np.load(side)
+    out = edit(arr)
+    arr = arr if out is None else out
+    with open(side, "wb") as fh:
+        np.save(fh, arr)
+
+
+def _set(field, index, value):
+    def edit(arr):
+        arr[field][index] = value
+    return edit
+
+
+def _widened(arr):
+    """The same rows with one more all-zero caption column than the longest caption needs."""
+    dt = arr.dtype
+    width = dt["caption"].shape[0] + 1
+    out = np.zeros(len(arr), synth._sidecar_dtype(dt["scene_id"].itemsize // 4, dt["feature"].shape[0], width))
+    for name in dt.names:
+        if name in ("caption", "inserted"):
+            out[name][:, :-1] = arr[name]
+        else:
+            out[name] = arr[name]
+    return out
+
+
+def _token_past_every_length(arr):
+    within = np.arange(arr["caption"].shape[1]) < arr["length"][:, None]
+    arr["caption"] = np.where(within, arr["caption"], 7)
+
+
+def _bos_alone(arr):
+    """The shortest caption cut to BOS alone, zero past it as the padding must be."""
+    row = arr["length"].argmin()
+    arr["length"][row] = 1
+    arr["caption"][row, 1:] = 0
+    arr["inserted"][row] = False
+
+
+def _one_by_two(arr):
+    """A (1, 2) array of one id twice, with captions of two BOS: every check but the rank's passes."""
+    dt = arr.dtype
+    out = np.zeros((1, 2), synth._sidecar_dtype(dt["scene_id"].itemsize // 4, dt["feature"].shape[0], 2))
+    out["scene_id"], out["feature"], out["length"] = arr["scene_id"][0], arr["feature"][:2], 2
+    return out
+
+
+def _retyped(**changes):
+    """An edit that recasts the array to a dtype with some fields' types replaced."""
+    def edit(arr):
+        descr = [(name, changes.get(name, arr.dtype[name].base.str), arr.dtype[name].shape) for name in arr.dtype.names]
+        return arr.astype(np.dtype(descr))
+    return edit
+
+
+class TestSidecar:
+    """``write_corpus`` puts the arrays beside the JSON lines; ``read_corpus``
+    uses them only for the same bytes and only when they pass its checks."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"vocab_objects": 50}, {"hallucination_rate": 0.0}], ids=["default", "objects-50", "rate-0"]
+    )
+    def test_both_paths_give_the_generated_corpus(self, tmp_path, monkeypatch, overrides):
+        corpus = small_corpus(120, **overrides)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        from_sidecar, decoded = read_counting_lines(path, monkeypatch)
+        assert decoded == 0
+        assert all(a.flags.writeable for a in vars(from_sidecar).values())
+        first = from_sidecar.features[0, 0]
+        from_sidecar.features[0, 0] = 7.0  # lands in the arrays, not in the file
+        assert read_corpus(path).features[0, 0] == first
+        from_sidecar.features[0, 0] = first
+        sidecar_of(path).unlink()
+        from_lines, decoded = read_counting_lines(path, monkeypatch)
+        assert decoded == 120
+        assert_corpus_matches(from_sidecar, from_lines)
+        assert_corpus_matches(from_sidecar, corpus)
+
+    def test_an_edited_file_ignores_the_stale_sidecar(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(small_corpus(5), path)
+        stale = sidecar_of(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record["feature"][0] = 0.25
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        corpus, decoded = read_counting_lines(path, monkeypatch)
+        assert stale.exists() and decoded == 5
+        assert corpus.features[2, 0] == 0.25
+
+    def test_the_sidecar_serves_the_read(self, tmp_path):
+        """A valid edit to the sidecar shows in what is read: the JSON lines were not."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(small_corpus(5), path)
+        tamper(path, _set("feature", (1, 0), 0.375))
+        assert read_corpus(path).features[1, 0] == 0.375
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arr: arr[:2],  # rows dropped, stored with a smaller header
+            _retyped(feature="<f4"),
+            _retyped(caption="<i4"),
+            _retyped(feature=">f8"),
+            _retyped(truth="u1"),
+            lambda arr: arr.astype([(n if n != "truth" else "objects", arr.dtype[n]) for n in arr.dtype.names]),
+            _one_by_two,
+            lambda arr: arr[:0],
+            _set("scene_id", 3, "scene-000001"),
+            _set("scene_id", 3, ""),
+            _set("feature", (2, 5), np.nan),
+            _set("feature", (2, 5), -np.inf),
+            _set("caption", (1, 3), vocab_size(40)),
+            _set("caption", (1, 3), -1),
+            _set("caption", (0, 0), EOS_ID),
+            _bos_alone,
+            _set("length", 2, 10**6),
+            _token_past_every_length,
+            _widened,
+            lambda arr: arr["inserted"].__setitem__((arr["length"].argmin(), arr["length"].min()), True),
+            lambda arr: arr["truth"].view(np.uint8).__setitem__((0, 0), 2),
+        ],
+        ids=[
+            "fewer-rows", "float32-feature", "int32-caption", "big-endian-feature", "byte-truth", "renamed-field",
+            "two-dimensional", "empty", "repeated-id", "empty-id", "nan-feature", "infinite-feature",
+            "token-past-vocabulary", "negative-token", "caption-without-bos", "caption-of-bos-alone",
+            "length-past-width", "token-past-length", "width-past-every-length", "insertion-past-length",
+            "boolean-byte-2",
+        ],
+    )
+    def test_an_invalid_sidecar_falls_back_to_the_lines(self, tmp_path, monkeypatch, edit):
+        corpus = small_corpus(5)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        tamper(path, edit)
+        read, decoded = read_counting_lines(path, monkeypatch)
+        assert decoded == 5
+        assert_corpus_matches(read, corpus)
+
+    @pytest.mark.parametrize(
+        "content",
+        [lambda side: side.read_bytes()[:-100], lambda side: side.read_bytes()[:60], lambda side: b"not an array\n"],
+        ids=["truncated-data", "truncated-header", "not-an-array-file"],
+    )
+    def test_a_corrupt_sidecar_falls_back_to_the_lines(self, tmp_path, monkeypatch, content):
+        corpus = small_corpus(5)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        sidecar_of(path).write_bytes(content(sidecar_of(path)))
+        read, decoded = read_counting_lines(path, monkeypatch)
+        assert decoded == 5
+        assert_corpus_matches(read, corpus)
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda c: c.take([0, 1, 2, 0]),
+            lambda c: c.scene_ids.__setitem__(1, ""),
+            lambda c: c.features.__setitem__((1, 0), np.nan),
+            lambda c: c.features.__setitem__((1, 0), np.inf),
+            lambda c: c.captions.__setitem__((1, 2), -1),
+            lambda c: c.captions.__setitem__((1, 0), 5),
+            lambda c: c.lengths.__setitem__(1, 1),
+            lambda c: c.inserted.__setitem__((int(c.lengths.argmin()), int(c.lengths.min())), True),
+        ],
+        ids=[
+            "repeated-id", "empty-id", "nan-feature", "infinite-feature", "negative-token", "caption-without-bos",
+            "caption-of-bos-alone", "insertion-past-caption",
+        ],
+    )
+    def test_a_malformed_corpus_gets_the_message_of_the_lines(self, tmp_path, defect):
+        """Each defect an array can hold: the sidecar written beside it is
+        rejected, and the JSON reader's file:line message is raised."""
+        corpus = small_corpus(3).take(np.arange(3))
+        corpus = defect(corpus) or corpus
+        path = tmp_path / "bad.jsonl"
+        write_corpus(corpus, path)
+        assert sidecar_of(path).exists()
+        with pytest.raises(ValueError, match=r"bad\.jsonl:\d+: ") as with_sidecar:
+            read_corpus(path)
+        sidecar_of(path).unlink()
+        with pytest.raises(ValueError) as from_lines:
+            read_corpus(path)
+        assert str(with_sidecar.value) == str(from_lines.value)
+
+    def test_rewriting_a_path_removes_its_older_sidecar(self, tmp_path):
+        path, other = tmp_path / "corpus.jsonl", tmp_path / "corpus.jsonl.v2"
+        write_corpus(small_corpus(4), path)
+        write_corpus(small_corpus(4), other)
+        first = sidecar_of(path)
+        write_corpus(small_corpus(6), path)
+        assert not first.exists()
+        assert sorted(p.name for p in tmp_path.glob("*.npy")) == sorted([sidecar_of(path).name, sidecar_of(other).name])
+
+    def test_sidecar_bytes_are_deterministic(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_corpus(small_corpus(40), a)
+        write_corpus(small_corpus(40), b)
+        assert sidecar_of(a).read_bytes() == sidecar_of(b).read_bytes()
+
+    def test_padding_past_the_longest_caption_is_read_from_the_lines(self, tmp_path, monkeypatch):
+        """The JSON reader pads to the longest caption; a wider corpus's sidecar is not used."""
+        corpus = small_corpus(5)
+        wide = Corpus(*(np.pad(getattr(corpus, f), ((0, 0), (0, 2))) if f in ("captions", "inserted")
+                        else getattr(corpus, f) for f in vars(corpus)))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(wide, path)
+        assert sidecar_of(path).exists()
+        read, decoded = read_counting_lines(path, monkeypatch)
+        assert decoded == 5
+        assert_corpus_matches(read, corpus)
+        wide.inserted[1, -1] = True
+        write_corpus(wide, path)
+        with pytest.raises(ValueError, match=r"corpus\.jsonl:2: .*hallucinated position \d+ out of range"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("n,scene_id", [(0, None), (3, "scene-x\x00")], ids=["empty", "trailing-nul"])
+    def test_no_sidecar_where_the_arrays_would_differ(self, tmp_path, n, scene_id):
+        """An empty corpus, and an id that a fixed-width numpy string would cut, get none."""
+        corpus = small_corpus(3).take(np.arange(n))
+        if scene_id is not None:
+            corpus.scene_ids[1] = scene_id
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        assert list(tmp_path.glob("*.npy")) == []
+        read = read_corpus(path)
+        assert read.scene_ids.tolist() == corpus.scene_ids.tolist() and len(read) == n
 
 
 class TestTrainTestSplit:
@@ -375,6 +630,14 @@ class TestBuildCaption:
         assert np.all(gaps == gaps[0])
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_gap_draws_are_those_of_rng_choice(self, seed):
+        a, b = rng_for(seed, "gap"), rng_for(seed, "gap")
+        for _ in range(50):
+            assert synth._sample_gap(a) == [int(t) for t in b.choice(synth._GAP_TOKENS, size=synth.GAP_LEN)]
+        assert a.random() == b.random()
+
+
 class TestConfigValidation:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -431,4 +694,6 @@ def test_invariants_hold_for_random_configs(n, rate, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         write_corpus(corpus, path)
+        assert_corpus_matches(read_corpus(path), corpus)
+        sidecar_of(path).unlink()
         assert_corpus_matches(read_corpus(path), corpus)

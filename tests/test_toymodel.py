@@ -272,10 +272,11 @@ class TestFusedCellMatchesReference:
         x = np.concatenate(
             [
                 np.random.default_rng(0).normal(0.0, 10.0, 10**6),
-                [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 800.0, -800.0],
+                [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 800.0, -800.0, np.nan, np.inf, -np.inf],
             ]
         )
-        np.testing.assert_array_equal(_sigmoid(x), _ref_sigmoid(x))
+        np.testing.assert_array_equal(_sigmoid(x), _ref_sigmoid(x))  # NaN where the reference has NaN
+        assert np.isnan(_sigmoid(x)[-3]) and _sigmoid(x)[-2:].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("b", [1, 2, 8, 128])
     def test_cell_forward_and_backward_are_bit_identical(self, b):
