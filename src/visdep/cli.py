@@ -106,13 +106,14 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_split(args) -> tuple[synth.Corpus, synth.Corpus]:
-    """The (train, test) halves of ``--corpus`` under ``--test-frac`` and ``--split-seed``.
+def _read_split(args, test: bool) -> synth.Corpus:
+    """The training half of ``--corpus`` under ``--test-frac`` and ``--split-seed``, or with ``test`` the held-out one.
 
-    Every stage that reads a corpus splits it here, so they all hold out the same scenes.
+    Every stage that reads a corpus splits it with ``synth.held_out`` under
+    these flags, so they all hold out the same scenes; only the rows of the
+    half asked for are kept.
     """
-    corpus = synth.read_corpus(args.corpus)
-    return synth.train_test_split(corpus, args.test_frac, args.split_seed)
+    return synth.read_corpus(args.corpus, lambda n: synth.held_out(n, args.test_frac, args.split_seed) == test)
 
 
 def _load_ckpt(args, corpus: synth.Corpus):
@@ -243,7 +244,7 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     out = _out_dir(args)
-    corpus, _ = _read_split(args)
+    corpus = _read_split(args, test=False)
     if args.manifest:
         manifest = load_manifest(args.manifest)
         if set(manifest.kept) | set(manifest.removed) != set(corpus.scene_ids):
@@ -291,7 +292,7 @@ def cmd_filter(args) -> int:
     check_fraction(args.frac)
     check_noise_step(args.noise_step)
     out = _out_dir(args)
-    corpus, _ = _read_split(args)
+    corpus = _read_split(args, test=False)
     params = _load_ckpt(args, corpus)
     scores = score_corpus(corpus, params, noise_step=args.noise_step, seed=args.seed)
     manifest = apply_filter(scores, FilterStrategy(args.strategy), args.frac, seed=args.seed)
@@ -357,7 +358,7 @@ def cmd_eval(args) -> int:
     check_noise_step(args.noise_step)
     check_max_len(args.max_len)
     out = _out_dir(args)
-    _, corpus = _read_split(args)
+    corpus = _read_split(args, test=True)
     params = _load_ckpt(args, corpus)
     tf, report, counts, hist = run_eval(params, corpus, args.noise_step, args.seed, args.max_len)
     _write_eval_artifacts(out, tf, report, counts, hist)
@@ -385,7 +386,7 @@ def cmd_sweep(args) -> int:
         configs.append(_train_config(sub_args))
     check_max_len(args.max_len)
     out = _out_dir(args)
-    train_corpus, test_corpus = _read_split(args)
+    train_corpus, test_corpus = synth.train_test_split(synth.read_corpus(args.corpus), args.test_frac, args.split_seed)
     rows = ["value,chair_s,chair_i,recall,mean_len"]
     for value, name, cfg in zip(args.values, names, configs):
         params, _ = train(train_corpus, cfg)

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -183,11 +184,6 @@ class Corpus:
         return Corpus(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
-def _sample_gap(rng: np.random.Generator) -> list[int]:
-    # the draws ``rng.choice(_GAP_TOKENS, size=GAP_LEN)`` makes, without its per-call set-up
-    return [_GAP_TOKENS[i] for i in rng.integers(0, len(_GAP_TOKENS), size=GAP_LEN)]
-
-
 def build_caption(
     rng: np.random.Generator,
     true_objects,
@@ -207,13 +203,14 @@ def build_caption(
     """
     true_set = set(int(o) for o in true_objects)
     order = [int(o) for o in rng.permutation(sorted(true_set))]
+    # Every gap in one call: the draws of one ``rng.choice(_GAP_TOKENS,
+    # size=GAP_LEN)`` per gap, in order, without its per-call set-up.
+    gaps = rng.integers(0, len(_GAP_TOKENS), size=(max(len(order) - 1, 0), GAP_LEN)).tolist()
     tokens: list[int] = [BOS_ID, *_INTRO]
     halluc: list[int] = []
-    first = True
-    for obj in order:
-        if not first:
-            tokens.extend(_sample_gap(rng))
-        first = False
+    for i, obj in enumerate(order):
+        if i:
+            tokens.extend(_GAP_TOKENS[g] for g in gaps[i - 1])
         tokens.append(object_token(obj))
     inserted: set[int] = set()
     for a, b, p in bias_pairs:
@@ -242,37 +239,40 @@ def groundable_objects(cfg: CorpusConfig) -> tuple[int, ...]:
 def generate_corpus(cfg: CorpusConfig) -> Corpus:
     """Generate ``cfg.num_scenes`` scenes; fully determined by ``cfg.seed``."""
     groundable = groundable_objects(cfg)
-    features, captions, objects, positions = [], [], [], []
-    for index in range(cfg.num_scenes):
+    n, v_obj = cfg.num_scenes, cfg.vocab_objects
+    features, truth = np.empty((n, v_obj)), np.zeros((n, v_obj), dtype=bool)
+    captions, positions = [], []
+    for index in range(n):
         rng = rng_for(cfg.seed, "scene", index)
         k = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
         objs = np.sort(rng.choice(groundable, size=k, replace=False))
-        feature = np.zeros(cfg.vocab_objects)
-        feature[objs] = 1.0
-        features.append(feature + rng.normal(0.0, cfg.sigma_jitter, cfg.vocab_objects))
+        truth[index, objs] = True
+        np.add(truth[index], rng.normal(0.0, cfg.sigma_jitter, v_obj), out=features[index])
         caption, halluc = build_caption(rng, objs, cfg.bias_pairs, cfg.hallucination_rate)
         captions.append(caption)
-        objects.append(objs)
         positions.append(halluc)
-    ids = [f"scene-{index:06d}" for index in range(cfg.num_scenes)]
-    return _corpus(ids, features, captions, objects, positions)
+    return _corpus([f"scene-{index:06d}" for index in range(n)], features, truth, captions, positions)
 
 
-def train_test_split(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Partition ``corpus`` into (train, test), both in corpus order.
+def held_out(n: int, test_fraction: float, seed: int) -> np.ndarray:
+    """Which of a corpus's ``n`` rows its (train, test) split holds out, as a boolean mask.
 
-    Which rows are held out is deterministic in ``(len(corpus),
-    test_fraction, seed)``.
+    Deterministic in ``(n, test_fraction, seed)``.
     """
-    n = len(corpus)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n_test = int(round(test_fraction * n))
     if n_test < 1 or n_test >= n:
         raise ValueError(f"degenerate split: {n_test} test scenes out of {n}")
-    held_out = np.zeros(n, dtype=bool)
-    held_out[rng_for(seed, "split").permutation(n)[:n_test]] = True
-    return corpus.take(~held_out), corpus.take(held_out)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng_for(seed, "split").permutation(n)[:n_test]] = True
+    return mask
+
+
+def train_test_split(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
+    """Partition ``corpus`` into (train, test), both in corpus order, holding out the ``held_out`` rows."""
+    test = held_out(len(corpus), test_fraction, seed)
+    return corpus.take(~test), corpus.take(test)
 
 
 def _dumps(obj: dict) -> str:
@@ -284,6 +284,11 @@ def sidecar_path(path: str | os.PathLike, digest: str) -> str:
     return f"{os.fspath(path)}.{digest}.npy"
 
 
+# Rows of a sidecar written, or read and checked, at a time: the whole
+# corpus never sits in one structured array.
+SIDECAR_BLOCK_ROWS = 512
+
+
 def _sidecar_dtype(id_len: int, v_obj: int, width: int) -> np.dtype:
     return np.dtype([
         ("scene_id", f"<U{id_len}"), ("feature", "<f8", (v_obj,)), ("caption", "<i8", (width,)),
@@ -291,24 +296,20 @@ def _sidecar_dtype(id_len: int, v_obj: int, width: int) -> np.dtype:
     ])
 
 
-def _write_records(corpus: Corpus, path: str | os.PathLike) -> str:
-    """One JSON scene record per row of ``corpus``; the sha256 of the bytes written."""
-    v_obj = corpus.features.shape[1]
-    words = surfaces_for(range(vocab_size(v_obj)), v_obj)
-    rows = zip(
-        corpus.scene_ids, corpus.features.tolist(), corpus.captions.tolist(), corpus.lengths.tolist(),
-        corpus.truth, corpus.inserted,
-    )
+def _write_records(corpus: Corpus, path: str | os.PathLike, words: tuple[str, ...]) -> str:
+    """One JSON scene record per row of ``corpus``, each caption token spelt
+    ``words[token]``; the sha256 of the bytes written."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for sid, feature, caption, n, truth, inserted in rows:
+        for i, sid in enumerate(corpus.scene_ids):
+            caption = corpus.captions[i, : corpus.lengths[i]].tolist()
             record = {
                 "scene_id": sid,
-                "true_objects": np.flatnonzero(truth).tolist(),
-                "feature": feature,
-                "caption": caption[:n],
-                "caption_surfaces": [words[t] for t in caption[:n]],
-                "hallucinated_positions": np.flatnonzero(inserted).tolist(),
+                "true_objects": np.flatnonzero(corpus.truth[i]).tolist(),
+                "feature": corpus.features[i].tolist(),
+                "caption": caption,
+                "caption_surfaces": [words[t] for t in caption],
+                "hallucinated_positions": np.flatnonzero(corpus.inserted[i]).tolist(),
             }
             line = (_dumps(record) + "\n").encode("utf-8")
             digest.update(line)
@@ -320,12 +321,21 @@ def write_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     """One JSON scene record per row of ``corpus``, the format ``read_corpus`` reads.
 
     Beside it goes the same corpus as one structured array, named by the
-    sha256 of the JSON-lines bytes (``sidecar_path``), so that ``read_corpus``
-    can skip decoding them; sidecars of earlier contents of ``path`` are
-    removed.  An empty corpus, or one whose scene ids a fixed-width numpy
-    string would not give back (a trailing NUL), gets no sidecar.
+    sha256 of the JSON-lines bytes (``sidecar_path``) and written
+    ``SIDECAR_BLOCK_ROWS`` rows at a time, so that ``read_corpus`` can skip
+    decoding them; sidecars of earlier contents of ``path`` are removed.  An
+    empty corpus, or one whose scene ids a fixed-width numpy string would not
+    give back (a trailing NUL), gets no sidecar.  A caption token outside the
+    vocabulary raises ValueError before anything is written.
     """
-    digest = _write_records(corpus, path)  # its row lists are freed before the array is built
+    v_obj, width = corpus.features.shape[1], corpus.captions.shape[1]
+    vocab = vocab_size(v_obj)
+    within = np.arange(width) < corpus.lengths[:, None]
+    bad = np.argwhere(within & ((corpus.captions < 0) | (corpus.captions >= vocab)))
+    if len(bad):
+        sid, token = corpus.scene_ids[bad[0, 0]], corpus.captions[tuple(bad[0])]
+        raise ValueError(f"scene {sid!r}: caption token {token} outside [0, {vocab})")
+    digest = _write_records(corpus, path, surfaces_for(range(vocab), v_obj))
     for stale in glob.glob(f"{glob.escape(os.fspath(path))}.{'[0-9a-f]' * 64}.npy"):
         os.remove(stale)
     ids = np.array(corpus.scene_ids.tolist(), dtype=str)
@@ -333,13 +343,19 @@ def write_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
         return
     # The arrays as they are: where they are not what the JSON reader would
     # build (padding wider than the longest caption, say), the reader's
-    # checks of the sidecar reject it.
-    dtype = _sidecar_dtype(ids.dtype.itemsize // 4, corpus.features.shape[1], corpus.captions.shape[1])
-    arr = np.zeros(len(corpus), dtype=dtype)
-    arr["scene_id"], arr["feature"], arr["caption"] = ids, corpus.features, corpus.captions
-    arr["length"], arr["truth"], arr["inserted"] = corpus.lengths, corpus.truth, corpus.inserted
+    # checks of the sidecar reject it.  The bytes are ``np.save``'s.
+    dtype = _sidecar_dtype(ids.dtype.itemsize // 4, v_obj, width)
+    block = np.zeros(min(len(corpus), SIDECAR_BLOCK_ROWS), dtype=dtype)
     with open(sidecar_path(path, digest), "wb") as fh:
-        np.save(fh, arr, allow_pickle=False)
+        header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (len(corpus),)}
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, len(corpus), SIDECAR_BLOCK_ROWS):
+            rows = slice(start, start + SIDECAR_BLOCK_ROWS)
+            part = block[: len(ids[rows])]
+            part["scene_id"] = ids[rows]
+            for name, field in zip(dtype.names[1:], fields(Corpus)[1:]):
+                part[name] = getattr(corpus, field.name)[rows]
+            fh.write(part.tobytes())
 
 
 def _check_record(record) -> str:
@@ -385,76 +401,92 @@ def _check_record(record) -> str:
     return sid
 
 
-def _corpus(ids: list, features: list, captions: list, objects: list, positions: list) -> Corpus:
-    """The arrays of per-scene lists, one entry per scene, as checked or generated."""
-    n, v_obj = len(ids), len(features[0]) if features else 0
-    lengths = np.fromiter(map(len, captions), dtype=np.int64, count=n)
-    padded = np.zeros((n, int(lengths.max(initial=0))), dtype=np.int64)
+def _mask(lists: list, width: int) -> np.ndarray:
+    """A (len(lists), width) boolean array, row ``i`` True at the columns ``lists[i]`` names."""
+    out = np.zeros((len(lists), width), dtype=bool)
+    rows = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
+    out[rows, np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(rows))] = True
+    return out
+
+
+def _corpus(ids: list, features: np.ndarray, truth: np.ndarray, captions: list, positions: list) -> Corpus:
+    """The corpus of per-scene captions and inserted positions, one entry per scene, as checked or generated."""
+    lengths = np.fromiter(map(len, captions), dtype=np.int64, count=len(ids))
+    padded = np.zeros((len(ids), int(lengths.max(initial=0))), dtype=np.int64)
     within = np.arange(padded.shape[1]) < lengths[:, None]
     padded[within] = np.fromiter(chain.from_iterable(captions), dtype=np.int64, count=int(lengths.sum()))
-
-    def mask(lists: list, width: int) -> np.ndarray:
-        out = np.zeros((n, width), dtype=bool)
-        rows = np.repeat(np.arange(n), [len(x) for x in lists])
-        out[rows, np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=len(rows))] = True
-        return out
-
-    return Corpus(
-        scene_ids=np.array(ids, dtype=object),
-        features=np.array(features, dtype=np.float64).reshape(n, v_obj),
-        captions=padded,
-        lengths=lengths,
-        truth=mask(objects, v_obj),
-        inserted=mask(positions, padded.shape[1]),
-    )
+    return Corpus(np.array(ids, dtype=object), features, padded, lengths, truth, _mask(positions, padded.shape[1]))
 
 
-def _read_sidecar(path: str | os.PathLike) -> Corpus | None:
-    """The corpus the sidecar of ``path``'s current bytes holds, or None
-    unless it loads, has the sidecar dtype and passes, as arrays, the checks
-    ``read_corpus`` makes per line."""
+def _read_sidecar(path: str | os.PathLike, keep: Callable[[int], np.ndarray] | None) -> Corpus | None:
+    """The rows ``keep`` picks of the corpus the sidecar of ``path``'s current
+    bytes holds, or None unless it loads, has the sidecar dtype and passes, as
+    arrays, the checks ``read_corpus`` makes per line.
+
+    The rows are read and checked ``SIDECAR_BLOCK_ROWS`` at a time, and only
+    the kept ones are copied out.
+    """
     if not os.path.isfile(path):  # hashing a pipe would consume what the JSON reader is to read
         return None
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    # A memory map checks that the file holds the array its header describes.
-    # Copy-on-write ("c") keeps the arrays writable, as the JSON reader's are,
-    # and the file as it is.
     try:
-        arr = np.lib.format.open_memmap(sidecar_path(path, digest.hexdigest()), mode="c")
-    except (OSError, ValueError):  # missing, unreadable, truncated or not an array file
+        fh = open(sidecar_path(path, digest.hexdigest()), "rb")
+    except OSError:  # missing or unreadable
         return None
-    dt = arr.dtype
-    try:
-        expected = _sidecar_dtype(dt["scene_id"].itemsize // 4, *dt["feature"].shape, *dt["caption"].shape)
-    except (KeyError, TypeError):  # a field missing, or of another rank
+    with fh:
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dt = np.lib.format.read_array_header_1_0(fh)
+            expected = _sidecar_dtype(dt["scene_id"].itemsize // 4, *dt["feature"].shape, *dt["caption"].shape)
+        except (OSError, ValueError, KeyError, TypeError):  # not an array file, a field missing or of another rank
+            return None
+        if dt != expected or fortran_order or len(shape) != 1 or shape[0] == 0:
+            return None
+        n, width, vocab = shape[0], dt["caption"].shape[0], vocab_size(dt["feature"].shape[0])
+        try:
+            kept = np.ones(n, dtype=bool) if keep is None else keep(n)
+        except ValueError:  # the JSON reader raises it, after any fault of the lines
+            return None
+        out = {name: np.empty((int(kept.sum()), *dt[name].shape), dtype=dt[name].base) for name in dt.names}
+        ids, block = np.empty(n, dtype=dt["scene_id"]), np.empty(min(n, SIDECAR_BLOCK_ROWS), dtype=dt)
+        done = longest = 0  # rows kept so far; the longest caption
+        for start in range(0, n, SIDECAR_BLOCK_ROWS):
+            rows = block[: min(SIDECAR_BLOCK_ROWS, n - start)]
+            if fh.readinto(rows.view(np.uint8)) != rows.nbytes:  # a truncated file
+                return None
+            lengths, captions, inserted = rows["length"], rows["caption"], rows["inserted"]
+            within = np.arange(width) < lengths[:, None]
+            in_vocab = (captions >= 0) & (captions < vocab)
+            valid = (
+                np.all(rows["scene_id"] != "")
+                and np.isfinite(rows["feature"]).all()
+                and np.all((lengths >= 2) & (lengths <= width))
+                and np.all(captions[:, 0] == BOS_ID)
+                and np.all(np.where(within, in_vocab, captions == 0))
+                and not np.any(inserted & ~within)
+                # a bool holds one byte, 0 or 1, as every array the JSON reader builds
+                and rows["truth"].view(np.uint8).max() <= 1 and inserted.view(np.uint8).max() <= 1
+            )
+            if not valid:
+                return None
+            ids[start : start + len(rows)] = rows["scene_id"]
+            longest = max(longest, int(lengths.max()))
+            picked = kept[start : start + len(rows)]
+            count = int(picked.sum())
+            for name in dt.names:
+                out[name][done : done + count] = rows[name][picked]
+            done += count
+    if longest != width or len(np.unique(ids)) != n:
         return None
-    if dt != expected or arr.ndim != 1 or len(arr) == 0:
-        return None
-    ids, lengths, captions, inserted = arr["scene_id"], arr["length"], arr["caption"], arr["inserted"]
-    width = captions.shape[1]
-    within = np.arange(width) < lengths[:, None]
-    in_vocab = (captions >= 0) & (captions < vocab_size(dt["feature"].shape[0]))
-    valid = (
-        np.all(ids != "") and len(np.unique(ids)) == len(ids)
-        and np.isfinite(arr["feature"]).all()
-        and np.all(lengths >= 2) and lengths.max() == width
-        and np.all(captions[:, 0] == BOS_ID)
-        and np.all(np.where(within, in_vocab, captions == 0))
-        and not np.any(inserted & ~within)
-        # a bool holds one byte, 0 or 1, as every array the JSON reader builds
-        and arr["truth"].view(np.uint8).max() <= 1 and inserted.view(np.uint8).max() <= 1
-    )
-    if not valid:
-        return None
-    # The fields after the id are Corpus's, in its order: views of the map,
-    # which a split or any other take() copies out.
-    return Corpus(np.array(ids.tolist(), dtype=object), *(np.asarray(arr[name]) for name in dt.names[1:]))
+    # The fields after the id are Corpus's, in its order.
+    return Corpus(np.array(out.pop("scene_id").tolist(), dtype=object), *out.values())
 
 
-def read_corpus(path: str | os.PathLike) -> Corpus:
+def read_corpus(path: str | os.PathLike, keep: Callable[[int], np.ndarray] | None = None) -> Corpus:
     """The scenes of a JSON-lines corpus, as arrays.
 
     When the file has a sidecar (``write_corpus``) for its current bytes,
@@ -462,9 +494,11 @@ def read_corpus(path: str | os.PathLike) -> Corpus:
     otherwise every line is decoded and checked.  A malformed line, a
     record that fails a scene's checks, a repeated scene_id or a feature
     whose length differs from the first scene's raises ValueError naming
-    the file and the line.
+    the file and the line.  ``keep``, when given, maps the number of scenes
+    to a boolean mask of the rows to return, in corpus order; every row is
+    checked all the same.
     """
-    corpus = _read_sidecar(path)
+    corpus = _read_sidecar(path, keep)
     if corpus is not None:
         return corpus
     where = os.fspath(path)
@@ -495,4 +529,7 @@ def read_corpus(path: str | os.PathLike) -> Corpus:
             captions.append(record["caption"])
             objects.append(record["true_objects"])
             positions.append(record["hallucinated_positions"])
-    return _corpus(list(first_line), features, captions, objects, positions)
+    n, v_obj = len(features), len(features[0]) if features else 0
+    features = np.array(features, dtype=np.float64).reshape(n, v_obj)
+    corpus = _corpus(list(first_line), features, _mask(objects, v_obj), captions, positions)
+    return corpus if keep is None else corpus.take(keep(n))

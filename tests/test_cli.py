@@ -349,6 +349,21 @@ class TestExitCodes:
         bad.write_text("not json\n", encoding="utf-8")
         assert run_cli("train", "--corpus", bad, "--out-dir", tmp_path) == 3
 
+    def test_caption_token_outside_the_vocabulary_is_not_written(self, tmp_path, monkeypatch, capsys):
+        import visdep.cli as cli
+
+        generate = cli.synth.generate_corpus
+
+        def bad(cfg):
+            corpus = generate(cfg)
+            corpus.captions[1, 2] = vocab_size(40)
+            return corpus
+
+        monkeypatch.setattr(cli.synth, "generate_corpus", bad)
+        assert run_cli("synth", "--scenes", 3, "--out-dir", tmp_path) == 3
+        assert "scene 'scene-000001': caption token 53 outside [0, 53)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_repeated_scene_id_is_a_data_error(self, pipeline, tmp_path, capsys):
         lines = (pipeline / "data" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:20]
         corpus = tmp_path / "corpus.jsonl"

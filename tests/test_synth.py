@@ -1,6 +1,7 @@
 """Tests for the synthetic scene/caption corpus generator."""
 
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -21,6 +22,7 @@ from visdep.synth import (
     build_caption,
     generate_corpus,
     groundable_objects,
+    held_out,
     object_token,
     read_corpus,
     sidecar_path,
@@ -72,12 +74,12 @@ def sidecar_of(path: Path) -> Path:
     return Path(sidecar_path(path, hashlib.sha256(path.read_bytes()).hexdigest()))
 
 
-def read_counting_lines(path: Path, monkeypatch) -> tuple[Corpus, int]:
-    """``read_corpus(path)`` and the number of JSON lines it checked: 0 when the sidecar served it."""
+def read_counting_lines(path: Path, monkeypatch, keep=None) -> tuple[Corpus, int]:
+    """``read_corpus(path, keep)`` and the number of JSON lines it checked: 0 when the sidecar served it."""
     checked = []
     check = synth._check_record
     monkeypatch.setattr(synth, "_check_record", lambda record: checked.append(1) or check(record))
-    corpus = read_corpus(path)
+    corpus = read_corpus(path, keep)
     monkeypatch.setattr(synth, "_check_record", check)
     return corpus, len(checked)
 
@@ -255,6 +257,8 @@ class TestDeterminism:
         write_corpus(generate_corpus(CorpusConfig(num_scenes=50, seed=1)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "bf38bbef1ef29134233a34b89bd148fc125bd702c05dfc2efb2031e11d920ab3"
+        sidecar = hashlib.sha256(sidecar_of(path).read_bytes()).hexdigest()
+        assert sidecar == "808cc4e1e89337cf91a0a30113c8db57d9e3dcb68eaeee991f45bc299ef9f11e"
 
     def test_round_trip(self, tmp_path, monkeypatch):
         """Through the JSON lines: TestSidecar covers the sidecar's round trip."""
@@ -496,13 +500,12 @@ class TestSidecar:
             lambda c: c.scene_ids.__setitem__(1, ""),
             lambda c: c.features.__setitem__((1, 0), np.nan),
             lambda c: c.features.__setitem__((1, 0), np.inf),
-            lambda c: c.captions.__setitem__((1, 2), -1),
             lambda c: c.captions.__setitem__((1, 0), 5),
             lambda c: c.lengths.__setitem__(1, 1),
             lambda c: c.inserted.__setitem__((int(c.lengths.argmin()), int(c.lengths.min())), True),
         ],
         ids=[
-            "repeated-id", "empty-id", "nan-feature", "infinite-feature", "negative-token", "caption-without-bos",
+            "repeated-id", "empty-id", "nan-feature", "infinite-feature", "caption-without-bos",
             "caption-of-bos-alone", "insertion-past-caption",
         ],
     )
@@ -520,6 +523,14 @@ class TestSidecar:
         with pytest.raises(ValueError) as from_lines:
             read_corpus(path)
         assert str(with_sidecar.value) == str(from_lines.value)
+
+    @pytest.mark.parametrize("token", [-1, vocab_size(40)], ids=["negative-token", "past-vocabulary"])
+    def test_a_caption_token_outside_the_vocabulary_is_not_written(self, tmp_path, token):
+        corpus = small_corpus(3).take(np.arange(3))
+        corpus.captions[1, 2] = token
+        with pytest.raises(ValueError, match=rf"^scene 'scene-000001': caption token {token} outside \[0, 53\)$"):
+            write_corpus(corpus, tmp_path / "bad.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rewriting_a_path_removes_its_older_sidecar(self, tmp_path):
         path, other = tmp_path / "corpus.jsonl", tmp_path / "corpus.jsonl.v2"
@@ -563,6 +574,52 @@ class TestSidecar:
         assert list(tmp_path.glob("*.npy")) == []
         read = read_corpus(path)
         assert read.scene_ids.tolist() == corpus.scene_ids.tolist() and len(read) == n
+
+
+def _split_halves(path: Path, monkeypatch) -> list[tuple[Corpus, int]]:
+    """The training and the held-out half ``read_corpus`` keeps of ``path`` (split 0.4, seed 7), each
+    with the number of JSON lines it checked."""
+    return [read_counting_lines(path, monkeypatch, lambda n, t=t: held_out(n, 0.4, 7) == t) for t in (False, True)]
+
+
+class TestBlockReader:
+    """The sidecar is written and read ``SIDECAR_BLOCK_ROWS`` rows at a time, and a read keeps only the rows asked for."""
+
+    @pytest.mark.parametrize("n", [5, 511, 512, 513, 1100])
+    def test_each_half_is_that_of_the_split_of_the_lines(self, tmp_path, monkeypatch, n):
+        assert synth.SIDECAR_BLOCK_ROWS == 512
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(generate_corpus(CorpusConfig(num_scenes=n, seed=3)), path)
+        saved = io.BytesIO()
+        np.save(saved, np.load(sidecar_of(path)))
+        assert sidecar_of(path).read_bytes() == saved.getvalue()
+        from_sidecar = _split_halves(path, monkeypatch)
+        sidecar_of(path).unlink()
+        from_lines = _split_halves(path, monkeypatch)
+        for (a, decoded_a), (b, decoded_b), half in zip(from_sidecar, from_lines, train_test_split(read_corpus(path), 0.4, 7)):
+            assert (decoded_a, decoded_b) == (0, n)
+            assert_corpus_matches(a, half)
+            assert_corpus_matches(b, half)
+
+    @pytest.mark.parametrize("n", [513, 1100])
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda path: tamper(path, _set("caption", (-1, 1), vocab_size(40))),
+            lambda path: tamper(path, _set("scene_id", synth.SIDECAR_BLOCK_ROWS, "scene-000000")),
+            lambda path: sidecar_of(path).write_bytes(sidecar_of(path).read_bytes()[:-1]),
+            lambda path: tamper(path, _widened),
+        ],
+        ids=["bad-token-in-the-last-row", "id-repeated-across-blocks", "truncated-last-block", "width-past-every-length"],
+    )
+    def test_a_defect_in_any_block_falls_back_to_the_lines(self, tmp_path, monkeypatch, n, defect):
+        corpus = generate_corpus(CorpusConfig(num_scenes=n, seed=3))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        defect(path)
+        for (read, decoded), half in zip(_split_halves(path, monkeypatch), train_test_split(corpus, 0.4, 7)):
+            assert decoded == n
+            assert_corpus_matches(read, half)
 
 
 class TestTrainTestSplit:
@@ -632,10 +689,16 @@ class TestBuildCaption:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
     def test_gap_draws_are_those_of_rng_choice(self, seed):
-        a, b = rng_for(seed, "gap"), rng_for(seed, "gap")
-        for _ in range(50):
-            assert synth._sample_gap(a) == [int(t) for t in b.choice(synth._GAP_TOKENS, size=synth.GAP_LEN)]
-        assert a.random() == b.random()
+        """A caption's k - 1 gaps, drawn in one call, hold the tokens of one
+        ``rng.choice`` per gap and leave the generator where those calls do."""
+        for k in range(MIN_OBJECTS, MAX_OBJECTS + 1):
+            for stream in range(20):
+                a, b = rng_for(seed, "gap", k, stream), rng_for(seed, "gap", k, stream)
+                caption, _ = build_caption(a, range(k), (), 0.0)
+                assert mentions(caption) == b.permutation(k).tolist()
+                gaps = [int(t) for _ in range(k - 1) for t in b.choice(synth._GAP_TOKENS, size=synth.GAP_LEN)]
+                assert [t for t in caption[4:-1] if t < OBJECT_BASE] == gaps
+                assert a.random() == b.random()
 
 
 class TestConfigValidation:
