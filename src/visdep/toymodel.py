@@ -93,8 +93,14 @@ class ModelParams:
     def blocks(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(**{k: np.zeros_like(v) for k, v in self.blocks().items()})
+    def flat(self) -> np.ndarray:
+        """Every block, in field order, copied into one vector."""
+        return np.concatenate([arr.ravel() for arr in self.blocks().values()])
+
+    def views(self, flat: np.ndarray) -> "ModelParams":
+        """Blocks shaped as this one's, as consecutive views of the vector ``flat``."""
+        parts = np.split(flat, np.cumsum([arr.size for arr in self.blocks().values()])[:-1])
+        return ModelParams(**{name: part.reshape(arr.shape) for (name, arr), part in zip(self.blocks().items(), parts)})
 
 
 def _block_shapes(vocab: int, v_obj: int, d_emb: int, d_hid: int) -> dict[str, tuple[int, ...]]:
@@ -257,12 +263,29 @@ def _cell_backward(p: ModelParams, dh_new: np.ndarray, h_prev: np.ndarray, g: np
     return dh_prev
 
 
+class _Workspace:
+    """Flat buffers for forwards of up to ``rows`` rows of ``t_max`` targets, and the gradients.
+
+    A step takes a buffer's leading entries as one contiguous (steps, B, .)
+    array, laid out as a fresh one, so no bit depends on the buffers.
+    """
+
+    def __init__(self, p: ModelParams, rows: int, t_max: int):
+        widths = dict(xs=p.d_emb, hs=p.d_hid, hr=p.d_hid, gz=3 * p.d_hid, logits=p.vocab_size, dh_out=p.d_hid)
+        self.bufs = {name: np.empty(rows * (t_max + 2) * width) for name, width in widths.items()}
+        self.grad = np.empty(sum(arr.size for arr in p.blocks().values()))
+        self.grads = p.views(self.grad)
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        return self.bufs[name][: math.prod(shape)].reshape(shape)
+
+
 class _ForwardCache(NamedTuple):
     """Everything the backward pass needs from one teacher-forced forward.
 
     Step 0 of each stack is the condition step, step ``t + 1`` reads input
-    token ``t``.  Every field but ``lengths`` has the batch on its
-    second-to-last axis.
+    token ``t``.  Every array but ``lengths`` has the batch on its
+    second-to-last axis; the stacks are views into ``ws``.
     """
 
     inputs: np.ndarray       # (B, T) BOS then the targets shifted right
@@ -276,21 +299,22 @@ class _ForwardCache(NamedTuple):
     probs: np.ndarray        # (T, B, vocab) next-token distributions
     target_p: np.ndarray     # (B, T) probability of each target
     target_logp: np.ndarray  # (B, T) its log
+    ws: _Workspace           # holds the stacks; the backward writes its own into it
 
     def head(self, b: int) -> "_ForwardCache":
         """The cache of the first ``b`` rows, as views."""
-        return _ForwardCache(*(f[:b] if f.ndim == 1 else f[..., :b, :] for f in self))
+        return _ForwardCache(*(f[:b] if f.ndim == 1 else f[..., :b, :] for f in self[:-1]), self.ws)
 
 
-def _output_layer(p: ModelParams, hs: np.ndarray, ids: np.ndarray):
+def _output_layer(p: ModelParams, hs: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None):
     """Softmax outputs for a (t, B, d_hid) stack of states and (t, B) target ids.
 
-    Returns the (t, B, vocab) distributions and each target's probability
-    and log-probability, (t, B) each.  A matmul on a stack makes one BLAS
-    call per step, the call one step alone would make, so no bit depends
-    on how many steps are stacked.
+    Returns the (t, B, vocab) distributions, written to ``out`` if given,
+    and each target's probability and log-probability, (t, B) each.  A
+    matmul on a stack makes one BLAS call per step, the call one step alone
+    would make, so no bit depends on how many steps are stacked.
     """
-    logits = hs @ p.w_out
+    logits = np.matmul(hs, p.w_out, out=out)
     logits += p.b_out
     return _softmax_at(logits, ids)
 
@@ -307,7 +331,9 @@ def _softmax_at(logits: np.ndarray, ids: np.ndarray):
     return probs, target_p, target_logits - np.log(denom)
 
 
-def _forward_batch(p: ModelParams, conditions: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> _ForwardCache:
+def _forward_batch(
+    p: ModelParams, conditions: np.ndarray, ids: np.ndarray, lengths: np.ndarray, ws: _Workspace | None = None
+) -> _ForwardCache:
     """Teacher-forced training pass over padded (B, T) target ids (BOS excluded) and their lengths.
 
     Only the recurrence runs step by step: the input projections of every
@@ -315,23 +341,27 @@ def _forward_batch(p: ModelParams, conditions: np.ndarray, ids: np.ndarray, leng
     and the cell turns them into the gates in place.  The output layer does
     not feed the recurrence and runs once on the stack of states, so a
     small batch pays its per-call cost once instead of at every step.
+    Every stack is written into ``ws``, one made for this batch if none is
+    given, and stays valid until the next pass through ``ws``.
     """
     if np.any(lengths < 1):
         raise ValueError("every target sequence must contain at least one token")
     b, t_max = ids.shape
+    ws = ws or _Workspace(p, b, t_max)
     inputs = np.concatenate([np.full((b, 1), synth.BOS_ID, dtype=np.int64), ids[:, :-1]], axis=1)
     gates = _gates(p)
-    xs = np.empty((t_max + 1, b, p.d_emb))
+    xs = ws.take("xs", t_max + 1, b, p.d_emb)
     xs[0] = _cond_embed(p, conditions)
     p.emb.take(inputs.T, axis=0, out=xs[1:])
-    gz = xs[:, None] @ gates.w_x
-    hs = np.zeros((t_max + 2, b, p.d_hid))
-    hr = np.empty((t_max + 1, b, p.d_hid))
+    gz = np.matmul(xs[:, None], gates.w_x, out=ws.take("gz", t_max + 1, 3, b, p.d_hid))
+    hs = ws.take("hs", t_max + 2, b, p.d_hid)
+    hs[0] = 0.0
+    hr = ws.take("hr", t_max + 1, b, p.d_hid)
     for t in range(t_max + 1):
         _cell_step(gates, hs[t], gz[t], hr[t], out=hs[t + 1])
-    probs, target_p, target_logp = _output_layer(p, hs[2:], ids.T)
+    probs, target_p, target_logp = _output_layer(p, hs[2:], ids.T, ws.take("logits", t_max, b, p.vocab_size))
     mask = np.arange(t_max)[None, :] < lengths[:, None]
-    return _ForwardCache(inputs, ids, lengths, mask, xs, hs, hr, gz, probs, target_p.T, target_logp.T)
+    return _ForwardCache(inputs, ids, lengths, mask, xs, hs, hr, gz, probs, target_p.T, target_logp.T, ws)
 
 
 def _score_block(p: ModelParams, conditions: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -369,9 +399,10 @@ def _loss_and_grads(
     ``weights`` is (B, T_max) with zeros beyond each sequence length; it is
     treated as a constant throughout.  The pass consumes ``fwd``: its
     distributions become the logit gradients and its gates the gates'
-    gradients.  The output layer and ``dx`` do not feed the recurrence and
-    run once on the (steps, B, .) stacks; the output weights sum their
-    per-step products last step first, the order of a per-step ``+=``.
+    gradients, which it writes to ``fwd.ws.grads``.  The output layer and
+    ``dx`` do not feed the recurrence and run once on the (steps, B, .)
+    stacks; the output weights sum their per-step products last step first,
+    the order of a per-step ``+=``.
     The cell's weight gradients keep one product per step, accumulated in
     the loop: those products cost the same stacked or not, and a stack of
     them is slower to sum at a large batch.
@@ -385,9 +416,10 @@ def _loss_and_grads(
     dlogits = fwd.probs
     dlogits *= coef_t[:, :, None]
     dlogits[np.arange(t_max)[:, None], np.arange(b)[None, :], fwd.targets.T] -= coef_t
-    dh_out = dlogits @ p.w_out.T
+    dh_out = np.matmul(dlogits, p.w_out.T, out=fwd.ws.take("dh_out", t_max, b, hid))
     xs, hs, hr, da = fwd.xs, fwd.hs, fwd.hr, fwd.gz
-    g = p.zeros_like()
+    g = fwd.ws.grads  # every block but the two summed with += is overwritten below
+    g.w_hc[...], g.cond[...] = 0.0, 0.0
     g_x, g_h, g_b = np.zeros((p.d_emb, 3 * hid)), np.zeros((hid, 2 * hid)), np.zeros(3 * hid)
     dh = np.zeros((b, hid))
     for t in range(t_max, -1, -1):
@@ -450,9 +482,8 @@ def check_noise_step(noise_step: int) -> NoiseSchedule:
     return schedule
 
 
-def _noised_conditions(conditions: np.ndarray, seeds: list, noise_step: int) -> np.ndarray:
-    """Condition ``i`` corrupted to ``noise_step`` with ``seeds[i]``."""
-    schedule = check_noise_step(noise_step)
+def _noised_conditions(conditions: np.ndarray, seeds: list, noise_step: int, schedule: NoiseSchedule) -> np.ndarray:
+    """Condition ``i`` corrupted to ``noise_step`` of ``schedule`` with ``seeds[i]``."""
     return np.stack([corrupt(c, noise_step, schedule, seed) for c, seed in zip(conditions, seeds)])
 
 
@@ -471,7 +502,8 @@ def noised_dependence(
     ``p_clean`` is the clean pass as ``teacher_forced_probs`` returns it.
     Returns ``(p_noisy, d)``, shaped as ``ids`` and zero past each length.
     """
-    p_noisy = teacher_forced_probs(p, _noised_conditions(conditions, seeds, noise_step), ids, lengths)
+    noisy = _noised_conditions(conditions, seeds, noise_step, check_noise_step(noise_step))
+    p_noisy = teacher_forced_probs(p, noisy, ids, lengths)
     return p_noisy, dependence_array(p_clean, p_noisy)
 
 
@@ -562,29 +594,23 @@ class TrainLogRecord:
 
 
 class _Adam:
-    """Adam on all blocks at once: the moments are flat vectors, one entry per parameter.
+    """Adam on a flat parameter vector (``ModelParams.flat``), one moment entry per parameter.
 
-    A step allocates nothing: the flat gradient and every temporary live in
-    buffers made once.
+    A step allocates nothing: every temporary lives in buffers made once.
     """
 
-    def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        size = sum(arr.size for arr in params.blocks().values())
+    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._g, self._tmp, self._update = np.empty(size), np.empty(size), np.empty(size)
+        self._tmp, self._update = np.empty(size), np.empty(size)
 
-    def step(self, params: ModelParams, grads: ModelParams) -> None:
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
+        """Update the flat parameters ``theta`` in place from their flat gradient ``g``."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        g, tmp, update = self._g, self._tmp, self._update
-        np.concatenate([arr.ravel() for arr in grads.blocks().values()], out=g)
+        tmp, update = self._tmp, self._update
         m, v = self.m, self.v
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=tmp)
@@ -598,10 +624,7 @@ class _Adam:
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
         update /= tmp
-        start = 0
-        for arr in params.blocks().values():
-            arr -= update[start : start + arr.size].reshape(arr.shape)
-            start += arr.size
+        theta -= update
 
 
 def batch_weights(
@@ -643,19 +666,27 @@ def train(corpus: synth.Corpus, cfg: TrainConfig) -> tuple[ModelParams, list[Tra
     over the tail varies far less from seed to seed.  The average only
     reads the trajectory: the steps, the losses and the log are those of
     the plain run, and a one-step run returns its only iterate.
+
+    Every step writes into one ``_Workspace``, sized for the largest batch
+    (doubled if a step can be re-weighted) and the longest caption.
     """
     if not len(corpus):
         raise ValueError("cannot train on an empty corpus")
     v_obj = corpus.features.shape[1]
     vocab = synth.vocab_size(v_obj)
-    params = init_params(vocab, v_obj, seed=derive_seed(cfg.seed, "init"), d_emb=cfg.d_emb, d_hid=cfg.d_hid)
-    opt = _Adam(params, cfg.learning_rate)
+    init = init_params(vocab, v_obj, seed=derive_seed(cfg.seed, "init"), d_emb=cfg.d_emb, d_hid=cfg.d_hid)
+    theta = init.flat()
+    params = init.views(theta)
+    opt = _Adam(theta.size, cfg.learning_rate)
+    schedule = check_noise_step(cfg.noise_step)
 
     n = len(corpus)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     average_from = total_steps // 2
-    tail_sum = params.zeros_like()
+    rows = min(cfg.batch_size, n) * (2 if reweighting_active(cfg.reweight, (total_steps - 1) / total_steps) else 1)
+    ws = _Workspace(params, rows, int(corpus.lengths.max()) - 1)
+    tail_sum = np.zeros_like(theta)
     unweighted_means = dict.fromkeys(TokenClass, float("nan"))
     log: list[TrainLogRecord] = []
     global_step = 0
@@ -670,28 +701,27 @@ def train(corpus: synth.Corpus, cfg: TrainConfig) -> tuple[ModelParams, list[Tra
 
             if reweighting_active(cfg.reweight, global_step / total_steps):
                 seeds = [derive_seed(cfg.seed, "noise", global_step, sid) for sid in corpus.scene_ids[idx]]
-                noisy = _noised_conditions(features, seeds, cfg.noise_step)
+                noisy = _noised_conditions(features, seeds, cfg.noise_step, schedule)
                 b = len(idx)
                 if b > 1:  # in a batch of two or more rows, no row's bits depend on the others
                     conds = np.concatenate([features, noisy])
-                    both = _forward_batch(params, conds, np.tile(ids, (2, 1)), np.tile(lengths, 2))
+                    both = _forward_batch(params, conds, np.tile(ids, (2, 1)), np.tile(lengths, 2), ws)
                     fwd, p_noisy = both.head(b), both.target_p[b:]
-                else:  # a lone row's matmuls round differently from a pair's
-                    fwd = _forward_batch(params, features, ids, lengths)
+                else:  # a lone row rounds differently from a pair; through ws its noised pass would clobber fwd
+                    fwd = _forward_batch(params, features, ids, lengths, ws)
                     p_noisy = _forward_batch(params, noisy, ids, lengths).target_p
                 d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), np.where(fwd.mask, p_noisy, 0.0))
                 weights, means = batch_weights(fwd, d, cfg.reweight)
             else:
-                fwd = _forward_batch(params, features, ids, lengths)
+                fwd = _forward_batch(params, features, ids, lengths, ws)
                 weights = fwd.mask.astype(np.float64)
                 means = unweighted_means
-            loss, grads = _loss_and_grads(params, features, fwd, weights)
+            loss, _ = _loss_and_grads(params, features, fwd, weights)  # the gradients are ws.grad
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at step {global_step}")
-            opt.step(params, grads)
+            opt.step(theta, ws.grad)
             if global_step >= average_from:
-                for name, arr in tail_sum.blocks().items():
-                    arr += getattr(params, name)
+                tail_sum += theta
 
             log.append(
                 TrainLogRecord(
@@ -703,8 +733,8 @@ def train(corpus: synth.Corpus, cfg: TrainConfig) -> tuple[ModelParams, list[Tra
                 )
             )
             global_step += 1
-    n_averaged = total_steps - average_from
-    return ModelParams(**{k: v / n_averaged for k, v in tail_sum.blocks().items()}), log
+    tail_sum /= total_steps - average_from
+    return params.views(tail_sum), log
 
 
 def write_train_log(log: list[TrainLogRecord], path: str | os.PathLike) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ def padded(rows):
     for i, row in enumerate(rows):
         ids[i, : len(row)] = row
     return ids, lengths
+
+
+def _zeros_like(p: ModelParams) -> ModelParams:
+    return ModelParams(**{name: np.zeros_like(arr) for name, arr in p.blocks().items()})
 
 
 def _ref_forward(p: ModelParams, condition, prefix) -> np.ndarray:
@@ -239,7 +244,7 @@ def _ref_train_step(p, conditions, targets, weights):
         hs.append(h)
     coef = np.where(fwd.mask, weights / (fwd.lengths[:, None] * b), 0.0)
     loss = float(-(coef * np.where(fwd.mask, target_logp, 0.0)).sum())
-    g = p.zeros_like()
+    g = _zeros_like(p)
     dh_next = np.zeros((b, p.d_hid))
     for t in range(t_max - 1, -1, -1):
         dlogits = probs[t] * coef[:, t][:, None]
@@ -297,7 +302,7 @@ class TestFusedCellMatchesReference:
         np.testing.assert_array_equal(g, np.stack([z, r, ref_c]))
         np.testing.assert_array_equal(hr, ref_hr)
 
-        ref_g = p.zeros_like()
+        ref_g = _zeros_like(p)
         ref_dx, ref_dh_prev = _ref_cell_backward(p, ref_g, dh, ref_cache)
         np.testing.assert_array_equal(_cell_backward(p, dh, h, g), ref_dh_prev)
         # g now holds [da_z, da_r, da_c], from which the caller builds dx
@@ -324,6 +329,68 @@ class TestFusedCellMatchesReference:
         assert loss == ref_loss
         for name, arr in grads.blocks().items():
             np.testing.assert_array_equal(arr, ref_grads.blocks()[name], err_msg=name)
+
+
+class TestWorkspace:
+    """A training run writes every step's stacks and gradients into one
+    ``_Workspace``; whatever an earlier step left there must not reach a
+    later step's bits, and a step must hold no second cache."""
+
+    def test_a_reused_workspace_leaks_nothing(self):
+        """Steps whose shapes shrink and grow, then a doubled clean and
+        noised batch, all through one workspace that starts out NaN: each
+        step's loss and gradients equal the unfused reference's."""
+        p = _full_size_params(9)
+        longest = 34
+        ws = toymodel._Workspace(p, 16, longest)
+        for buf in (*ws.bufs.values(), ws.grad):
+            buf.fill(np.nan)
+        rng = np.random.default_rng(9)
+
+        def batch(b, t):
+            lengths = rng.integers(1, t + 1, size=b)
+            lengths[0] = t
+            targets = [[int(x) for x in rng.integers(1, p.vocab_size, size=n)] for n in lengths]
+            conditions = rng.normal(0.0, 1.0, (b, p.v_obj))
+            weights = np.where(np.arange(t) < lengths[:, None], rng.uniform(0.5, 2.0, (b, t)), 0.0)
+            return conditions, targets, weights
+
+        def check(fwd, conditions, targets, weights):
+            loss, grads = _loss_and_grads(p, conditions, fwd, weights)
+            ref_loss, ref_grads = _ref_train_step(p, conditions, targets, weights)
+            assert loss == ref_loss
+            for name, arr in grads.blocks().items():
+                np.testing.assert_array_equal(arr, ref_grads.blocks()[name], err_msg=name)
+
+        for b, t in [(8, 30), (3, 12), (16, longest)]:
+            conditions, targets, weights = batch(b, t)
+            check(_forward_batch(p, conditions, *padded(targets), ws), conditions, targets, weights)
+        conditions, targets, weights = batch(8, 20)
+        ids, lengths = padded(targets)
+        noisy = rng.normal(0.0, 1.0, conditions.shape)
+        both = _forward_batch(p, np.concatenate([conditions, noisy]), np.tile(ids, (2, 1)), np.tile(lengths, 2), ws)
+        check(both.head(8), conditions, targets, weights)
+
+    def test_a_step_holds_one_cache(self):
+        """The traced peak of a two-step batch-64 run stays below 1.75 times
+        the workspace's bytes.  The bound was fixed before measuring: the
+        workspace is one forward cache plus ``dh_out``, the cache alone
+        0.86 of it at this size, and everything else a step holds at once
+        (parameters, gradients, Adam's moments, the backward's
+        temporaries) is well under 0.75 of it; a second live cache alone
+        would take the peak past the bound."""
+        corpus = generate_corpus(CorpusConfig(num_scenes=64, seed=3))  # each step's batch is the whole corpus
+        cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.01, seed=3)
+        p = init_params(synth.vocab_size(corpus.features.shape[1]), corpus.features.shape[1], seed=0)
+        ws_bytes = sum(buf.nbytes for buf in toymodel._Workspace(p, 64, int(corpus.lengths.max()) - 1).bufs.values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(corpus, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * ws_bytes
 
 
 class TestTeacherForcedProbs:
@@ -848,9 +915,9 @@ class TestTrainMechanics:
         assert len(log) == 1
 
         v_obj = corpus.features.shape[1]
-        params = init_params(
-            synth.vocab_size(v_obj), v_obj, seed=derive_seed(cfg.seed, "init")
-        )
+        init = init_params(synth.vocab_size(v_obj), v_obj, seed=derive_seed(cfg.seed, "init"))
+        theta = init.flat()
+        params = init.views(theta)
         schedule = make_schedule()
         batch = corpus.take(rng_for(cfg.seed, "shuffle", 0).permutation(len(corpus)))
         features, targets = batch.features, _targets(batch)
@@ -865,7 +932,7 @@ class TestTrainMechanics:
         d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), noisy_p)
         weights, _ = batch_weights(fwd, d, cfg.reweight)
         loss, grads = _loss_and_grads(params, features, fwd, weights)
-        _Adam(params, cfg.learning_rate).step(params, grads)
+        _Adam(theta.size, cfg.learning_rate).step(theta, grads.flat())
 
         assert loss == log[0].loss
         for name, arr in params.blocks().items():
@@ -886,25 +953,31 @@ class TestTrainMechanics:
         row count at which OpenBLAS has changed kernels before."""
         self._check_replicated_run(num_scenes, batch_size)
 
+    def test_a_lone_row_reweighted_batch_keeps_its_clean_cache(self):
+        """Every step re-weighted, and 25 scenes in batches of 8 end each
+        epoch on one row, whose clean and noised passes run separately: the
+        noised pass must not write over the clean cache the backward reads."""
+        self._check_replicated_run(25, 8, start_fraction=0.0)
+
     @staticmethod
-    def _check_replicated_run(num_scenes, batch_size):
+    def _check_replicated_run(num_scenes, batch_size, start_fraction=0.5):
         corpus = generate_corpus(CorpusConfig(num_scenes=num_scenes, seed=5))
         cfg = TrainConfig(
             epochs=2,
             batch_size=batch_size,
             learning_rate=0.01,
             seed=11,
-            reweight=ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=0.5),
+            reweight=ReweightConfig(mode=LossMode.EMPHASIZE_NEGATIVE, start_fraction=start_fraction),
         )
         averaged, log = train(corpus, cfg)
         n_steps = 2 * -(-len(corpus) // batch_size)
         assert len(log) == n_steps
 
         v_obj = corpus.features.shape[1]
-        params = init_params(
-            synth.vocab_size(v_obj), v_obj, seed=derive_seed(cfg.seed, "init")
-        )
-        opt = _Adam(params, cfg.learning_rate)
+        init = init_params(synth.vocab_size(v_obj), v_obj, seed=derive_seed(cfg.seed, "init"))
+        theta = init.flat()
+        params = init.views(theta)
+        opt = _Adam(theta.size, cfg.learning_rate)
         schedule = make_schedule()
         losses, iterates = [], []
         for epoch in range(cfg.epochs):
@@ -914,7 +987,7 @@ class TestTrainMechanics:
                 batch = corpus.take(order[start : start + cfg.batch_size])
                 features, targets = batch.features, _targets(batch)
                 fwd = _forward_batch(params, features, *padded(targets))
-                if step < n_steps // 2:  # before start_fraction: all-ones weights, no noisy pass
+                if step / n_steps < start_fraction:  # all-ones weights, no noisy pass
                     weights = np.where(fwd.mask, 1.0, 0.0)
                 else:
                     noisy = np.stack(
@@ -927,7 +1000,7 @@ class TestTrainMechanics:
                     d = dependence_array(np.where(fwd.mask, fwd.target_p, 0.0), noisy_p)
                     weights, _ = batch_weights(fwd, d, cfg.reweight)
                 loss, grads = _loss_and_grads(params, features, fwd, weights)
-                opt.step(params, grads)
+                opt.step(theta, grads.flat())
                 losses.append(loss)
                 iterates.append(ModelParams(**{name: arr.copy() for name, arr in params.blocks().items()}))
 
@@ -997,19 +1070,20 @@ class TestAdam:
         +-1e300 (whose square overflows) and +-1e-300 (whose square
         underflows) leave the parameters and both moments bit for bit as
         the allocating step does."""
-        p, ref_p = _full_size_params(3), _full_size_params(3)
-        opt, ref = _Adam(p, 0.02), _RefAdam(ref_p, 0.02)
+        theta, ref_p = _full_size_params(3).flat(), _full_size_params(3)
+        p = ref_p.views(theta)
+        opt, ref = _Adam(theta.size, 0.02), _RefAdam(ref_p, 0.02)
         rng = np.random.default_rng(3)
         specials = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
         for _ in range(5):
-            grads = p.zeros_like()
+            grads = _zeros_like(p)
             for arr in grads.blocks().values():
                 arr[...] = rng.normal(0.0, 1.0, arr.shape)
                 flat = arr.reshape(-1)
                 picks = rng.random(flat.size) < 0.3
                 flat[picks] = rng.choice(specials, picks.sum())
             with np.errstate(over="ignore"):  # the square of 1e300 overflows to inf, by design
-                opt.step(p, grads)
+                opt.step(theta, grads.flat())
                 ref.step(ref_p, grads)
             for name, arr in p.blocks().items():
                 np.testing.assert_array_equal(arr, ref_p.blocks()[name], err_msg=name)
