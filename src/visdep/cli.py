@@ -95,30 +95,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--test-frac", type=float, default=0.2)
-    p.add_argument(
-        "--split-seed",
-        type=int,
-        default=42,
-        help="seed for the train/test split; keep identical across stages "
-        "so they agree on the held-out set even when --seed differs",
-    )
+def _load_ckpt(args, test: bool):
+    """``--ckpt``, and the half of ``--corpus`` that its training split holds out (``test``) or trained on.
 
-
-def _read_split(args, test: bool) -> synth.Corpus:
-    """The training half of ``--corpus`` under ``--test-frac`` and ``--split-seed``, or with ``test`` the held-out one.
-
-    Every stage that reads a corpus splits it with ``synth.held_out`` under
-    these flags, so they all hold out the same scenes; only the rows of the
-    half asked for are kept.
+    The checkpoint is rejected unless it takes the corpus's feature length
+    and has its vocabulary.
     """
-    return synth.read_corpus(args.corpus, lambda n: synth.held_out(n, args.test_frac, args.split_seed) == test)
-
-
-def _load_ckpt(args, corpus: synth.Corpus):
-    """``--ckpt``, rejected unless it takes the feature length of ``--corpus`` and has its vocabulary."""
-    params = load_params(args.ckpt)
+    params, test_frac, split_seed = load_params(args.ckpt)
+    corpus = synth.read_corpus(args.corpus, lambda n: synth.held_out(n, test_frac, split_seed) == test)
     n_feature = corpus.features.shape[1]
     if params.v_obj != n_feature:
         raise ValueError(
@@ -130,7 +114,7 @@ def _load_ckpt(args, corpus: synth.Corpus):
             f"{args.ckpt}: checkpoint has {params.vocab_size} tokens, "
             f"but {n_feature} objects take {synth.vocab_size(n_feature)}"
         )
-    return params
+    return params, corpus
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -142,7 +126,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr", type=float, default=3e-3)
-    _add_split_flags(p)
+    p.add_argument("--test-frac", type=float, default=0.2)
+    p.add_argument("--split-seed", type=int, default=42, help="seed for the train/test split; recorded in ckpt.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[s.value for s in FilterStrategy], required=True)
     p.add_argument("--frac", type=float, required=True)
     p.add_argument("--noise-step", type=int, default=DEFAULT_NOISE_STEP)
-    _add_split_flags(p)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("eval", help="decode the test split and report hallucination metrics")
@@ -188,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--noise-step", type=int, default=DEFAULT_NOISE_STEP)
     p.add_argument("--max-len", type=int, default=40)
-    _add_split_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train+eval across one hyperparameter axis")
@@ -244,7 +227,7 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     out = _out_dir(args)
-    corpus = _read_split(args, test=False)
+    corpus = synth.read_corpus(args.corpus, lambda n: ~synth.held_out(n, args.test_frac, args.split_seed))
     if args.manifest:
         manifest = load_manifest(args.manifest)
         if set(manifest.kept) | set(manifest.removed) != set(corpus.scene_ids):
@@ -255,7 +238,7 @@ def cmd_train(args) -> int:
         kept = set(manifest.kept)
         corpus = corpus.take(np.array([sid in kept for sid in corpus.scene_ids], dtype=bool))
     params, log = train(corpus, cfg)
-    save_params(params, out / CKPT_FILE)
+    save_params(params, out / CKPT_FILE, args.test_frac, args.split_seed)
     write_train_log(log, out / TRAINLOG_FILE)
     _write_run(out, args)
     print(f"wrote {out / CKPT_FILE} ({len(corpus)} training scenes, {len(log)} steps)")
@@ -292,8 +275,7 @@ def cmd_filter(args) -> int:
     check_fraction(args.frac)
     check_noise_step(args.noise_step)
     out = _out_dir(args)
-    corpus = _read_split(args, test=False)
-    params = _load_ckpt(args, corpus)
+    params, corpus = _load_ckpt(args, test=False)
     scores = score_corpus(corpus, params, noise_step=args.noise_step, seed=args.seed)
     manifest = apply_filter(scores, FilterStrategy(args.strategy), args.frac, seed=args.seed)
     save_manifest(manifest, out / MANIFEST_FILE)
@@ -358,8 +340,7 @@ def cmd_eval(args) -> int:
     check_noise_step(args.noise_step)
     check_max_len(args.max_len)
     out = _out_dir(args)
-    corpus = _read_split(args, test=True)
-    params = _load_ckpt(args, corpus)
+    params, corpus = _load_ckpt(args, test=True)
     tf, report, counts, hist = run_eval(params, corpus, args.noise_step, args.seed, args.max_len)
     _write_eval_artifacts(out, tf, report, counts, hist)
     _write_run(out, args)
@@ -392,7 +373,7 @@ def cmd_sweep(args) -> int:
         params, _ = train(train_corpus, cfg)
         sub_out = out / name
         sub_out.mkdir(parents=True, exist_ok=True)
-        save_params(params, sub_out / CKPT_FILE)
+        save_params(params, sub_out / CKPT_FILE, args.test_frac, args.split_seed)
         tf, report, counts, hist = run_eval(params, test_corpus, cfg.noise_step, args.seed, args.max_len)
         _write_eval_artifacts(sub_out, tf, report, counts, hist)
         rows.append(

@@ -119,7 +119,8 @@ def score_corpus(
 
     Uses one fixed noise draw per sample, derived from ``(seed,
     scene_id)``, so scores are stable across runs and batch sizes.  Each
-    caption's ``d`` values are summed left to right.
+    caption's ``d`` values are summed left to right, one addition at a time
+    (not the builtin ``sum``, which compensates from Python 3.12 on).
     """
     if not len(corpus):
         raise ValueError("cannot score an empty corpus")
@@ -127,7 +128,8 @@ def score_corpus(
     p_clean = teacher_forced_probs(params, corpus.features, ids, lengths)
     seeds = [derive_seed(seed, "filternoise", sid) for sid in corpus.scene_ids]
     _, d = noised_dependence(params, corpus.features, ids, lengths, p_clean, seeds, noise_step)
-    return {sid: float(sum(row[:n].tolist())) for sid, n, row in zip(corpus.scene_ids, lengths.tolist(), d)}
+    sums = np.cumsum(d, axis=1, out=d)[np.arange(len(lengths)), lengths - 1]
+    return dict(zip(corpus.scene_ids, sums.tolist()))
 
 
 def check_fraction(fraction: float) -> None:

@@ -40,7 +40,7 @@ CONDITION_NORM = 2.0
 SCORE_BLOCK_ROWS = 512
 
 CKPT_FORMAT = "visdep-ckpt"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -746,11 +746,13 @@ def write_train_log(log: list[TrainLogRecord], path: str | os.PathLike) -> None:
             )
 
 
-def save_params(p: ModelParams, path: str | os.PathLike) -> None:
-    """Versioned JSON checkpoint with a shape header per block."""
+def save_params(p: ModelParams, path: str | os.PathLike, test_frac: float, split_seed: int) -> None:
+    """Versioned JSON checkpoint with a shape header per block and the train/test split it trained on."""
     payload = {
         "format": CKPT_FORMAT,
         "version": CKPT_VERSION,
+        "test_frac": test_frac,
+        "split_seed": split_seed,
         "vocab_size": p.vocab_size,
         "v_obj": p.v_obj,
         "d_emb": p.d_emb,
@@ -765,7 +767,8 @@ def save_params(p: ModelParams, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
-def load_params(path: str | os.PathLike) -> ModelParams:
+def load_params(path: str | os.PathLike) -> tuple[ModelParams, float, int]:
+    """The params of a ``save_params`` checkpoint, and its split's ``test_frac`` and ``split_seed``."""
     where = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -776,6 +779,11 @@ def load_params(path: str | os.PathLike) -> ModelParams:
         raise ValueError(f"{where}: not a {CKPT_FORMAT} checkpoint")
     if payload.get("version") != CKPT_VERSION:
         raise ValueError(f"{where}: unsupported checkpoint version {payload.get('version')!r}")
+    test_frac, split_seed = payload.get("test_frac"), payload.get("split_seed")
+    if not (type(test_frac) is float and 0.0 < test_frac < 1.0):
+        raise ValueError(f"{where}: checkpoint test_frac {test_frac!r} is not a number in (0, 1)")
+    if type(split_seed) is not int:
+        raise ValueError(f"{where}: checkpoint split_seed {split_seed!r} is not an integer")
     dims = [payload.get(k) for k in ("vocab_size", "v_obj", "d_emb", "d_hid")]
     if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in dims):
         raise ValueError(f"{where}: checkpoint dimensions {dims} are not positive integers")
@@ -800,4 +808,4 @@ def load_params(path: str | os.PathLike) -> ModelParams:
             raise ValueError(f"{where}: block {name!r}: {exc}") from exc
         if not np.isfinite(blocks[name]).all():
             raise ValueError(f"{where}: block {name!r} holds a number that is not finite")
-    return ModelParams(**blocks)
+    return ModelParams(**blocks), test_frac, split_seed

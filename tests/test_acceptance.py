@@ -419,7 +419,7 @@ def test_c11_artifacts_are_byte_identical_on_rerun(tmp_path):
         corpus = generate_corpus(cfg)
         write_corpus(corpus, tmp_path / f"corpus-{run}.jsonl")
         params, _ = train(corpus, train_cfg)
-        save_params(params, tmp_path / f"ckpt-{run}.json")
+        save_params(params, tmp_path / f"ckpt-{run}.json", 0.2, 42)
         tf, _, _, _ = run_eval(params, corpus.take(np.arange(40)), NOISE_STEP, EVAL_SEED, MAX_LEN)
         write_traces(tf, tmp_path / f"traces-{run}.jsonl")
         scores = score_corpus(corpus, params, noise_step=NOISE_STEP, seed=EVAL_SEED)

@@ -43,6 +43,43 @@ def pipeline(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def split5(pipeline, tmp_path_factory):
+    """``train --split-seed 5 --test-frac 0.25`` on the pipeline's corpus, then
+    ``eval`` and ``filter`` on its checkpoint with another ``--seed`` and no
+    split flag; also the ids that ``train`` received, in order."""
+    root = tmp_path_factory.mktemp("split5")
+    corpus = pipeline / "data" / "corpus.jsonl"
+    trained_on = []
+    with pytest.MonkeyPatch.context() as mp:
+        import visdep.cli as cli
+
+        real_train = cli.train
+
+        def recording_train(corpus, cfg):
+            trained_on.extend(corpus.scene_ids.tolist())
+            return real_train(corpus, cfg)
+
+        mp.setattr(cli, "train", recording_train)
+        assert (
+            run_cli(
+                "train", "--corpus", corpus, "--epochs", 1, "--batch-size", 16, "--lr", 0.01,
+                "--seed", 2, "--split-seed", 5, "--test-frac", 0.25, "--out-dir", root / "train",
+            )
+            == 0
+        )
+    ckpt = root / "train" / "ckpt.json"
+    assert run_cli("eval", "--corpus", corpus, "--ckpt", ckpt, "--seed", 42, "--out-dir", root / "eval") == 0
+    assert (
+        run_cli(
+            "filter", "--corpus", corpus, "--ckpt", ckpt, "--strategy", "lowest", "--frac", 0.1,
+            "--seed", 42, "--out-dir", root / "filter",
+        )
+        == 0
+    )
+    return root, trained_on
+
+
 class TestSynth:
     def test_writes_corpus_and_run_record(self, pipeline):
         corpus = read_corpus(pipeline / "data" / "corpus.jsonl")
@@ -66,8 +103,9 @@ class TestSynth:
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, pipeline):
-        params = load_params(pipeline / "mle" / "ckpt.json")
+        params, test_frac, split_seed = load_params(pipeline / "mle" / "ckpt.json")
         assert params.v_obj == 40
+        assert (test_frac, split_seed) == (0.2, 42)
         log = (pipeline / "mle" / "trainlog.csv").read_text().splitlines()
         assert log[0] == "step,loss,mean_w_pos,mean_w_inv,mean_w_neg"
         assert len(log) == 1 + 4  # 64 training scenes / batch 16, one epoch
@@ -97,21 +135,13 @@ class TestTrain:
         assert "(48 training scenes" in capsys.readouterr().out
         assert (tmp_path / "restricted" / "ckpt.json").exists()
 
-    def test_manifest_scored_on_another_split_is_rejected(self, pipeline, tmp_path, capsys):
+    def test_manifest_scored_on_another_split_is_rejected(self, pipeline, split5, tmp_path, capsys):
         """A manifest must cover exactly the training split it restricts;
-        one scored with another --split-seed would silently drop scenes."""
-        corpus = pipeline / "data" / "corpus.jsonl"
-        fdir = tmp_path / "filter"
-        assert (
-            run_cli(
-                "filter", "--corpus", corpus, "--ckpt", pipeline / "mle" / "ckpt.json",
-                "--strategy", "highest", "--frac", 0.25, "--split-seed", 5, "--out-dir", fdir,
-            )
-            == 0
-        )
+        one scored on the checkpoint of another --split-seed would silently drop scenes."""
+        root, _ = split5
         capsys.readouterr()
         code = run_cli(
-            "train", "--corpus", corpus, "--manifest", fdir / "manifest.json",
+            "train", "--corpus", pipeline / "data" / "corpus.jsonl", "--manifest", root / "filter" / "manifest.json",
             "--epochs", 1, "--batch-size", 16, "--out-dir", tmp_path / "restricted",
         )
         assert code == 3
@@ -187,64 +217,36 @@ class TestTeacherForcedPasses:
 
 
 class TestSplitSeed:
-    """Every stage splits with --split-seed, whatever its --seed."""
+    """``train`` records its --test-frac and --split-seed in the checkpoint;
+    ``filter`` and ``eval`` take the split from there, whatever their --seed."""
 
-    def test_eval_with_another_seed_sees_no_training_scene(self, pipeline, tmp_path, monkeypatch):
-        import visdep.cli as cli
+    def test_eval_with_another_seed_sees_no_training_scene(self, pipeline, split5):
+        root, trained_on = split5
+        all_ids = read_corpus(pipeline / "data" / "corpus.jsonl").scene_ids.tolist()
+        evaluated = read_traces(root / "eval" / "traces.jsonl").sample_ids.tolist()
+        assert len(trained_on) == 60 and len(evaluated) == 20
+        assert evaluated == [sid for sid in all_ids if sid not in trained_on]
+        assert list(load_manifest(root / "filter" / "manifest.json").scores) == trained_on
+        ckpt = json.loads((root / "train" / "ckpt.json").read_text())
+        assert (ckpt["test_frac"], ckpt["split_seed"]) == (0.25, 5)
 
-        corpus = pipeline / "data" / "corpus.jsonl"
-        trained_on = []
-        real_train = cli.train
-
-        def recording_train(corpus, cfg):
-            trained_on.extend(corpus.scene_ids)
-            return real_train(corpus, cfg)
-
-        monkeypatch.setattr(cli, "train", recording_train)
-        assert (
-            run_cli(
-                "train", "--corpus", corpus, "--epochs", 1, "--batch-size", 16, "--lr", 0.01,
-                "--seed", 2, "--out-dir", tmp_path / "train",
-            )
-            == 0
-        )
-        assert (
-            run_cli(
-                "eval", "--corpus", corpus, "--ckpt", tmp_path / "train" / "ckpt.json",
-                "--seed", 42, "--out-dir", tmp_path / "eval",
-            )
-            == 0
-        )
-        assert (
-            run_cli(
-                "filter", "--corpus", corpus, "--ckpt", tmp_path / "train" / "ckpt.json",
-                "--strategy", "lowest", "--frac", 0.1, "--seed", 42, "--out-dir", tmp_path / "filter",
-            )
-            == 0
-        )
-        evaluated = read_traces(tmp_path / "eval" / "traces.jsonl").sample_ids.tolist()
-        assert len(trained_on) == 64 and len(evaluated) == 16
-        assert set(evaluated).isdisjoint(trained_on)
-        assert set(load_manifest(tmp_path / "filter" / "manifest.json").scores) == set(trained_on)
-        for stage in ("train", "eval", "filter"):
-            assert json.loads((tmp_path / stage / "run.json").read_text())["config"]["split_seed"] == 42
-
-    def test_split_seed_moves_the_split(self, pipeline, tmp_path):
-        corpus = pipeline / "data" / "corpus.jsonl"
-        ckpt = pipeline / "mle" / "ckpt.json"
-        for split_seed in (42, 5):
-            assert (
-                run_cli(
-                    "eval", "--corpus", corpus, "--ckpt", ckpt, "--seed", 7,
-                    "--split-seed", split_seed, "--out-dir", tmp_path / str(split_seed),
-                )
-                == 0
-            )
-        ids = [set(read_traces(tmp_path / str(s) / "traces.jsonl").sample_ids) for s in (42, 5)]
-        assert ids[0] == set(read_traces(pipeline / "eval" / "traces.jsonl").sample_ids)
+    def test_split_seed_moves_the_split(self, pipeline, split5):
+        root, _ = split5
+        ids = [set(read_traces(d / "traces.jsonl").sample_ids) for d in (pipeline / "eval", root / "eval")]
         assert ids[0] != ids[1]
-        run = json.loads((tmp_path / "5" / "run.json").read_text())
-        assert run["config"]["split_seed"] == 5
+
+    @pytest.mark.parametrize(
+        "stage,flag", [("filter", ["--split-seed", 5]), ("eval", ["--test-frac", 0.3])], ids=["filter", "eval"]
+    )
+    def test_filter_and_eval_take_no_split_flag(self, pipeline, tmp_path, capsys, stage, flag):
+        extra = ["--strategy", "lowest", "--frac", 0.1] if stage == "filter" else []
+        code = run_cli(
+            stage, "--corpus", pipeline / "data" / "corpus.jsonl", "--ckpt", pipeline / "mle" / "ckpt.json",
+            *extra, *flag, "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:
@@ -389,6 +391,34 @@ class TestExitCodes:
         assert "corpus.jsonl:5: scene 'scene-000004': true_objects holds True, not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("test_frac", None), ("split_seed", None), ("test_frac", True), ("test_frac", "0.2"), ("test_frac", 0),
+            ("test_frac", 1), ("test_frac", float("nan")), ("split_seed", 4.0), ("split_seed", True),
+            ("split_seed", "42"),
+        ],
+    )
+    @pytest.mark.parametrize("stage", ["filter", "eval"])
+    def test_checkpoint_with_a_bad_split_is_a_data_error(
+        self, pipeline, tmp_path, monkeypatch, capsys, stage, key, value
+    ):
+        import visdep.cli as cli
+
+        payload = json.loads((pipeline / "mle" / "ckpt.json").read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        monkeypatch.setattr(cli.synth, "read_corpus", lambda *a: pytest.fail("read the corpus first"))
+        extra = ["--strategy", "lowest", "--frac", 0.1] if stage == "filter" else []
+        corpus = pipeline / "data" / "corpus.jsonl"
+        code = run_cli(stage, "--corpus", corpus, "--ckpt", ckpt, *extra, "--out-dir", tmp_path / "out")
+        assert code == 3
+        assert f"{ckpt}: checkpoint {key} {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "stage,mismatch",
         [
             pytest.param("filter", "features", id="filter"),
@@ -408,7 +438,7 @@ class TestExitCodes:
             expected = ["ckpt.json: checkpoint takes 40 features per scene", "corpus.jsonl has 50"]
         else:
             corpus, ckpt = pipeline / "data" / "corpus.jsonl", tmp_path / "ckpt.json"
-            save_params(init_params(30, 40, seed=0), ckpt)
+            save_params(init_params(30, 40, seed=0), ckpt, 0.2, 42)
             expected = [f"ckpt.json: checkpoint has 30 tokens, but 40 objects take {vocab_size(40)}"]
         monkeypatch.setattr(cli, "score_corpus", lambda *a, **k: pytest.fail("scored with a mismatched checkpoint"))
         monkeypatch.setattr(cli, "run_eval", lambda *a, **k: pytest.fail("evaluated with a mismatched checkpoint"))
@@ -522,6 +552,27 @@ class TestSweep:
         train_run = json.loads((pipeline / "mle" / "run.json").read_text())
         assert set(run["config"]) == set(train_run["config"]) - {"manifest"} | {"axis", "values", "max_len"}
 
+    def test_a_sub_run_checkpoint_re_evaluates_byte_for_byte(self, pipeline, tmp_path):
+        corpus = pipeline / "data" / "corpus.jsonl"
+        assert (
+            run_cli(
+                "sweep", "--corpus", corpus, "--axis", "tau", "--values", 0.0, 1.0, "--loss", "wneg",
+                "--epochs", 1, "--batch-size", 16, "--lr", 0.01, "--seed", 7, "--max-len", 12,
+                "--split-seed", 5, "--test-frac", 0.25, "--out-dir", tmp_path / "sweep",
+            )
+            == 0
+        )
+        sub = tmp_path / "sweep" / "tau-1"
+        assert (
+            run_cli(
+                "eval", "--corpus", corpus, "--ckpt", sub / "ckpt.json", "--seed", 7, "--max-len", 12,
+                "--out-dir", tmp_path / "eval",
+            )
+            == 0
+        )
+        for name in ("traces.jsonl", "report.json", "class_counts.csv", "cooccurrence.csv"):
+            assert (tmp_path / "eval" / name).read_bytes() == (sub / name).read_bytes(), name
+
     @pytest.mark.parametrize(
         "axis,values,field",
         [
@@ -534,7 +585,7 @@ class TestSweep:
     def test_each_value_reaches_its_config_field(self, pipeline, tmp_path, monkeypatch, axis, values, field):
         import visdep.cli as cli
 
-        params = load_params(pipeline / "mle" / "ckpt.json")
+        params, _, _ = load_params(pipeline / "mle" / "ckpt.json")
         configs = []
 
         def recording_train(scenes, cfg):
@@ -633,8 +684,8 @@ RUN_KEYS = {
     "synth": {"seed", "scenes", "objects", "halluc_rate", "jitter"},
     "train": {"seed", "manifest"} | _TRAIN_KEYS | _SPLIT_KEYS,
     "analyze": {"seed", "traces"},
-    "filter": {"seed", "corpus", "ckpt", "strategy", "frac", "noise_step"} | _SPLIT_KEYS,
-    "eval": {"seed", "corpus", "ckpt", "noise_step", "max_len"} | _SPLIT_KEYS,
+    "filter": {"seed", "corpus", "ckpt", "strategy", "frac", "noise_step"},
+    "eval": {"seed", "corpus", "ckpt", "noise_step", "max_len"},
     "sweep": {"seed", "axis", "values", "max_len"} | _TRAIN_KEYS | _SPLIT_KEYS,
     "plot": {"seed", "traces", "manifest"},
 }

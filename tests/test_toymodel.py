@@ -1143,10 +1143,29 @@ class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         p = small_params(9)
         path = tmp_path / "ckpt.json"
-        save_params(p, path)
-        restored = load_params(path)
+        save_params(p, path, 0.2, 42)
+        restored, _, _ = load_params(path)
         for name, arr in p.blocks().items():
             np.testing.assert_array_equal(arr, restored.blocks()[name])
+
+    @pytest.mark.parametrize("test_frac,split_seed", [(0.2, 42), (0.25, 5), (1e-9, -3), (0.1 + 0.2, 2**70)])
+    def test_round_trip_keeps_the_split(self, tmp_path, test_frac, split_seed):
+        path = tmp_path / "ckpt.json"
+        save_params(small_params(), path, test_frac, split_seed)
+        _, got_frac, got_seed = load_params(path)
+        assert (got_frac, got_seed) == (test_frac, split_seed)
+        assert type(got_frac) is float and type(got_seed) is int
+
+    def test_rejects_a_version_1_checkpoint(self, tmp_path):
+        import json
+
+        path = tmp_path / "ckpt.json"
+        save_params(small_params(), path, 0.2, 42)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["test_frac"], payload["split_seed"]
+        path.write_text(json.dumps({**payload, "version": 1}), encoding="utf-8")
+        with pytest.raises(ValueError, match="ckpt.json: unsupported checkpoint version 1$"):
+            load_params(path)
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -1157,7 +1176,7 @@ class TestCheckpoint:
     def test_rejects_wrong_version(self, tmp_path):
         p = small_params()
         path = tmp_path / "ckpt.json"
-        save_params(p, path)
+        save_params(p, path, 0.2, 42)
         import json
 
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -1169,7 +1188,7 @@ class TestCheckpoint:
     def test_rejects_missing_block(self, tmp_path):
         p = small_params()
         path = tmp_path / "ckpt.json"
-        save_params(p, path)
+        save_params(p, path, 0.2, 42)
         import json
 
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -1194,17 +1213,29 @@ class TestCheckpoint:
             (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [float("inf")] * 8}}}, "b_z"),
             (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": 0.5}}}, "b_z"),
             (lambda p: {**p, "blocks": {**p["blocks"], "b_z": {**p["blocks"]["b_z"], "data": [10**400] * 8}}}, "b_z"),
+            (lambda p: {k: v for k, v in p.items() if k != "test_frac"}, "test_frac None"),
+            (lambda p: {k: v for k, v in p.items() if k != "split_seed"}, "split_seed None"),
+            (lambda p: {**p, "test_frac": True}, "test_frac True"),
+            (lambda p: {**p, "test_frac": "0.2"}, "test_frac '0.2'"),
+            (lambda p: {**p, "test_frac": 0}, "test_frac 0 "),
+            (lambda p: {**p, "test_frac": 1}, "test_frac 1 "),
+            (lambda p: {**p, "test_frac": float("nan")}, "test_frac nan"),
+            (lambda p: {**p, "split_seed": 4.0}, "split_seed 4.0"),
+            (lambda p: {**p, "split_seed": True}, "split_seed True"),
+            (lambda p: {**p, "split_seed": "42"}, "split_seed '42'"),
         ],
         ids=[
             "blocks-null", "list", "dim-null", "block-null", "shape-vs-header", "data-size", "data-objects",
             "data-string", "data-bool", "data-nan", "data-inf", "data-scalar", "data-huge-int",
+            "test-frac-missing", "split-seed-missing", "test-frac-bool", "test-frac-string", "test-frac-0",
+            "test-frac-1", "test-frac-nan", "split-seed-float", "split-seed-bool", "split-seed-string",
         ],
     )
     def test_rejects_a_malformed_checkpoint_naming_the_file(self, tmp_path, edit, message):
         import json
 
         path = tmp_path / "ckpt.json"
-        save_params(small_params(), path)
+        save_params(small_params(), path, 0.2, 42)
         payload = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps(edit(payload)), encoding="utf-8")
         with pytest.raises(ValueError, match=f"ckpt.json: .*{message}"):
